@@ -10,7 +10,8 @@ durability modes:
 * **buffered** (``journal_fsync=False``) — data files are flushed but not
   fsynced at each checkpoint; safe against process crashes, not power loss.
 * **fsync** (``journal_fsync=True``, the default) — every checkpoint fsyncs
-  the data files before atomically replacing ``checkpoint.json``.
+  ``rows.bin`` and ``intervals.bin``, then writes the record into the older
+  of the two checkpoint slots and fsyncs it (3 fsyncs per checkpoint).
 
 Both journaled runs are asserted **bit-identical** to the unjournaled
 baseline, and a crash-at-arbitrary-tick resume is asserted bit-identical as
@@ -115,6 +116,9 @@ def check_resume(baseline: SearchResult, kill_tick: int, workdir: Path) -> None:
     for _ in range(kill_tick):
         if not execution.advance():
             break
+    # The crash: a dead process's descriptors close, and its journal lease
+    # with them; nothing is checkpointed on the way down.
+    execution.close_journal()
     resumed = make_search(fresh_problem()).resume(journal)
     while resumed.advance():
         pass

@@ -309,12 +309,12 @@ def load_campaign(directory: Union[str, Path], space: SearchSpace) -> CampaignRe
         num_workers=int(manifest["num_workers"]),
     )
     for entry in manifest["files"]:
-        history = _load_entry_history(directory, entry, space)
         busy_intervals = None
         if "journal" in entry:
-            busy_intervals = open_journal_reader(
-                directory / entry["journal"], space
-            ).intervals()
+            reader = open_journal_reader(directory / entry["journal"], space)
+            history, busy_intervals = reader.history(), reader.intervals()
+        else:
+            history = _load_history_cached(directory / entry["file"], space)
         campaign.results.append(
             result_from_history(
                 history,

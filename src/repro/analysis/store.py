@@ -13,12 +13,12 @@ corpus as a first-class, cheaply-queryable asset.
 use, re-run with :meth:`CampaignStore.rescan`), every campaign is served
 through the LRU-bounded memory-mapped reader cache
 (:func:`repro.core.journal.open_journal_reader`), and the histories handed
-out are read-only zero-copy views over the journals' column files — so a
+out are read-only zero-copy views over the journals' row files — so a
 cold process can sweep thousands of stored campaigns into
 :func:`~repro.analysis.figures.fig3_table`/metric aggregations without
 parsing a byte of CSV and without holding more than the cache bound's worth
 of mappings alive.  :meth:`CampaignStore.peek` summarises a campaign without
-even constructing its history (objective/runtime columns only).
+even constructing its history (objective/runtime words only).
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class CampaignStore:
     def peek(self, name: str) -> Dict:
         """Cheap status summary without constructing the history.
 
-        Maps only the objective/runtime columns — see
+        Reads only the objective/runtime words of ``rows.bin`` — see
         :meth:`repro.core.journal.JournalReader.peek`.
         """
         return JournalReader.peek(self.directory(name))

@@ -8,12 +8,13 @@ checkpoint records — therefore goes through the same two primitives:
 
 * :func:`atomic_write_text` / :func:`atomic_write_bytes` — write to a
   temporary file in the *same directory* (so the final rename never crosses a
-  filesystem boundary), flush, ``fsync``, then ``os.replace`` onto the target
-  name.  Readers observe either the complete old content or the complete new
+  filesystem boundary), flush, ``fsync``, ``os.replace`` onto the target
+  name, then fsync the directory so the rename itself survives a power loss.
+  Readers observe either the complete old content or the complete new
   content, never a mixture.
 * :func:`fsync_file` — flush+fsync an open append-mode handle, used by the
-  journal to make its append-only column files durable before the checkpoint
-  record that references them is replaced.
+  journal to make its append-only data files durable before the checkpoint
+  record that references them is written.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
     The bytes are written to a uniquely named temporary file next to the
     target, fsynced, and renamed over it with ``os.replace`` — atomic on
     POSIX, so a crash at any point leaves either the previous file or the new
-    one, never a torn mixture.
+    one, never a torn mixture.  The directory is fsynced after the rename:
+    without it a power loss can undo the rename after this call returned.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -51,6 +53,7 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
         except OSError:
             pass
         raise
+    _fsync_directory(path.parent)
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
@@ -62,3 +65,12 @@ def fsync_file(handle: IO) -> None:
     """Flush and fsync an open file handle (durability barrier)."""
     handle.flush()
     os.fsync(handle.fileno())
+
+
+def _fsync_directory(path: Union[str, Path]) -> None:
+    """Fsync a directory, making the entries created or renamed in it durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -6,65 +6,96 @@ history CSV is written once at the end, and even if it were streamed, the
 optimizer's RNG cursor, the surrogate's fitted state and the evaluator's
 in-flight evaluations are not in it.  The journal fixes that without touching
 the CSV interchange format: each journaled campaign owns a sidecar directory
-holding
+holding (format 2)
 
-* **append-only binary column files** mirroring the
-  :class:`~repro.core.history.SearchHistory` buffers — one little-endian
-  ``float64``/``int64`` file per metadata column, one per parameter
-  (categorical/ordinal values are stored as their domain index), plus one
-  file of ``(submitted, completed)`` busy-interval pairs;
+* **``rows.bin``** — an append-only file of fixed-width little-endian
+  records, one per :class:`~repro.core.history.SearchHistory` row: the six
+  metadata words (``objective``, ``runtime``, ``submitted``, ``completed``
+  as ``float64``; ``worker``, ``eval_id`` as ``int64``), then one 8-byte
+  word per parameter (reals as ``float64``, integers as ``int64``,
+  categorical/ordinal values as the ``int64`` index into their domain);
+* **``intervals.bin``** — append-only ``(submitted, completed)``
+  ``float64`` busy-interval pairs;
 * **``meta.json``** — the immutable campaign fingerprint (space layout, seed,
   worker count, budgets), written once and atomically at creation;
-* **``checkpoint.json``** — the small mutable record, atomically replaced at
-  every checkpoint *after* the data files are fsynced: row/interval counts,
-  the optimizer RNG state, the evaluator state, the surrogate *fit schedule*
-  (the history row count at every fit, plus the surrogate RNG state captured
-  just before the most recent fit) and the prior-refresh schedule.
+* **``checkpoint.0`` / ``checkpoint.1``** — two checkpoint *slots*,
+  overwritten in place alternately.  Each holds a 32-byte header (magic,
+  journal id, sequence number, body length, and a CRC32 over id, sequence,
+  length and body) followed by the JSON record: row/interval counts, the
+  data files' committed tails (below), the optimizer RNG state, the
+  evaluator state, the surrogate *fit schedule* (the history row count at
+  every fit, plus the surrogate RNG state captured just before the most
+  recent fit) and the prior-refresh schedule.
+
+**Commit protocol.**  A checkpoint appends the new rows and intervals (one
+write each), flushes and fsyncs those two files, ``pwrite``\\ s the record
+into the *older* slot and fsyncs that slot: three fsyncs per checkpoint,
+and no file is created or renamed.  Data is durable before the record that
+references it.  The record also carries the byte range and CRC32 of what
+each data file gained since the previous commit.  The newest slot whose
+CRC checks out, and whose appended bytes do too, is the commit, so a record
+torn by a crash — or damage to the data it appended — falls back to the
+previous commit: the scheme of LMDB's two meta pages.  One row file
+(rather than a file per column) is what makes the count constant: the
+writer makes one file durable for the history however wide the space is,
+and a reader maps one file per campaign.
+
+**Single writer.**  The writer holds ``flock(LOCK_EX | LOCK_NB)`` on its
+``rows.bin`` descriptor for its whole lifetime (taken before ``create``
+truncates or ``attach`` rolls back anything); a second writer gets
+:class:`JournalBusyError`.  Readers never lock.
 
 Recovery (:meth:`repro.core.search.CampaignExecution.resume`) never replays
-evaluations: the history rows are read back from the column files (truncated
-to the checkpointed counts, which discards any torn tail from a crash
-mid-append), the optimizer re-ingests them along the recorded fit boundaries
-— partial-fit surrogates (GP) replay every fit event so their incremental
-factors take the same growth path, from-scratch surrogates (RF) replay only
-the final fit after restoring the pre-fit RNG state — prior refreshes are
-re-trained against the same truncated history prefixes they originally saw,
-and the evaluator reloads its pending evaluations with their already-decided
-runtimes.  The resumed campaign is bit-identical to one that never crashed.
+evaluations: the history rows are read back through :class:`JournalReader`
+(up to the checkpointed counts — ``attach`` truncates any torn tail a crash
+left past them), the optimizer re-ingests them along the recorded fit
+boundaries — partial-fit surrogates (GP) replay every fit event so their
+incremental factors take the same growth path, from-scratch surrogates (RF)
+replay only the final fit after restoring the pre-fit RNG state — prior
+refreshes are re-trained against the same truncated history prefixes they
+originally saw, and the evaluator reloads its pending evaluations with their
+already-decided runtimes.  The resumed campaign is bit-identical to one that
+never crashed.
 
-The **read side** is :class:`JournalReader`: a zero-copy, memory-mapped view
-of a journaled campaign at its checkpoint watermark.  Each per-column append
-file is ``np.memmap``-ed up to the committed row count — bytes past the
-watermark (a live writer's uncheckpointed appends, or a torn tail left by a
-crash) are simply never mapped, so one writer and any number of reader
-processes can share a journal directory without locking and without
-rewriting anything.  :func:`open_journal_reader` serves readers through an
-LRU-bounded cache keyed by the checkpoint record's identity, so a cold
-analysis sweep over thousands of stored campaigns neither re-reads column
-data nor accumulates an unbounded number of live mappings
-(:func:`set_journal_cache_limit` / :func:`clear_journal_cache` mirror the
-parsed-CSV cache controls in :mod:`repro.analysis.csvio`).
+The **read side** is :class:`JournalReader`: a zero-copy view of a journaled
+campaign at its checkpoint watermark.  ``rows.bin`` is memory-mapped once,
+up to the committed row count, and every column is a field view of that one
+mapping — bytes past the watermark (a live writer's uncheckpointed appends,
+or a torn tail left by a crash) are simply never mapped, so one writer and
+any number of reader processes can share a journal directory without
+locking and without rewriting anything.  :func:`open_journal_reader` serves
+readers through an LRU-bounded cache keyed by the commit's identity (journal
+id, slot sequence and record CRC), so a cold analysis sweep over thousands of stored
+campaigns neither re-reads row data nor accumulates an unbounded number of
+live mappings (:func:`set_journal_cache_limit` / :func:`clear_journal_cache`
+mirror the parsed-CSV cache controls in :mod:`repro.analysis.csvio`).
 """
 
 from __future__ import annotations
 
+import fcntl
+import functools
 import json
 import mmap
 import os
+import struct
 import threading
+import time
+import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.history import Evaluation, SearchHistory
+from repro.core.history import SearchHistory
 from repro.core.ioutil import atomic_write_text, fsync_file
 from repro.core.objective import Objective
 from repro.core.space import IntegerParameter, RealParameter, SearchSpace
 
 __all__ = [
     "CampaignJournal",
+    "JournalBusyError",
     "JournalError",
     "JournalReader",
     "open_journal_reader",
@@ -72,11 +103,16 @@ __all__ = [
     "set_journal_cache_limit",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 META_NAME = "meta.json"
-CHECKPOINT_NAME = "checkpoint.json"
+ROWS_NAME = "rows.bin"
+INTERVALS_NAME = "intervals.bin"
+#: The append-only data files, in the order of a record's ``tail`` entries.
+_DATA_FILES = (ROWS_NAME, INTERVALS_NAME)
+#: The two checkpoint slots; commit ``seq`` lands in ``SLOT_NAMES[seq % 2]``.
+SLOT_NAMES = ("checkpoint.0", "checkpoint.1")
 
-#: Metadata columns journaled for every history row, in file order.
+#: Metadata words at the start of every ``rows.bin`` record, in order.
 _META_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("objective", "<f8"),
     ("runtime", "<f8"),
@@ -86,9 +122,23 @@ _META_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("eval_id", "<i8"),
 )
 
+#: Slot header: magic, journal id, sequence number, body length, CRC32.
+_SLOT_HEADER = struct.Struct("<8sQQII")
+#: The header fields the CRC covers (id, sequence, length), then the body.
+_SLOT_CRC_FIELDS = struct.Struct("<QQI")
+_SLOT_MAGIC = b"RPRJNL02"
+#: Reads of a journal whose slots are all invalid although one is non-empty
+#: (a read that overlapped the writer's in-place overwrites) before it is
+#: reported as having no checkpoint.
+_SLOT_READ_ATTEMPTS = 5
+
 
 class JournalError(RuntimeError):
     """A campaign journal is missing, malformed, or does not match the search."""
+
+
+class JournalBusyError(JournalError):
+    """Another live writer holds the journal's lease."""
 
 
 def _json_default(value: Any):
@@ -107,7 +157,7 @@ def _dump_json(payload: Dict) -> str:
 
 
 class _ParamCodec:
-    """Binary codec for one parameter's value column.
+    """Binary codec for one parameter's word of a ``rows.bin`` record.
 
     Real parameters store their values as ``float64`` (exact round trip);
     integer parameters as ``int64``; categorical and ordinal parameters as
@@ -119,48 +169,160 @@ class _ParamCodec:
     def __init__(self, param):
         self.param = param
         self.name = param.name
+        #: The domain of an indexed (categorical/ordinal) parameter, None for
+        #: a numeric one; ``_scalar`` converts a numeric word to its value.
+        self._domain = None
         if isinstance(param, RealParameter):
-            self.dtype = "<f8"
+            self.dtype, self._scalar = "<f8", float
         elif isinstance(param, IntegerParameter):
-            self.dtype = "<i8"
+            self.dtype, self._scalar = "<i8", int
         elif getattr(param, "_domain", None) is not None:
-            self.dtype = "<i8"
+            self.dtype, self._domain = "<i8", param._domain
         else:
             raise JournalError(
                 f"parameter {param.name!r} of type {type(param).__name__} "
                 "has no journal codec"
             )
 
-    def encode(self, values: Sequence) -> np.ndarray:
-        param = self.param
-        if isinstance(param, RealParameter):
-            return np.asarray([float(v) for v in values], dtype="<f8")
-        if isinstance(param, IntegerParameter):
-            return np.asarray([int(v) for v in values], dtype="<i8")
-        return np.asarray([param.index_of(v) for v in values], dtype="<i8")
+    def encode(self, values: np.ndarray) -> np.ndarray:
+        """Encode an object-dtype value column in one vectorised pass."""
+        if self._domain is None:
+            # The object → float64/int64 cast runs float()/int() in C.
+            return np.asarray(values, dtype=self.dtype)
+        return self.param.indices_vec(values)
 
     def decode(self, column: np.ndarray) -> List:
-        param = self.param
         # tolist() converts the whole column to native Python scalars in one
         # C pass — element-wise iteration over a memory-mapped column would
         # pay one buffer access per value instead.
         values = column.tolist()
-        if isinstance(param, (RealParameter, IntegerParameter)):
-            return values
-        domain = param._domain
-        return [domain[v] for v in values]
+        domain = self._domain
+        return values if domain is None else [domain[v] for v in values]
 
     def decode_element(self, value):
-        param = self.param
-        if isinstance(param, RealParameter):
-            return float(value)
-        if isinstance(param, IntegerParameter):
-            return int(value)
-        return param._domain[int(value)]
+        if self._domain is None:
+            return self._scalar(value)
+        return self._domain[int(value)]
 
 
 def _space_fingerprint(space: SearchSpace) -> List[List[str]]:
     return [[p.name, type(p).__name__] for p in space.parameters]
+
+
+def _row_dtype(codecs: Sequence[_ParamCodec]) -> np.dtype:
+    """The packed record layout of ``rows.bin`` for a space's codecs."""
+    return _record_dtype(tuple(codec.dtype for codec in codecs))
+
+
+@functools.lru_cache(maxsize=None)
+def _record_dtype(param_dtypes: Tuple[str, ...]) -> np.dtype:
+    # Cached: building a structured dtype costs more than a cold reader's
+    # mapping, and a store holds few distinct layouts.
+    return np.dtype(
+        list(_META_COLUMNS)
+        + [(f"p{i}", dtype) for i, dtype in enumerate(param_dtypes)]
+    )
+
+
+# ------------------------------------------------------------ commit slots
+class _Commit(NamedTuple):
+    """One valid checkpoint slot: whose it is, its sequence, its CRC, its record."""
+
+    journal_id: int
+    seq: int
+    crc: int
+    record: Dict
+
+
+def _encode_slot(journal_id: int, seq: int, record: Dict) -> bytes:
+    body = _dump_json(record).encode("utf-8")
+    crc = zlib.crc32(body, zlib.crc32(_SLOT_CRC_FIELDS.pack(journal_id, seq, len(body))))
+    return _SLOT_HEADER.pack(_SLOT_MAGIC, journal_id, seq, len(body), crc) + body
+
+
+def _decode_slot(data: bytes) -> Optional[_Commit]:
+    """The commit a slot's bytes hold, or None if they are torn or empty."""
+    if len(data) < _SLOT_HEADER.size:
+        return None
+    magic, journal_id, seq, length, crc = _SLOT_HEADER.unpack_from(data)
+    body = data[_SLOT_HEADER.size : _SLOT_HEADER.size + length]
+    if magic != _SLOT_MAGIC or len(body) != length:
+        return None
+    if zlib.crc32(body, zlib.crc32(_SLOT_CRC_FIELDS.pack(journal_id, seq, length))) != crc:
+        return None
+    return _Commit(journal_id, seq, crc, json.loads(body))
+
+
+def _damaged_tail(directory: Path, record: Dict) -> Optional[str]:
+    """The data file whose bytes a commit appended do not check out, if any.
+
+    A record's ``tail`` holds, per data file, the byte range the commit
+    appended and its CRC32; a short or altered range means the data under
+    this commit is not what it committed.
+    """
+    for name, (start, stop, crc) in zip(_DATA_FILES, record["tail"]):
+        if stop == start:
+            continue
+        try:
+            fd = os.open(directory / name, os.O_RDONLY)
+        except FileNotFoundError:
+            return name
+        try:
+            data = os.pread(fd, stop - start, start)
+        finally:
+            os.close(fd)
+        if len(data) != stop - start or zlib.crc32(data) != crc:
+            return name
+    return None
+
+
+def _read_commit(directory: Path) -> Optional[_Commit]:
+    """The newest intact commit of a journal (None before the first).
+
+    A commit is intact when its slot's CRC checks out and so do the data it
+    appended; a damaged newest commit falls back to the one in the other
+    slot.  The writer overwrites slots in place, so a read that overlaps its
+    ``pwrite`` sees a torn slot while the other slot still holds the
+    previous commit.  Only a read overlapping two consecutive commits finds
+    both slots invalid, so that case re-reads a bounded number of times
+    before it reports no checkpoint.  Raises :class:`JournalError` when
+    valid slots exist but the data of each is damaged.
+    """
+    for attempt in range(_SLOT_READ_ATTEMPTS):
+        if attempt:
+            time.sleep(0.0005 * attempt)
+        commits: List[_Commit] = []
+        written = False
+        for name in SLOT_NAMES:
+            try:
+                data = (directory / name).read_bytes()
+            except FileNotFoundError:
+                continue
+            written = written or bool(data)
+            commit = _decode_slot(data)
+            if commit is not None:
+                commits.append(commit)
+        if commits:
+            damaged = None
+            for commit in sorted(commits, key=lambda c: c.seq, reverse=True):
+                damaged = _damaged_tail(directory, commit.record)
+                if damaged is None:
+                    return commit
+            raise JournalError(
+                f"journal data file {damaged} in {directory} does not hold "
+                "the bytes its checkpoints committed"
+            )
+        if not written:
+            return None
+    return None
+
+
+def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
+    view = memoryview(data)
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view = view[written:]
+        offset += written
 
 
 class CampaignJournal:
@@ -169,19 +331,22 @@ class CampaignJournal:
     Use :meth:`create` for a fresh campaign (existing journal files in the
     directory are truncated) and :meth:`attach` when resuming — attach rolls
     the data files back to the last checkpoint's counts, discarding any torn
-    post-crash tail, and continues appending from there.
+    post-crash tail, and continues appending from there.  Either takes the
+    journal's writer lease first and raises :class:`JournalBusyError` when
+    another writer holds it; :meth:`close` releases it.
 
     Parameters
     ----------
     directory:
         The sidecar directory (created if missing).
     space:
-        The campaign's search space (defines the column files).
+        The campaign's search space (defines the ``rows.bin`` record).
     fsync:
         Whether to fsync the data files before each checkpoint record is
-        replaced (default).  Disabling trades crash durability for speed —
-        the journal stays *consistent* (the checkpoint still only references
-        rows it believes are on disk) but a power loss may roll further back.
+        written, and the record after (default).  Disabling trades crash
+        durability for speed — the journal stays *consistent* (the
+        checkpoint still only references rows it believes are on disk) but a
+        power loss may roll further back.
     checkpoint_interval:
         Checkpoint every this-many manager ticks (1 = every tick).  Ticks
         between checkpoints are lost on a crash and transparently re-executed
@@ -202,28 +367,24 @@ class CampaignJournal:
         self.fsync = bool(fsync)
         self.checkpoint_interval = int(checkpoint_interval)
         self._codecs = [_ParamCodec(p) for p in space.parameters]
+        self._row_dtype = _row_dtype(self._codecs)
         self._handles: Dict[str, object] = {}
+        #: Per data file: ``[offset, crc]`` of the bytes appended since the
+        #: last commit — the tail the next record vouches for.
+        self._tails: Dict[str, List[int]] = {name: [0, 0] for name in _DATA_FILES}
+        #: Id stamped into every slot this journal writes: one more than the
+        #: id of the journal ``create`` replaced in the directory, so a
+        #: re-created journal never shares a commit identity (the reader
+        #: cache key) with its predecessor, while two runs of one campaign
+        #: still write identical bytes.
+        self.journal_id = 0
+        #: The last commit written or attached at (None before the first).
+        self.commit: Optional[_Commit] = None
         self.num_rows = 0
         self.num_intervals = 0
         self._fit_rows: List[int] = []
         self._pre_fit_rng: Optional[Dict] = None
         self._refresh_rows: List[int] = []
-
-    # ------------------------------------------------------------ file layout
-    def _meta_path(self) -> Path:
-        return self.directory / META_NAME
-
-    def _checkpoint_path(self) -> Path:
-        return self.directory / CHECKPOINT_NAME
-
-    def _data_files(self) -> List[Tuple[str, str]]:
-        """``(filename, dtype)`` of every data file, in a fixed order."""
-        files = [(f"m_{name}.bin", dtype) for name, dtype in _META_COLUMNS]
-        files.extend(
-            (f"p{i}.bin", codec.dtype) for i, codec in enumerate(self._codecs)
-        )
-        files.append(("intervals.bin", "<f8"))
-        return files
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -234,17 +395,34 @@ class CampaignJournal:
         fsync: bool = True,
         checkpoint_interval: int = 1,
     ) -> "CampaignJournal":
-        """Open a fresh journal, truncating any previous files in the way."""
+        """Open a fresh journal, truncating any previous files in the way.
+
+        The writer lease is taken before anything is truncated, and the
+        slots are emptied before the data files, so no crash during the
+        truncation leaves a record pointing at truncated rows.  The new
+        files' directory entries become durable with :meth:`write_meta`,
+        whose directory fsync follows them.
+        """
         journal = cls(
             directory, space, fsync=fsync, checkpoint_interval=checkpoint_interval
         )
         journal.directory.mkdir(parents=True, exist_ok=True)
-        checkpoint = journal._checkpoint_path()
-        if checkpoint.exists():
-            checkpoint.unlink()
-        for name, _ in journal._data_files():
-            (journal.directory / name).write_bytes(b"")
-        journal._open_handles()
+        journal._open_handles(create=True)
+        try:
+            headers = [
+                os.pread(journal._handles[name].fileno(), _SLOT_HEADER.size, 0)
+                for name in SLOT_NAMES
+            ]
+            previous = max(
+                (_SLOT_HEADER.unpack(h)[1] for h in headers if len(h) == _SLOT_HEADER.size),
+                default=0,
+            )
+            journal.journal_id = (previous + 1) % 2**64
+            for name in SLOT_NAMES + _DATA_FILES:
+                journal._handles[name].truncate(0)
+        except BaseException:
+            journal.close()
+            raise
         return journal
 
     @classmethod
@@ -260,56 +438,104 @@ class CampaignJournal:
         Data files are truncated to the checkpointed counts first: appends
         that happened after the final checkpoint (including a torn partial
         write from the crash itself) are rolled back, so the files and the
-        checkpoint record always agree.
+        checkpoint record always agree.  The commit attached at is
+        :attr:`commit`.
         """
         journal = cls(
             directory, space, fsync=fsync, checkpoint_interval=checkpoint_interval
         )
-        checkpoint = journal._read_checkpoint()
-        if checkpoint is None:
-            raise JournalError(f"no checkpoint to attach to in {journal.directory}")
-        journal.num_rows = int(checkpoint["num_rows"])
-        journal.num_intervals = int(checkpoint["num_intervals"])
-        journal._fit_rows = [int(r) for r in checkpoint["fit_rows"]]
-        journal._pre_fit_rng = checkpoint.get("pre_fit_rng")
-        journal._refresh_rows = [int(r) for r in checkpoint["refresh_rows"]]
+        journal._open_handles(create=False)
         try:
-            for name, dtype in journal._data_files():
-                path = journal.directory / name
-                count = journal.num_intervals * 2 if name == "intervals.bin" else journal.num_rows
-                expected = count * np.dtype(dtype).itemsize
-                size = path.stat().st_size if path.exists() else -1
+            commit = _read_commit(journal.directory)
+            if commit is None:
+                raise JournalError(f"no checkpoint to attach to in {journal.directory}")
+            record = commit.record
+            journal.journal_id = commit.journal_id
+            journal.commit = commit
+            journal.num_rows = int(record["num_rows"])
+            journal.num_intervals = int(record["num_intervals"])
+            journal._fit_rows = [int(r) for r in record["fit_rows"]]
+            journal._pre_fit_rng = record.get("pre_fit_rng")
+            journal._refresh_rows = [int(r) for r in record["refresh_rows"]]
+            for name, expected in journal._data_sizes().items():
+                handle = journal._handles[name]
+                size = os.fstat(handle.fileno()).st_size
                 if size < expected:
                     raise JournalError(
                         f"journal data file {name} holds {size} bytes, "
                         f"checkpoint requires {expected}"
                     )
                 if size > expected:
-                    with open(path, "r+b") as handle:
-                        handle.truncate(expected)
-            journal._open_handles()
+                    handle.truncate(expected)
+                journal._tails[name] = [expected, 0]
         except BaseException:
-            # A half-done attach (missing/short data file, truncate or open
-            # failure) must not leak whatever handles were already opened.
+            # A half-done attach (no commit, short data file, truncate
+            # failure) must not leak handles or keep the lease.
             journal.close()
             raise
         return journal
 
-    def _open_handles(self) -> None:
+    def _open_handles(self, create: bool) -> None:
+        """Open the data and slot files, taking the lease on ``rows.bin``.
+
+        ``create=False`` (attach) opens only files that exist: a missing
+        one is a damaged journal, reported as :class:`JournalError`.
+        """
+        extra = os.O_CREAT if create else 0
+
+        def opener(path, flags):
+            return os.open(path, (flags & ~os.O_CREAT) | extra, 0o644)
+
         try:
-            for name, _ in self._data_files():
-                self._handles[name] = open(self.directory / name, "ab")
+            for name in (ROWS_NAME, INTERVALS_NAME) + SLOT_NAMES:
+                path = self.directory / name
+                if name in SLOT_NAMES:
+                    # Not O_APPEND: slots are overwritten in place by pwrite.
+                    handle = open(path, "r+b", buffering=0, opener=opener)
+                else:
+                    handle = open(path, "ab", opener=opener)
+                self._handles[name] = handle
+                if name == ROWS_NAME:
+                    self._take_lease(handle)
+        except FileNotFoundError as error:
+            self.close()
+            raise JournalError(
+                f"journal data file {Path(error.filename).name} is missing "
+                f"in {self.directory}"
+            ) from None
         except BaseException:
             self.close()
             raise
 
+    def _data_sizes(self) -> Dict[str, int]:
+        """Bytes of each data file the journal's current counts cover."""
+        return {
+            ROWS_NAME: self.num_rows * self._row_dtype.itemsize,
+            INTERVALS_NAME: self.num_intervals * 16,
+        }
+
+    def _append(self, name: str, data: bytes) -> None:
+        self._handles[name].write(data)
+        tail = self._tails[name]
+        tail[1] = zlib.crc32(data, tail[1])
+
+    def _take_lease(self, handle) -> None:
+        try:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise JournalBusyError(
+                f"journal {self.directory} is held by another writer"
+            ) from None
+
     def close(self) -> None:
-        """Close the append handles (idempotent; the journal can re-attach).
+        """Close the handles and release the lease (idempotent).
 
         Every handle is closed even when one of them raises — the first
         error propagates after the sweep — and a second ``close()`` is a
         no-op, so cleanup paths (failed attach, registry eviction, ``with``
-        blocks in callers) can call it unconditionally.
+        blocks in callers) can call it unconditionally.  Closing the
+        ``rows.bin`` descriptor drops its ``flock``, so the journal can be
+        re-attached afterwards.
         """
         handles = list(self._handles.values())
         self._handles.clear()
@@ -325,21 +551,26 @@ class CampaignJournal:
 
     # ------------------------------------------------------------------- meta
     def write_meta(self, extra: Dict) -> None:
-        """Write the immutable campaign fingerprint (once, atomically)."""
+        """Write the immutable campaign fingerprint (once, atomically).
+
+        The atomic write fsyncs the directory after its rename, which also
+        makes the entries of the data and slot files :meth:`create` made
+        before it durable: one directory fsync per journal creation.
+        """
         meta = {
             "format": FORMAT_VERSION,
             "space": _space_fingerprint(self.space),
         }
         meta.update(extra)
-        atomic_write_text(self._meta_path(), _dump_json(meta))
+        atomic_write_text(self.directory / META_NAME, _dump_json(meta))
 
     @staticmethod
     def exists(directory: Union[str, Path]) -> bool:
         """Whether ``directory`` already holds a campaign journal.
 
-        The meta record is the journal's birth certificate (written first,
-        atomically), so its presence is the create-or-attach pivot used by
-        the campaign registry and ``CBOSearch.start_or_resume``.
+        The meta record is the journal's birth certificate (written last at
+        creation, atomically), so its presence is the create-or-attach pivot
+        used by the campaign registry and ``CBOSearch.start_or_resume``.
         """
         return (Path(directory) / META_NAME).exists()
 
@@ -350,23 +581,19 @@ class CampaignJournal:
             raise JournalError(f"no campaign journal at {directory} ({META_NAME} missing)")
         return json.loads(path.read_text())
 
-    def _read_checkpoint(self) -> Optional[Dict]:
-        path = self._checkpoint_path()
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
-
     @staticmethod
     def read_checkpoint(directory: Union[str, Path]) -> Optional[Dict]:
         """The last committed checkpoint record (None before the first)."""
-        path = Path(directory) / CHECKPOINT_NAME
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
+        commit = _read_commit(Path(directory))
+        return None if commit is None else commit.record
 
     # ---------------------------------------------------------------- appends
     def append_rows(self, history: SearchHistory) -> None:
-        """Append history rows past the journal's current row count."""
+        """Append history rows past the journal's current row count.
+
+        The rows are packed into one block of ``rows.bin`` records in a
+        single vectorised pass per column and written with one call.
+        """
         stop = len(history)
         start = self.num_rows
         if stop <= start:
@@ -374,12 +601,12 @@ class CampaignJournal:
         if history.has_incomplete_rows:
             raise JournalError("cannot journal a history with incomplete rows")
         meta, params = history.column_block(start, stop)
-        for name, dtype in _META_COLUMNS:
-            self._handles[f"m_{name}.bin"].write(
-                np.ascontiguousarray(meta[name], dtype=dtype).tobytes()
-            )
+        block = np.empty(stop - start, dtype=self._row_dtype)
+        for name, _ in _META_COLUMNS:
+            block[name] = meta[name]
         for i, codec in enumerate(self._codecs):
-            self._handles[f"p{i}.bin"].write(codec.encode(params[codec.name]).tobytes())
+            block[f"p{i}"] = codec.encode(params[codec.name])
+        self._append(ROWS_NAME, block.tobytes())
         self.num_rows = stop
 
     def append_intervals(self, intervals: Sequence[Tuple[float, float]]) -> None:
@@ -388,7 +615,7 @@ class CampaignJournal:
         if len(intervals) <= start:
             return
         block = np.asarray(intervals[start:], dtype="<f8")
-        self._handles["intervals.bin"].write(np.ascontiguousarray(block).tobytes())
+        self._append(INTERVALS_NAME, np.ascontiguousarray(block).tobytes())
         self.num_intervals = len(intervals)
 
     # ------------------------------------------------------------------ events
@@ -411,86 +638,45 @@ class CampaignJournal:
     def checkpoint(self, payload: Dict) -> None:
         """Commit everything appended so far plus the caller's state snapshot.
 
-        The data handles are fsynced first (unless ``fsync=False``), then the
-        checkpoint record referencing them is atomically replaced — a reader
-        therefore never observes a checkpoint that points past the durable
-        data.
+        ``rows.bin`` and ``intervals.bin`` are flushed and fsynced first
+        (unless ``fsync=False``), then the record referencing them overwrites
+        the older slot, which is fsynced in turn — a reader therefore never
+        observes a commit that points past the durable data, and a torn
+        record leaves the previous commit in the other slot.  The record
+        carries the byte range and CRC32 of what each data file gained since
+        the previous commit, so damage to those bytes is detected too.
         """
-        if self.fsync:
-            for handle in self._handles.values():
+        for name in _DATA_FILES:
+            handle = self._handles[name]
+            if self.fsync:
                 fsync_file(handle)
-        else:
-            for handle in self._handles.values():
+            else:
                 handle.flush()
+        sizes = self._data_sizes()
         record = {
             "format": FORMAT_VERSION,
             "num_rows": self.num_rows,
             "num_intervals": self.num_intervals,
-            "fit_rows": self._fit_rows,
+            "tail": [
+                [self._tails[name][0], sizes[name], self._tails[name][1]]
+                for name in _DATA_FILES
+            ],
+            # Copies: the record outlives this call as :attr:`commit`.
+            "fit_rows": list(self._fit_rows),
             "pre_fit_rng": self._pre_fit_rng,
-            "refresh_rows": self._refresh_rows,
+            "refresh_rows": list(self._refresh_rows),
         }
         record.update(payload)
-        atomic_write_text(self._checkpoint_path(), _dump_json(record))
-
-    # ---------------------------------------------------------------- reading
-    @classmethod
-    def read_data(
-        cls,
-        directory: Union[str, Path],
-        space: SearchSpace,
-        checkpoint: Dict,
-        objective=None,
-    ) -> Tuple[SearchHistory, List[Tuple[float, float]]]:
-        """Reconstruct the history and busy intervals a checkpoint references.
-
-        Only the checkpointed prefix of each column file is read — bytes past
-        it (appends the crash tore or never committed) are ignored.
-        """
-        journal = cls(directory, space)
-        n = int(checkpoint["num_rows"])
-        columns: Dict[str, np.ndarray] = {}
-        for name, dtype in _META_COLUMNS:
-            columns[name] = journal._read_column(f"m_{name}.bin", dtype, n)
-        values = [
-            codec.decode(journal._read_column(f"p{i}.bin", codec.dtype, n))
-            for i, codec in enumerate(journal._codecs)
-        ]
-        history = SearchHistory(space, objective=objective)
-        names = [codec.name for codec in journal._codecs]
-        for i in range(n):
-            history.append(
-                Evaluation(
-                    configuration={
-                        name: column[i] for name, column in zip(names, values)
-                    },
-                    objective=float(columns["objective"][i]),
-                    runtime=float(columns["runtime"][i]),
-                    submitted=float(columns["submitted"][i]),
-                    completed=float(columns["completed"][i]),
-                    worker=int(columns["worker"][i]),
-                    eval_id=int(columns["eval_id"][i]),
-                )
-            )
-        pairs = journal._read_column(
-            "intervals.bin", "<f8", int(checkpoint["num_intervals"]) * 2
+        seq = 1 if self.commit is None else self.commit.seq + 1
+        slot = self._handles[SLOT_NAMES[seq % 2]].fileno()
+        data = _encode_slot(self.journal_id, seq, record)
+        _pwrite_all(slot, data, 0)
+        if self.fsync:
+            os.fsync(slot)
+        self.commit = _Commit(
+            self.journal_id, seq, _SLOT_HEADER.unpack_from(data)[4], record
         )
-        intervals = [
-            (float(pairs[2 * i]), float(pairs[2 * i + 1]))
-            for i in range(int(checkpoint["num_intervals"]))
-        ]
-        return history, intervals
-
-    def _read_column(self, name: str, dtype: str, count: int) -> np.ndarray:
-        path = self.directory / name
-        data = path.read_bytes() if path.exists() else b""
-        needed = count * np.dtype(dtype).itemsize
-        if len(data) < needed:
-            raise JournalError(
-                f"journal data file {name} holds {len(data)} bytes, "
-                f"checkpoint requires {needed}"
-            )
-        return np.frombuffer(data[:needed], dtype=dtype)
+        self._tails = {name: [sizes[name], 0] for name in _DATA_FILES}
 
     # -------------------------------------------------------------- validation
     @staticmethod
@@ -525,14 +711,56 @@ def _object_column(values: Sequence) -> np.ndarray:
     return column
 
 
+def _map_rows(directory: Path, dtype: np.dtype, count: int) -> np.ndarray:
+    """Memory-map the first ``count`` records of ``rows.bin`` as ``dtype``."""
+    if count == 0:
+        return np.empty(0, dtype=dtype)
+    needed = count * dtype.itemsize
+    try:
+        with open(directory / ROWS_NAME, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size < needed:
+                raise JournalError(
+                    f"journal data file {ROWS_NAME} holds {size} bytes, "
+                    f"checkpoint requires {needed}"
+                )
+            # Read-only shared mapping of just the committed prefix.  The
+            # descriptor closes immediately after (the mapping survives it),
+            # so a cached reader costs address space, not descriptors.
+            mapped = mmap.mmap(handle.fileno(), needed, access=mmap.ACCESS_READ)
+    except FileNotFoundError:
+        raise JournalError(
+            f"journal data file {ROWS_NAME} is missing in {directory}"
+        ) from None
+    return np.frombuffer(mapped, dtype=dtype, count=count)
+
+
+def _read_intervals(directory: Path, count: int) -> List[Tuple[float, float]]:
+    """The first ``count`` busy intervals of ``intervals.bin``."""
+    needed = count * 16
+    try:
+        with open(directory / INTERVALS_NAME, "rb") as handle:
+            data = handle.read(needed)
+    except FileNotFoundError:
+        data = b""
+    if len(data) < needed:
+        raise JournalError(
+            f"journal data file {INTERVALS_NAME} holds {len(data)} bytes, "
+            f"checkpoint requires {needed}"
+        )
+    flat = np.frombuffer(data, dtype="<f8").tolist()
+    return list(zip(flat[0::2], flat[1::2]))
+
+
 class JournalReader:
     """Zero-copy, read-only view of a journaled campaign at its watermark.
 
     The reader loads the journal's ``meta.json`` (validating format and
-    space fingerprint) and the last committed ``checkpoint.json``, then
-    memory-maps each column file up to the checkpoint's row count — the
-    *watermark*.  Bytes past the watermark are never mapped, so a torn tail
-    from a crash, or appends a live writer has not checkpointed yet, are
+    space fingerprint) and the newest valid checkpoint slot, then
+    memory-maps ``rows.bin`` up to the checkpoint's row count — the
+    *watermark* — and serves every column as a field view of that one
+    mapping.  Bytes past the watermark are never mapped, so a torn tail from
+    a crash, or appends a live writer has not checkpointed yet, are
     invisible: a reader attached mid-run always observes exactly the
     checkpointed prefix, bit-identical to the writer's in-memory history at
     that point.  Nothing is rewritten, so N reader processes and one writer
@@ -540,13 +768,15 @@ class JournalReader:
 
     :meth:`history` returns a read-only
     :class:`~repro.core.history.SearchHistory` whose metadata columns *are*
-    the mapped files (no copy, no parse); parameter columns decode lazily on
-    first access, so metric sweeps that only touch objectives/runtimes/
+    the mapped records (no copy, no parse); parameter columns decode lazily
+    on first access, so metric sweeps that only touch objectives/runtimes/
     timestamps never pay for configuration decoding.
 
     A journal whose checkpoint has not been written yet (created but never
-    committed) reads as empty.  Use :func:`open_journal_reader` for the
-    cached entry point.
+    committed) reads as empty.  ``commit`` pins the reader to a commit the
+    caller already read (the reader cache and resume use it); by default the
+    newest is read.  Use :func:`open_journal_reader` for the cached entry
+    point.
     """
 
     def __init__(
@@ -554,22 +784,24 @@ class JournalReader:
         directory: Union[str, Path],
         space: SearchSpace,
         objective: Optional[Objective] = None,
+        commit: Optional[_Commit] = None,
     ):
         self.directory = Path(directory)
         self.space = space
         self.objective = objective
         self.meta = CampaignJournal.read_meta(self.directory)
         CampaignJournal.validate_meta(self.meta, space)
-        self.checkpoint = CampaignJournal.read_checkpoint(self.directory)
+        if commit is None:
+            commit = _read_commit(self.directory)
+        self.checkpoint = None if commit is None else commit.record
         #: Committed-row watermark: rows past it are never mapped.
-        self.num_rows = 0 if self.checkpoint is None else int(self.checkpoint["num_rows"])
+        self.num_rows = 0 if commit is None else int(commit.record["num_rows"])
         self.num_intervals = (
-            0 if self.checkpoint is None else int(self.checkpoint["num_intervals"])
+            0 if commit is None else int(commit.record["num_intervals"])
         )
         self._codecs = [_ParamCodec(p) for p in space.parameters]
         self._history: Optional[SearchHistory] = None
         self._intervals: Optional[List[Tuple[float, float]]] = None
-        self._raw_params: Dict[int, np.ndarray] = {}
         self._closed = False
         #: Reference count: the creator holds one reference; :meth:`retain`
         #: adds holders, :meth:`close` releases them.  The reader really
@@ -577,35 +809,6 @@ class JournalReader:
         #: eviction safe while another thread still uses the reader.
         self._refs = 1
         self._refs_lock = threading.Lock()
-
-    # ---------------------------------------------------------------- mapping
-    def _map_column(self, name: str, dtype: str, count: int) -> np.ndarray:
-        """Memory-map the first ``count`` elements of one column file."""
-        if count == 0:
-            return np.empty(0, dtype=dtype)
-        path = self.directory / name
-        needed = count * np.dtype(dtype).itemsize
-        try:
-            with open(path, "rb") as handle:
-                size = os.fstat(handle.fileno()).st_size
-                if size < needed:
-                    raise JournalError(
-                        f"journal data file {name} holds {size} bytes, "
-                        f"checkpoint requires {needed}"
-                    )
-                # Read-only shared mapping of just the committed prefix.  The
-                # descriptor closes immediately after (the mapping survives
-                # it), so a cached reader costs address space, not
-                # descriptors.  ``np.memmap`` would do the same but
-                # canonicalises the path on every call — a measurable cost
-                # when sweeping thousands of column files.
-                mapped = mmap.mmap(handle.fileno(), needed, access=mmap.ACCESS_READ)
-        except FileNotFoundError:
-            raise JournalError(
-                f"journal data file {name} holds -1 bytes, "
-                f"checkpoint requires {needed}"
-            ) from None
-        return np.frombuffer(mapped, dtype=np.dtype(dtype), count=count)
 
     # ------------------------------------------------------------------ views
     def history(self) -> SearchHistory:
@@ -618,58 +821,41 @@ class JournalReader:
         if self._closed:
             raise JournalError(f"journal reader for {self.directory} is closed")
         if self._history is None:
-            n = self.num_rows
-            meta_columns = {
-                name: self._map_column(f"m_{name}.bin", dtype, n)
-                for name, dtype in _META_COLUMNS
-            }
-            loaders: Dict[str, Callable[[], np.ndarray]] = {
+            rows = _map_rows(self.directory, _row_dtype(self._codecs), self.num_rows)
+            fields = [(f"p{i}", codec) for i, codec in enumerate(self._codecs)]
+            # The loaders hold the mapping itself, not the reader, so a
+            # history stays readable after the reader is closed or evicted.
+            loaders = {
                 codec.name: (
-                    lambda i=i, codec=codec: _object_column(
-                        codec.decode(self._raw_param(i))
+                    lambda field=field, codec=codec: _object_column(
+                        codec.decode(rows[field])
                     )
                 )
-                for i, codec in enumerate(self._codecs)
+                for field, codec in fields
             }
             element_loaders = {
                 codec.name: (
-                    lambda row, i=i, codec=codec: codec.decode_element(
-                        self._raw_param(i)[row]
+                    lambda row, field=field, codec=codec: codec.decode_element(
+                        rows[field][row]
                     )
                 )
-                for i, codec in enumerate(self._codecs)
+                for field, codec in fields
             }
             self._history = SearchHistory.from_columns(
                 self.space,
-                meta_columns,
+                {name: rows[name] for name, _ in _META_COLUMNS},
                 loaders,
                 objective=self.objective,
                 param_element_loaders=element_loaders,
             )
         return self._history
 
-    def _raw_param(self, i: int) -> np.ndarray:
-        """The (cached) typed mapping of parameter column ``i``.
-
-        Shared by the full-column and per-element loaders so a ``best()``
-        followed by a full decode maps the file once.
-        """
-        column = self._raw_params.get(i)
-        if column is None:
-            codec = self._codecs[i]
-            column = self._raw_params[i] = self._map_column(
-                f"p{i}.bin", codec.dtype, self.num_rows
-            )
-        return column
-
     def intervals(self) -> List[Tuple[float, float]]:
         """The checkpointed ``(submitted, completed)`` busy intervals."""
         if self._closed:
             raise JournalError(f"journal reader for {self.directory} is closed")
         if self._intervals is None:
-            pairs = self._map_column("intervals.bin", "<f8", self.num_intervals * 2)
-            flat = pairs.tolist()
-            self._intervals = list(zip(flat[0::2], flat[1::2]))
+            self._intervals = _read_intervals(self.directory, self.num_intervals)
         return list(self._intervals)
 
     def retain(self) -> "JournalReader":
@@ -706,25 +892,24 @@ class JournalReader:
             self._closed = True
         self._history = None
         self._intervals = None
-        self._raw_params = {}
 
     # ------------------------------------------------------------------- peek
     @staticmethod
     def peek(directory: Union[str, Path]) -> Dict:
         """Cheap space-free status of a stored campaign (registry/monitoring).
 
-        Maps only the objective and runtime columns — no search space, no
-        parameter decoding, no optimizer replay — and returns a JSON-ready
-        summary: evaluation count, failure count, best runtime/objective and
-        the checkpoint's ``finished`` flag.  This is how the campaign
-        registry reports on studies that are journaled on disk but not live
-        in the process.
+        Maps ``rows.bin`` once and reads only its objective and runtime
+        words — no search space, no parameter decoding, no optimizer replay —
+        and returns a JSON-ready summary: evaluation count, failure count,
+        best runtime/objective and the checkpoint's ``finished`` flag.  This
+        is how the campaign registry reports on studies that are journaled
+        on disk but not live in the process.
         """
         directory = Path(directory)
         meta = CampaignJournal.read_meta(directory)
         if meta.get("format") != FORMAT_VERSION:
             raise JournalError(f"unsupported journal format {meta.get('format')!r}")
-        checkpoint = CampaignJournal.read_checkpoint(directory)
+        commit = _read_commit(directory)
         payload: Dict[str, Any] = {
             "directory": str(directory),
             "num_evaluations": 0,
@@ -735,33 +920,44 @@ class JournalReader:
             "max_time": meta.get("max_time"),
             "num_workers": meta.get("num_workers"),
         }
-        if checkpoint is None:
+        if commit is None:
             return payload
-        n = int(checkpoint["num_rows"])
+        n = int(commit.record["num_rows"])
         payload["num_evaluations"] = n
-        payload["finished"] = bool(checkpoint.get("finished", False))
+        payload["finished"] = bool(commit.record.get("finished", False))
         if n:
-            reader = JournalReader.__new__(JournalReader)
-            reader.directory = directory
-            objectives = reader._map_column("m_objective.bin", "<f8", n)
+            # The record width follows from the space fingerprint, so peek
+            # needs no space object: view just the first two words.
+            dtype = np.dtype(
+                {
+                    "names": ["objective", "runtime"],
+                    "formats": ["<f8", "<f8"],
+                    "offsets": [0, 8],
+                    "itemsize": 8 * (len(_META_COLUMNS) + len(meta["space"])),
+                }
+            )
+            rows = _map_rows(directory, dtype, n)
+            objectives = rows["objective"]
             finite = np.flatnonzero(np.isfinite(objectives))
             payload["num_failures"] = n - int(finite.size)
             if finite.size:
                 # First maximum, matching SearchHistory.best() tie-breaking.
                 best = int(finite[np.argmax(objectives[finite])])
-                runtimes = reader._map_column("m_runtime.bin", "<f8", n)
                 payload["best_objective"] = float(objectives[best])
-                payload["best_runtime"] = float(runtimes[best])
+                payload["best_runtime"] = float(rows["runtime"][best])
         return payload
 
 
 # --------------------------------------------------------------- reader cache
-#: LRU reader cache: (resolved directory, checkpoint mtime_ns, checkpoint
-#: size) → [(space, objective, reader), ...] in least-recently-used order
-#: (oldest first).  A writer's new checkpoint changes the key, so a cached
-#: reader is never stale; the short value list guards against the same
-#: journal being read against different spaces/objectives.
-_READER_CACHE: "OrderedDict[Tuple[str, int, int], List[Tuple[SearchSpace, Objective, JournalReader]]]" = OrderedDict()
+#: LRU reader cache: (absolute directory, journal id, commit sequence,
+#: record CRC) → [(space, objective, reader), ...] in least-recently-used
+#: order (oldest first).  A writer's new commit, or a journal re-created in
+#: the same directory (which takes the next journal id), changes the key,
+#: and so does a different record in a directory that was deleted and
+#: written anew; a cached reader is never stale.  The short value list
+#: guards against the same journal being read against different
+#: spaces/objectives.
+_READER_CACHE: "OrderedDict[Tuple[str, int, int, int], List[Tuple[SearchSpace, Objective, JournalReader]]]" = OrderedDict()
 
 #: Cache bound: beyond this many distinct checkpoints the least-recently-used
 #: readers are dropped, so a sweep over thousands of journaled campaigns
@@ -817,10 +1013,11 @@ def open_journal_reader(
 ) -> JournalReader:
     """Open a :class:`JournalReader` through the LRU-bounded cache.
 
-    The cache key is the checkpoint record's ``(path, mtime, size)``
-    identity: re-opening an unchanged campaign returns the already-mapped
-    reader (and its shared zero-copy history) instantly, while a journal
-    whose writer committed a new checkpoint gets a fresh reader at the new
+    The cache key is the newest commit's identity — the journal id stamped
+    at creation, the slot sequence number and the record's CRC: re-opening
+    an unchanged campaign returns the already-mapped reader (and its shared
+    zero-copy history) instantly, while a journal whose writer committed a new
+    checkpoint, or that was re-created, gets a fresh reader at the new
     watermark — the stale entry for the same directory is dropped.  Hits
     refresh LRU order, so bulk sweeps evict the campaigns they are done
     with, not the ones they are about to revisit.
@@ -834,17 +1031,18 @@ def open_journal_reader(
     obtained stay valid either way).
     """
     directory = Path(directory)
-    checkpoint_path = directory / CHECKPOINT_NAME
-    if _READER_CACHE_MAX == 0 or not checkpoint_path.exists():
+    commit = None if _READER_CACHE_MAX == 0 else _read_commit(directory)
+    if commit is None:
         return JournalReader(directory, space, objective=objective)
-    stat = checkpoint_path.stat()
-    resolved = str(directory.resolve())
-    key = (resolved, stat.st_mtime_ns, stat.st_size)
+    # abspath, not resolve(): the commit identity in the key already rules
+    # out stale hits, and resolving symlinks costs a stat per component.
+    absolute = os.path.abspath(directory)
+    key = (absolute, commit.journal_id, commit.seq, commit.crc)
     wanted = objective or Objective()
     with _READER_CACHE_LOCK:
         entries = _READER_CACHE.get(key)
         if entries is None:
-            for stale in [k for k in _READER_CACHE if k[0] == resolved]:
+            for stale in [k for k in _READER_CACHE if k[0] == absolute]:
                 for _, _, reader in _READER_CACHE.pop(stale):
                     reader.close()
             entries = _READER_CACHE[key] = []
@@ -853,7 +1051,7 @@ def open_journal_reader(
         for cached_space, cached_objective, reader in entries:
             if cached_space == space and cached_objective == wanted:
                 return reader.retain() if retain else reader
-        reader = JournalReader(directory, space, objective=wanted)
+        reader = JournalReader(directory, space, objective=wanted, commit=commit)
         entries.append((space, wanted, reader))
         _evict_reader_cache()
         return reader.retain() if retain else reader

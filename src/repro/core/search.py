@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.evaluator import AsyncVirtualEvaluator, DEFAULT_FAILURE_DURATION
 from repro.core.history import SearchHistory
-from repro.core.journal import CampaignJournal, JournalError
+from repro.core.journal import CampaignJournal, JournalError, JournalReader
 from repro.core.objective import Objective
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.overhead import make_overhead_model
@@ -882,6 +882,17 @@ class CampaignExecution:
         self._ticks_since_checkpoint = 0
         return True
 
+    def close_journal(self) -> None:
+        """Close the campaign's journal and release its writer lease.
+
+        Commits nothing: whoever resumes the journal next (this process or
+        another) starts from its last checkpoint.  Idempotent; the campaign
+        is unjournaled afterwards.
+        """
+        journal, self._journal = self._journal, None
+        if journal is not None:
+            journal.close()
+
     @classmethod
     def resume(
         cls,
@@ -901,7 +912,7 @@ class CampaignExecution:
         ``search`` must be a *freshly constructed* search with the same
         parameters as the crashed run — the journal's meta record is
         validated against its space, seed, worker count and surrogate kind.
-        The history is read back from the journal's column files (no
+        The history is read back from the journal's row file (no
         evaluation is re-run), the optimizer state is replayed along the
         recorded fit and prior-refresh boundaries, and the evaluator resumes
         with its in-flight evaluations intact; continuing the returned
@@ -941,18 +952,31 @@ class CampaignExecution:
             max_evaluations=max_evaluations,
             _resume=True,
         )
-        history, intervals = CampaignJournal.read_data(
-            journal_dir, search.space, checkpoint, objective=search.objective
-        )
-        execution.history = history
-        execution.intervals = intervals
-        execution._replay(checkpoint)
-        execution._journal = CampaignJournal.attach(
+        # Attach first: the lease keeps any other writer out, and the rows
+        # are read at exactly the commit the writer rolled back to.
+        journal = CampaignJournal.attach(
             journal_dir,
             search.space,
             fsync=journal_fsync,
             checkpoint_interval=checkpoint_interval,
         )
+        try:
+            reader = JournalReader(
+                journal_dir,
+                search.space,
+                objective=search.objective,
+                commit=journal.commit,
+            )
+            try:
+                execution.history = reader.history().copy()
+                execution.intervals = reader.intervals()
+            finally:
+                reader.close()
+            execution._replay(journal.commit.record)
+        except BaseException:
+            journal.close()
+            raise
+        execution._journal = journal
         return execution
 
     def _replay(self, checkpoint: dict) -> None:

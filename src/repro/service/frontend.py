@@ -22,7 +22,9 @@ Three ways to drive a registered study:
         POST /studies/<name>/report          {"runtimes": [...]}
         POST /studies/<name>/heartbeat       refresh liveness
 
-    Unknown studies are 404, template/protocol/payload errors are 400.
+    Unknown studies are 404, template/payload errors are 400, protocol
+    violations and a study whose journal another writer holds
+    (:class:`~repro.core.journal.JournalBusyError`) are 409.
     Floats cross the wire through ``json`` (repr-exact for float64), so an
     HTTP-driven campaign remains bit-identical to an in-process one.
 
@@ -42,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.journal import JournalBusyError
 from repro.core.space import Configuration
 from repro.service.registry import (
     CampaignRegistry,
@@ -197,6 +200,9 @@ def _make_handler(registry: CampaignRegistry):
                 self._error(404, str(error))
             except ProtocolError as error:
                 self._error(409, str(error))
+            except JournalBusyError as error:
+                # Typed on the wire: the client re-raises it, not ProtocolError.
+                self._reply(409, {"error": str(error), "type": "JournalBusyError"})
             except RegistryError as error:
                 self._error(400, str(error))
 
@@ -300,7 +306,8 @@ class HTTPStudyClient:
     """Remote :class:`StudyClient`: same API, spoken over the HTTP protocol.
 
     Raises the registry's own exception types on protocol failures
-    (:class:`UnknownStudyError` for 404, :class:`ProtocolError` for 409,
+    (:class:`UnknownStudyError` for 404, :class:`ProtocolError` or
+    :class:`~repro.core.journal.JournalBusyError` for 409,
     :class:`RegistryError` for 400), so client code is backend-agnostic.
     """
 
@@ -349,12 +356,15 @@ class HTTPStudyClient:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as error:
             try:
-                message = json.loads(error.read().decode("utf-8"))["error"]
+                body = json.loads(error.read().decode("utf-8"))
+                message, kind = body["error"], body.get("type")
             except Exception:
-                message = str(error)
+                message, kind = str(error), None
             if error.code == 404:
                 raise UnknownStudyError(message) from None
             if error.code == 409:
+                if kind == "JournalBusyError":
+                    raise JournalBusyError(message) from None
                 raise ProtocolError(message) from None
             raise RegistryError(message) from None
 

@@ -371,7 +371,7 @@ class CampaignRegistry:
         exist on disk are summarised through the journal's memory-mapped
         reader (:meth:`repro.core.journal.JournalReader.peek`): evaluation
         count, best runtime and the finished flag come straight off the
-        mapped objective/runtime columns, with no search construction and no
+        mapped objective/runtime words, with no search construction and no
         optimizer replay — cheap enough to sweep thousands of stored studies.
         """
         with self._lock:
@@ -390,9 +390,9 @@ class CampaignRegistry:
         """Drop a journaled ask/tell study from memory (it stays on disk).
 
         A final forced checkpoint commits everything reported so far, the
-        journal's append handles close, and the record is forgotten; the
-        next :meth:`create_study` under the same name resumes from the
-        journal bit-identically (an unreported suggested batch is
+        journal closes (releasing its writer lease), and the record is
+        forgotten; the next :meth:`create_study` under the same name resumes
+        from the journal bit-identically (an unreported suggested batch is
         re-generated deterministically, matching the idempotent-suggest
         contract).  Returns False — and evicts nothing — for managed
         studies (the runner owns them) and for studies without a journal
@@ -406,8 +406,7 @@ class CampaignRegistry:
             execution = record.execution
             if execution is not None:
                 execution.maybe_checkpoint(force=True)
-                if execution._journal is not None:
-                    execution._journal.close()
+                execution.close_journal()
             del self._studies[name]
             return True
 

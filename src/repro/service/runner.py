@@ -234,10 +234,11 @@ class CampaignRunner:
         What to do when stepping one campaign raises: ``"raise"`` (default)
         propagates the exception and aborts the whole batch — the historic
         behaviour; ``"quarantine"`` isolates the failing campaign instead:
-        it is checkpointed to its journal (when journaled, hence resumable),
-        recorded in :attr:`quarantined`, and removed from the batch, and the
-        surviving campaigns' fleet groupings re-form on the next tick as
-        usual (groups are rebuilt from the active set every tick).  A fused
+        it is checkpointed to its journal (when journaled, hence resumable)
+        and the journal closed, recorded in :attr:`quarantined`, and removed
+        from the batch, and the surviving campaigns' fleet groupings re-form
+        on the next tick as usual (groups are rebuilt from the active set
+        every tick).  A fused
         fleet pass that fails falls back to per-campaign solo fits first —
         only campaigns whose *solo* step also fails are quarantined.
         Quarantined campaigns still contribute their partial
@@ -805,6 +806,9 @@ class _ShardTick:
             execution.maybe_checkpoint(force=True)
         except Exception:
             pass
+        # The runner never steps it again: release the journal's writer
+        # lease so the campaign can be resumed while the runner lives on.
+        execution.close_journal()
 
     def _step(self, execution: CampaignExecution, phase: str, call: Callable):
         """Run one campaign-local phase call under the error policy.

@@ -118,12 +118,14 @@ class TestWatermark:
         space = make_service_space()
         master = synth_history(space, 10)
         write_journal(tmp_path / "j", master, rows=10)
-        # A crash mid-append leaves a torn, partial row at the end of a
-        # column file; the watermark mapping never reaches it.
-        with open(tmp_path / "j" / "m_objective.bin", "ab") as handle:
-            handle.write(b"\x01\x02\x03")
+        # A crash mid-append leaves a torn, partial record at the end of
+        # the data files; the watermark mapping never reaches it.
+        for name in ("rows.bin", "intervals.bin"):
+            with open(tmp_path / "j" / name, "ab") as handle:
+                handle.write(b"\x01\x02\x03")
         reader = JournalReader(tmp_path / "j", space)
         assert_history_rows_equal(reader.history(), master)
+        assert reader.intervals() == []
 
     def test_journal_without_checkpoint_reads_empty(self, tmp_path):
         space = make_service_space()
@@ -138,9 +140,12 @@ class TestWatermark:
     def test_short_data_file_raises(self, tmp_path):
         space = make_service_space()
         write_journal(tmp_path / "j", synth_history(space, 8))
-        with open(tmp_path / "j" / "m_runtime.bin", "r+b") as handle:
-            handle.truncate(3 * 8)
-        with pytest.raises(JournalError, match="m_runtime.bin"):
+        # Cut rows.bin inside the only commit's rows: no commit's data is
+        # intact, which must raise rather than read as empty or short.
+        record = 8 * (6 + len(space.parameters))
+        with open(tmp_path / "j" / "rows.bin", "r+b") as handle:
+            handle.truncate(3 * record)
+        with pytest.raises(JournalError, match="rows.bin"):
             JournalReader(tmp_path / "j", space).history()
 
     def test_space_mismatch_raises(self, tmp_path):
@@ -417,11 +422,14 @@ class TestWriterResourceHandling:
     def test_attach_failure_leaks_no_handles(self, tmp_path):
         space = make_service_space()
         write_journal(tmp_path / "j", synth_history(space, 8))
-        # Destroy one column file entirely: attach validates sizes first and
-        # must fail without leaving any append handle open.
-        (tmp_path / "j" / "m_worker.bin").unlink()
-        with pytest.raises(JournalError):
+        # Destroy intervals.bin entirely: attach has opened rows.bin and
+        # taken its lease by then, and must fail without keeping either.
+        (tmp_path / "j" / "intervals.bin").unlink()
+        with pytest.raises(JournalError, match="intervals.bin"):
             CampaignJournal.attach(tmp_path / "j", space)
+        assert not (tmp_path / "j" / "intervals.bin").exists()
+        # The lease went with the handles: a new writer gets in.
+        CampaignJournal.create(tmp_path / "j", space, fsync=False).close()
 
     def test_open_handles_failure_closes_already_opened(self, tmp_path, monkeypatch):
         space = make_service_space()
@@ -431,17 +439,22 @@ class TestWriterResourceHandling:
         real_open = open
 
         def flaky_open(path, mode="r", *args, **kwargs):
-            if len(opened) == 3:
+            # rows.bin (leased) and intervals.bin open; the first slot fails.
+            if len(opened) == 2:
                 raise OSError("out of descriptors")
             handle = real_open(path, mode, *args, **kwargs)
             opened.append(handle)
             return handle
 
         monkeypatch.setattr("builtins.open", flaky_open)
-        with pytest.raises(OSError):
-            journal._open_handles()
+        with pytest.raises(OSError, match="out of descriptors"):
+            journal._open_handles(create=False)
+        monkeypatch.undo()
         assert journal._handles == {}
+        assert len(opened) == 2
         assert all(handle.closed for handle in opened)
+        # The lease on rows.bin was released with its handle.
+        CampaignJournal.create(tmp_path / "j", space, fsync=False).close()
 
     def test_close_is_idempotent(self, tmp_path):
         space = make_service_space()

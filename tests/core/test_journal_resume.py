@@ -20,7 +20,7 @@ from fixtures import (
     make_service_space as make_space,
     service_run_function as run_function,
 )
-from repro.core.journal import CampaignJournal, JournalError
+from repro.core.journal import CampaignJournal, JournalError, JournalReader
 from repro.core.search import CBOSearch
 from repro.core.surrogate import RandomForestSurrogate
 from repro.service import ServiceEvaluator
@@ -179,11 +179,17 @@ class TestResumeBitIdentity:
         append) are truncated away on attach instead of corrupting state."""
         baseline = make_search(0).run(**BUDGET)
         crash_after(make_search(0), 5, tmp_path / "j", **BUDGET)
-        for name in ("m_objective.bin", "intervals.bin"):
+        for name in ("rows.bin", "intervals.bin"):
             with open(tmp_path / "j" / name, "ab") as handle:
                 handle.write(b"\x7f" * 11)  # torn partial records
         resumed = make_search(0).resume(tmp_path / "j")
-        assert_identical(baseline, finish(resumed))
+        result = finish(resumed)
+        assert_identical(baseline, result)
+        # Appends after the rollback landed where the torn bytes were: the
+        # journal reads back as the finished run, not shifted by them.
+        reader = JournalReader(tmp_path / "j", make_space())
+        assert reader.history().to_csv() == result.history.to_csv()
+        assert reader.intervals() == result.busy_intervals
 
 
 class TestResumeValidation:
@@ -224,12 +230,10 @@ class TestJournalRecord:
         assert meta["seed"] == 0
         assert meta["surrogate"] == "RandomForestSurrogate"
 
-    def test_read_data_rebuilds_exact_rows(self, tmp_path):
+    def test_reader_rebuilds_exact_rows(self, tmp_path):
         execution = crash_after(make_search(0), 6, tmp_path / "j", **BUDGET)
-        checkpoint = CampaignJournal.read_checkpoint(tmp_path / "j")
-        history, intervals = CampaignJournal.read_data(
-            tmp_path / "j", make_space(), checkpoint
-        )
+        reader = JournalReader(tmp_path / "j", make_space())
+        history, intervals = reader.history().copy(), reader.intervals()
         assert len(history) == len(execution.history)
         for stored, live in zip(history, execution.history):
             assert stored.configuration == live.configuration

@@ -19,6 +19,7 @@ from fixtures import (
     make_service_search,
     service_run_function,
 )
+from repro.core.journal import JournalBusyError
 from repro.service import (
     CampaignRegistry,
     ElasticCampaignRunner,
@@ -42,6 +43,18 @@ def make_registry(**kwargs):
 
 def solo_result(seed=0):
     return make_service_search(seed).run(**BUDGET)
+
+
+def crash(registry):
+    """What a killed registry process leaves: its journals, no live writer.
+
+    The OS closes a dead process's descriptors, and with them its journal
+    leases; nothing is checkpointed on the way down.
+    """
+    for name in registry.study_names():
+        execution = registry.get(name).execution
+        if execution is not None:
+            execution.close_journal()
 
 
 @pytest.fixture()
@@ -154,6 +167,7 @@ class TestStudyClient:
             batch = client.suggest()
             client.report([service_run_function(c) for c in batch])
         # A second process: fresh registry over the same journal root.
+        crash(first)
         second = make_registry(root=tmp_path)
         resumed = StudyClient(second, "tune-1", seed=3, **BUDGET)
         assert not resumed.created
@@ -210,6 +224,7 @@ class TestBatchedAskService:
         pending = client.suggest()
         # Crash before the report: a fresh registry over the same journal
         # root must re-derive the identical outstanding batch.
+        crash(first)
         second = make_registry(root=tmp_path)
         resumed = StudyClient(second, "tune-1", seed=3, **BUDGET)
         assert resumed.attached
@@ -224,6 +239,7 @@ class TestBatchedAskService:
             batch = client.suggest()
             client.report([service_run_function(c) for c in batch])
             pending = client.suggest()
+        crash(server.registry)
         with StudyFrontend(make_registry(root=tmp_path)) as server:
             client = HTTPStudyClient(server.address, "tune-1", seed=3, **BUDGET)
             assert client.attached
@@ -304,6 +320,25 @@ class TestHTTPFrontend:
         client.report([50.0] * len(batch))
         with pytest.raises(ProtocolError):
             client.report([50.0] * len(batch))  # nothing outstanding now
+
+    def test_journal_held_by_another_writer_is_409(self, tmp_path):
+        # Another registry process on the same root holds study tune-1.
+        holder = make_registry(root=tmp_path)
+        holder.create_study("tune-1", **BUDGET)
+        with StudyFrontend(make_registry(root=tmp_path)) as server:
+            code, body = raw_post(
+                server.address + "/studies",
+                json.dumps({"name": "tune-1", **BUDGET}).encode(),
+            )
+            assert code == 409
+            assert body["type"] == "JournalBusyError"
+            with pytest.raises(JournalBusyError, match="another writer"):
+                HTTPStudyClient(server.address, "tune-1", **BUDGET)
+            assert server.registry.study_names() == []
+            # Once the holder lets go, the same request attaches.
+            assert holder.evict("tune-1")
+            client = HTTPStudyClient(server.address, "tune-1", **BUDGET)
+            assert client.attached
 
     def test_status_listing_and_heartbeat(self, frontend):
         HTTPStudyClient(frontend.address, "a", **BUDGET)
