@@ -22,25 +22,49 @@ Three ways to drive a registered study:
         POST /studies/<name>/report          {"runtimes": [...]}
         POST /studies/<name>/heartbeat       refresh liveness
 
-    Unknown studies are 404, template/payload errors are 400, protocol
-    violations and a study whose journal another writer holds
-    (:class:`~repro.core.journal.JournalBusyError`) are 409.
-    Floats cross the wire through ``json`` (repr-exact for float64), so an
-    HTTP-driven campaign remains bit-identical to an in-process one.
+    Unknown studies are 404; template and payload errors are 400, among
+    them a report runtime that is not a JSON number (``null``, a string, a
+    bool, a list — NaN and ±Infinity are numbers and record a failed
+    evaluation); protocol violations and a study whose journal another
+    writer holds (:class:`~repro.core.journal.JournalBusyError`) are 409;
+    any other exception raised while handling a request is 500 with
+    ``{"error", "type"}``.  Floats cross the wire through ``json``
+    (repr-exact for float64), so an HTTP-driven campaign remains
+    bit-identical to an in-process one.
+
+    The transport is HTTP/1.1 with keep-alive and ``TCP_NODELAY``: a
+    connection serves request after request until the client closes it,
+    sends ``Connection: close``, or leaves it idle for
+    :data:`IDLE_TIMEOUT_S`.  Request bodies are guarded, since on a
+    keep-alive connection an unread body would be parsed as the next
+    request: a ``Content-Length`` that is not a non-negative integer, or
+    any ``Transfer-Encoding``, is 400, and a body longer than
+    :data:`MAX_BODY_BYTES` is 413 without being read; each of these replies
+    closes the connection.  :meth:`StudyFrontend.stop` lets the requests in
+    flight finish, closes every connection and joins the handler threads.
 
 :class:`HTTPStudyClient`
     The remote twin of :class:`StudyClient`, speaking the protocol above via
-    ``urllib.request`` and raising the same registry exception types.
+    ``http.client`` and raising the same registry exception types.  Each
+    thread keeps one persistent connection per server, shared by all its
+    clients.  A request that fails on a *reused* connection with
+    ``RemoteDisconnected``, ``ConnectionResetError`` or ``BrokenPipeError``
+    before a status line is read is sent once more on a fresh connection;
+    any other failure, and any failure on a fresh connection, propagates.
+    The server answers every request it reads (500 for unexpected errors),
+    so a connection closed without an answer means an idle close or a
+    shutdown, and the single retry cannot apply a ``report`` twice.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
-import urllib.error
-import urllib.request
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +78,14 @@ from repro.service.registry import (
 )
 
 __all__ = ["StudyClient", "StudyFrontend", "HTTPStudyClient"]
+
+#: Seconds the server waits on a connection's socket — for the next request
+#: to arrive, or a reply to be taken — before closing it.  Read when each
+#: connection is accepted.
+IDLE_TIMEOUT_S = 30.0
+
+#: Largest request body the server reads; a longer one is answered 413.
+MAX_BODY_BYTES = 1 << 20
 
 
 def _json_default(value):
@@ -138,75 +170,143 @@ class StudyClient:
 
 
 # --------------------------------------------------------------------- HTTP
+class _BodyError(Exception):
+    """A request body the server will not read: answer ``code``, then close."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _runtimes(payload: Dict) -> List[float]:
+    """A report's runtimes, each a JSON number (a bool is not one)."""
+    runtimes = payload.get("runtimes")
+    if not isinstance(runtimes, list):
+        raise RegistryError("report payload requires 'runtimes': [...]")
+    values = []
+    for index, value in enumerate(runtimes):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                values.append(float(value))
+                continue
+            except OverflowError:  # an integer beyond float range
+                pass
+        raise RegistryError(
+            f"runtimes[{index}] is not a number in float range: {value!r}"
+        )
+    return values
+
+
+def _error_body(error: Exception, typed: bool = False) -> bytes:
+    payload = {"error": str(error)}
+    if typed:
+        payload["type"] = type(error).__name__
+    return _dump(payload)
+
+
 def _make_handler(registry: CampaignRegistry):
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        # Headers and body go out in two sends; with Nagle's algorithm the
+        # body would wait for the client's delayed ACK (~40 ms a request).
+        disable_nagle_algorithm = True
+
+        def setup(self) -> None:
+            self.timeout = IDLE_TIMEOUT_S  # the socket timeout, per connection
+            super().setup()
+
         # The test/benchmark servers must not spam stderr per request.
         def log_message(self, *args):
             pass
 
-        def _reply(self, code: int, payload: Dict) -> None:
-            body = _dump(payload)
+        def _reply(self, code: int, body: bytes, close: bool = False) -> None:
             self.send_response(code)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
-        def _error(self, code: int, message: str) -> None:
-            self._reply(code, {"error": message})
-
-        def _read_json(self) -> Dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                return {}
-            payload = json.loads(raw.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("payload must be a JSON object")
-            return payload
+        def _read_body(self) -> Optional[bytes]:
+            """The request body; None if the client closed before sending it."""
+            if "Transfer-Encoding" in self.headers:
+                raise _BodyError(
+                    400, "Transfer-Encoding is not accepted; send Content-Length"
+                )
+            lengths = self.headers.get_all("Content-Length") or ["0"]
+            text = lengths[0].strip()
+            if len(lengths) > 1 or not (text.isascii() and text.isdigit()):
+                raise _BodyError(
+                    400, f"invalid Content-Length: {', '.join(lengths)}"
+                )
+            length = int(text)
+            if length > MAX_BODY_BYTES:
+                raise _BodyError(
+                    413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+                )
+            body = self.rfile.read(length) if length else b""
+            return body if len(body) == length else None
 
         def _route(self) -> List[str]:
             return [part for part in self.path.split("?")[0].split("/") if part]
 
         def do_GET(self) -> None:
-            parts = self._route()
-            try:
-                if parts == ["studies"]:
-                    self._reply(200, {"studies": registry.statuses()})
-                elif len(parts) == 2 and parts[0] == "studies":
-                    self._reply(200, registry.status(parts[1]))
-                else:
-                    self._error(404, f"no such route: GET {self.path}")
-            except UnknownStudyError as error:
-                self._error(404, str(error))
-            except RegistryError as error:
-                self._error(400, str(error))
+            self._handle(self._get)
 
         def do_POST(self) -> None:
-            parts = self._route()
+            self._handle(self._post)
+
+        def _handle(self, route) -> None:
+            """Read the body, run ``route(parts, body)``, answer its result."""
             try:
-                payload = self._read_json()
-            except (ValueError, UnicodeDecodeError) as error:
-                self._error(400, f"malformed JSON payload: {error}")
+                body = self._read_body()
+            except _BodyError as error:
+                # Its body stays unread: close rather than parse it next.
+                self._reply(error.code, _error_body(error), close=True)
+                return
+            if body is None:
+                self.close_connection = True
                 return
             try:
-                if parts == ["studies"]:
-                    self._create(payload)
-                elif len(parts) == 3 and parts[0] == "studies":
-                    self._verb(parts[1], parts[2], payload)
-                else:
-                    self._error(404, f"no such route: POST {self.path}")
+                code, payload = route(self._route(), body)
+                reply = _dump(payload)
             except UnknownStudyError as error:
-                self._error(404, str(error))
+                code, reply = 404, _error_body(error)
             except ProtocolError as error:
-                self._error(409, str(error))
+                code, reply = 409, _error_body(error)
             except JournalBusyError as error:
                 # Typed on the wire: the client re-raises it, not ProtocolError.
-                self._reply(409, {"error": str(error), "type": "JournalBusyError"})
+                code, reply = 409, _error_body(error, typed=True)
             except RegistryError as error:
-                self._error(400, str(error))
+                code, reply = 400, _error_body(error)
+            except Exception as error:
+                # Answered, so the client can tell it from a closed connection.
+                self.server.handle_error(self.request, self.client_address)
+                code, reply = 500, _error_body(error, typed=True)
+            self._reply(code, reply)
 
-        def _create(self, payload: Dict) -> None:
+        def _get(self, parts: List[str], body: bytes) -> Tuple[int, Dict]:
+            if parts == ["studies"]:
+                return 200, {"studies": registry.statuses()}
+            if len(parts) == 2 and parts[0] == "studies":
+                return 200, registry.status(parts[1])
+            return 404, {"error": f"no such route: GET {self.path}"}
+
+        def _post(self, parts: List[str], body: bytes) -> Tuple[int, Dict]:
+            try:
+                payload = json.loads(body.decode("utf-8")) if body else {}
+                if not isinstance(payload, dict):
+                    raise ValueError("payload must be a JSON object")
+            except (ValueError, RecursionError) as error:
+                return 400, {"error": f"malformed JSON payload: {error}"}
+            if parts == ["studies"]:
+                return self._create(payload)
+            if len(parts) == 3 and parts[0] == "studies":
+                return self._verb(parts[1], parts[2], payload)
+            return 404, {"error": f"no such route: POST {self.path}"}
+
+        def _create(self, payload: Dict) -> Tuple[int, Dict]:
             try:
                 name = payload["name"]
             except KeyError:
@@ -225,43 +325,79 @@ def _make_handler(registry: CampaignRegistry):
                 if_exists=str(payload.get("if_exists", "attach")),
                 params=payload.get("params") or {},
             )
-            self._reply(
-                201 if created else 200,
-                {
-                    "created": created,
-                    "attached": record.attached,
-                    "status": registry.status(record.name),
-                },
-            )
+            return 201 if created else 200, {
+                "created": created,
+                "attached": record.attached,
+                "status": registry.status(record.name),
+            }
 
-        def _verb(self, name: str, verb: str, payload: Dict) -> None:
+        def _verb(self, name: str, verb: str, payload: Dict) -> Tuple[int, Dict]:
             if verb == "suggest":
                 batch = registry.suggest(name)
-                self._reply(
-                    200, {"configurations": batch, "finished": batch is None}
-                )
-            elif verb == "report":
-                runtimes = payload.get("runtimes")
-                if not isinstance(runtimes, list):
-                    raise RegistryError(
-                        "report payload requires 'runtimes': [...]"
-                    )
-                self._reply(200, registry.report(name, runtimes))
-            elif verb == "heartbeat":
-                self._reply(200, registry.heartbeat(name))
-            else:
-                self._error(404, f"no such study verb: {verb}")
+                return 200, {"configurations": batch, "finished": batch is None}
+            if verb == "report":
+                return 200, registry.report(name, _runtimes(payload))
+            if verb == "heartbeat":
+                return 200, registry.heartbeat(name)
+            return 404, {"error": f"no such study verb: {verb}"}
 
     return Handler
+
+
+class _Server(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` that can end its open keep-alive connections.
+
+    Its handler threads are daemons, which ``server_close`` does not join,
+    so the server keeps its own map of open sockets to handler threads.
+    """
+
+    def __init__(self, address, handler):
+        self._open: Dict[socket.socket, threading.Thread] = {}
+        self._open_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        with self._open_lock:
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request):
+        # Forget the socket before it is closed, so close_connections never
+        # touches a closed (or reused) descriptor.
+        with self._open_lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut the read side of every open connection; join its handler.
+
+        A handler waiting for the next request reads end-of-file and exits;
+        one handling a request finishes it and sends the reply first.
+        """
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+            threads = list(self._open.values())
+        for thread in threads:
+            thread.join()
 
 
 class StudyFrontend:
     """The registry's JSON-over-HTTP surface (stdlib ``http.server`` only).
 
-    Binds a :class:`ThreadingHTTPServer` on ``host:port`` (port 0 picks a
-    free one) and serves from a daemon thread between :meth:`start` and
-    :meth:`stop`; also usable as a context manager.  Request handling is
-    serialised by the registry's lock, so concurrent clients are safe.
+    Binds a threading HTTP/1.1 server on ``host:port`` (port 0 picks a free
+    one) and serves from a daemon thread between :meth:`start` and
+    :meth:`stop`; also usable as a context manager.  Each open connection
+    has its own handler thread.  Request handling is serialised by the
+    registry's lock, so concurrent clients are safe.
     """
 
     def __init__(
@@ -271,7 +407,7 @@ class StudyFrontend:
         port: int = 0,
     ):
         self.registry = registry
-        self.server = ThreadingHTTPServer((host, port), _make_handler(registry))
+        self.server = _Server((host, port), _make_handler(registry))
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -289,10 +425,16 @@ class StudyFrontend:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, close every connection, join the handler threads.
+
+        Requests already being handled finish and are answered; a request
+        sent afterwards on a connection opened before gets no answer.
+        """
         if self._thread is not None:
             self.server.shutdown()
             self._thread.join()
             self._thread = None
+        self.server.close_connections()
         self.server.server_close()
 
     def __enter__(self) -> "StudyFrontend":
@@ -302,13 +444,49 @@ class StudyFrontend:
         self.stop()
 
 
+class _Connections(dict):
+    """One thread's keep-alive connections, keyed by (host, port).
+
+    Held in thread-local storage, which is dropped when the thread ends: the
+    connections close then, and with them the server's handler threads.
+    """
+
+    def __del__(self):
+        for connection in self.values():
+            connection.close()
+
+
+class _ThreadConnections(threading.local):
+    def __init__(self):
+        self.by_server = _Connections()
+
+
+_CONNECTIONS = _ThreadConnections()
+
+#: How a request sent on a connection the server has already closed fails
+#: before any status line is read: the request was never handled.
+_CLOSED_UNANSWERED = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+)
+
+
 class HTTPStudyClient:
     """Remote :class:`StudyClient`: same API, spoken over the HTTP protocol.
 
     Raises the registry's own exception types on protocol failures
     (:class:`UnknownStudyError` for 404, :class:`ProtocolError` or
     :class:`~repro.core.journal.JournalBusyError` for 409,
-    :class:`RegistryError` for 400), so client code is backend-agnostic.
+    :class:`RegistryError` for 400, 413 and any 5xx), so client code is
+    backend-agnostic.  Transport failures are :class:`OSError`.
+
+    ``base_url`` must be an ``http://`` URL (anything else is a
+    :class:`ValueError`).  Requests go over the calling thread's persistent
+    connection to that server, opened on first use and shared by every
+    client the thread drives; a client shared between threads is safe.
+    Proxy environment variables (``http_proxy``, ``no_proxy``) are not
+    consulted: the client always connects to the server directly.
     """
 
     def __init__(
@@ -323,7 +501,14 @@ class HTTPStudyClient:
         params: Optional[Dict] = None,
         create: bool = True,
     ):
+        parts = urllib.parse.urlsplit(base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(
+                f"HTTPStudyClient needs an http:// URL, got {base_url!r}"
+            )
         self.base_url = base_url.rstrip("/")
+        self._server = (parts.hostname, parts.port or 80)
+        self._prefix = parts.path.rstrip("/")
         self.study = study
         self.created = False
         self.attached = False
@@ -344,29 +529,58 @@ class HTTPStudyClient:
             self.attached = bool(response["attached"])
 
     # ---------------------------------------------------------------- plumbing
-    def _request(self, method: str, path: str, payload: Optional[Dict]) -> Dict:
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=None if payload is None else _dump(payload),
-            headers={"Content-Type": "application/json"},
-            method=method,
-        )
+    def _exchange(
+        self, method: str, path: str, body: Optional[bytes]
+    ) -> Tuple[int, str, bytes]:
+        """Send one request on this thread's connection; (status, reason, body)."""
+        connections = _CONNECTIONS.by_server
+        connection = connections.get(self._server)
+        if connection is None:
+            connection = http.client.HTTPConnection(*self._server)
+            connections[self._server] = connection
+        headers = {} if body is None else {"Content-Type": "application/json"}
         try:
-            with urllib.request.urlopen(request) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            try:
-                body = json.loads(error.read().decode("utf-8"))
-                message, kind = body["error"], body.get("type")
-            except Exception:
-                message, kind = str(error), None
-            if error.code == 404:
-                raise UnknownStudyError(message) from None
-            if error.code == 409:
-                if kind == "JournalBusyError":
-                    raise JournalBusyError(message) from None
-                raise ProtocolError(message) from None
-            raise RegistryError(message) from None
+            while True:
+                reused = connection.sock is not None
+                try:
+                    connection.request(method, self._prefix + path, body, headers)
+                    response = connection.getresponse()
+                    break
+                except _CLOSED_UNANSWERED:
+                    # Closed by the server while idle: retry once, fresh.
+                    connection.close()
+                    if not reused:
+                        raise
+            return response.status, response.reason, response.read()
+        except BaseException as error:
+            connection.close()  # never reuse a connection left mid-exchange
+            if isinstance(error, OSError) or not isinstance(
+                error, http.client.HTTPException
+            ):
+                raise
+            # A malformed reply (BadStatusLine, IncompleteRead, ...) is a
+            # transport failure too, and transport failures are OSErrors.
+            raise ConnectionError(f"{method} {path}: {error!r}") from error
+
+    def _request(self, method: str, path: str, payload: Optional[Dict]) -> Dict:
+        body = None if payload is None else _dump(payload)
+        status, reason, data = self._exchange(method, path, body)
+        if 200 <= status < 300:
+            return json.loads(data.decode("utf-8"))
+        try:
+            reply = json.loads(data.decode("utf-8"))
+            message, kind = reply["error"], reply.get("type")
+        except Exception:
+            message, kind = f"HTTP Error {status}: {reason}", None
+        if status == 404:
+            raise UnknownStudyError(message)
+        if status == 409:
+            if kind == "JournalBusyError":
+                raise JournalBusyError(message)
+            raise ProtocolError(message)
+        if status >= 500 and kind is not None:
+            message = f"{kind}: {message}"
+        raise RegistryError(message)
 
     def _post(self, path: str, payload: Dict) -> Dict:
         return self._request("POST", path, payload)

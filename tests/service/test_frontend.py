@@ -306,11 +306,26 @@ class TestHTTPFrontend:
         assert "name" in body["error"]
 
     def test_report_payload_must_carry_runtimes_list(self, frontend):
-        HTTPStudyClient(frontend.address, "tune-1", **BUDGET)
+        client = HTTPStudyClient(frontend.address, "tune-1", **BUDGET)
         url = frontend.address + "/studies/tune-1/report"
         code, body = raw_post(url, json.dumps({"runtimes": 3.5}).encode())
         assert code == 400
         assert "runtimes" in body["error"]
+        batch = client.suggest()
+        # Every entry must be a JSON number; a bool is not one, and neither
+        # is an integer beyond float range.
+        for bad in (None, "x", True, [50.0], 10**400):
+            runtimes = [50.0] * len(batch)
+            runtimes[1] = bad
+            code, body = raw_post(url, json.dumps({"runtimes": runtimes}).encode())
+            assert code == 400, bad
+            assert "runtimes[1]" in body["error"]
+        assert client.status()["num_reported"] == 0
+        # NaN, ±Infinity and non-positive values are numbers: each records a
+        # failed evaluation.
+        odd = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+        status = client.report((odd + [50.0] * len(batch))[: len(batch)])
+        assert status["num_reported"] == 1
 
     def test_protocol_violations_are_409(self, frontend):
         client = HTTPStudyClient(frontend.address, "tune-1", **BUDGET)
