@@ -3,21 +3,15 @@
 Each :class:`~repro.service.CampaignRunner` tick used to run one
 ``prepare_ask`` per campaign: a per-member prior draw, candidate encoding,
 dedup-key pass and unit-cube projection, each paying NumPy dispatch overhead
-on a few hundred rows.  The fleet ask (`prepare_ask_fleet` behind
-``batch_asks=True``) stacks the candidate sheets of all same-space campaigns
-and runs those passes once per tick.  This benchmark measures the effect two
-ways, at 8 and 32 campaigns:
-
-* **ask phase** — K model-phase RF optimizers over one shared space driven
-  through rounds of proposals, fused (one stacked ``prepare_ask_fleet``
-  call per round) vs sequential ``prepare_ask`` loops.  The resulting
-  proposals and every optimizer's RNG state are asserted **bitwise
-  identical**.
-* **campaigns** — the acceptance measurement end to end: the same cohort
-  through the batched runner with ``batch_asks=True`` vs the
-  ``batch_asks=False`` escape hatch (all other fusion stages on in both, so
-  the difference isolates the fleet ask).  Per-campaign results are
-  asserted bit-identical at full size — only wall-clock changes.
+on a few hundred rows.  The fleet ask (`prepare_ask_fleet`, which the runner
+calls once per group of same-space campaigns) stacks the candidate sheets
+and runs those passes once per tick.  This benchmark isolates the ask phase
+at 8 and 32 campaigns: K model-phase RF optimizers over one shared space
+driven through rounds of proposals, fused (one stacked ``prepare_ask_fleet``
+call per round) vs sequential ``prepare_ask`` loops.  The resulting
+proposals and every optimizer's RNG state are asserted **bitwise
+identical**.  The end-to-end effect of the whole fused tick is the repo
+benchmark's ``fleet_e2e`` workload (``perfbench/``).
 
 The fused pass amortises fixed per-member costs, so its advantage is
 largest at moderate candidate-sheet sizes (the default 128 rows); at very
@@ -35,6 +29,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -42,7 +38,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.core.optimizer import BayesianOptimizer, prepare_ask_fleet
-from repro.core.search import CBOSearch, SearchResult
 from repro.core.space import (
     CategoricalParameter,
     IntegerParameter,
@@ -50,14 +45,12 @@ from repro.core.space import (
     SearchSpace,
 )
 from repro.core.surrogate import RandomForestSurrogate
-from repro.service import CampaignRunner, CampaignSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_fleet_ask.json"
 
 NUM_CANDIDATES = 128
 ASK_ROUNDS = 20
-MAX_EVALUATIONS = 90
 
 
 def make_space() -> SearchSpace:
@@ -155,84 +148,16 @@ def measure_ask_phase(
     }
 
 
-# ----------------------------------------------------------------- campaigns
-def make_campaigns(
-    space: SearchSpace, num_campaigns: int, num_candidates: int
-) -> List[CBOSearch]:
-    return [
-        CBOSearch(
-            space,
-            run_function,
-            num_workers=6,
-            surrogate=RandomForestSurrogate(n_estimators=6, seed=seed),
-            num_candidates=num_candidates,
-            n_initial_points=5,
-            seed=seed,
-        )
-        for seed in range(num_campaigns)
-    ]
+def host_info() -> Dict[str, object]:
+    """The host the timings were taken on."""
+    import scipy
 
-
-def assert_results_identical(seq: List[SearchResult], bat: List[SearchResult]) -> None:
-    for i, (a, b) in enumerate(zip(seq, bat)):
-        assert len(a.history) == len(b.history), f"campaign {i}: history length"
-        for ev_a, ev_b in zip(a.history, b.history):
-            assert ev_a.configuration == ev_b.configuration, f"campaign {i}: configuration"
-            assert ev_a.submitted == ev_b.submitted, f"campaign {i}: submitted"
-            assert ev_a.completed == ev_b.completed, f"campaign {i}: completed"
-            assert (ev_a.objective == ev_b.objective) or (
-                math.isnan(ev_a.objective) and math.isnan(ev_b.objective)
-            ), f"campaign {i}: objective"
-        assert a.busy_intervals == b.busy_intervals, f"campaign {i}: busy intervals"
-        assert a.worker_utilization == b.worker_utilization, f"campaign {i}: utilization"
-        assert a.best_configuration == b.best_configuration, f"campaign {i}: incumbent"
-
-
-def measure_campaigns(
-    reps: int,
-    num_campaigns: int,
-    max_evaluations: int = MAX_EVALUATIONS,
-    num_candidates: int = NUM_CANDIDATES,
-) -> Dict[str, object]:
-    space = make_space()
-    solo_times, bat_times = [], []
-    solo_results = bat_results = runner = None
-    for _ in range(reps):
-        def specs():
-            return [
-                CampaignSpec(
-                    search=search,
-                    max_time=float("inf"),
-                    max_evaluations=max_evaluations,
-                    label=f"ask-{i}",
-                )
-                for i, search in enumerate(
-                    make_campaigns(space, num_campaigns, num_candidates)
-                )
-            ]
-
-        solo_runner = CampaignRunner(specs(), batch_asks=False)
-        start = time.perf_counter()
-        solo_results = solo_runner.run()
-        solo_times.append(time.perf_counter() - start)
-        runner = CampaignRunner(specs(), batch_asks=True)
-        start = time.perf_counter()
-        bat_results = runner.run()
-        bat_times.append(time.perf_counter() - start)
-    assert_results_identical(solo_results, bat_results)
-    assert runner.num_ask_fleet_passes > 0, "no ask was fused"
-    t_solo, t_bat = min(solo_times), min(bat_times)
     return {
-        "num_campaigns": num_campaigns,
-        "max_evaluations": max_evaluations,
-        "num_candidates": num_candidates,
-        "evaluations_per_campaign": [r.num_evaluations for r in bat_results],
-        "ask_fleet_passes": runner.num_ask_fleet_passes,
-        "ask_fleet_members": runner.num_ask_fleet_members,
-        "escape_hatch_s": t_solo,
-        "batched_s": t_bat,
-        "speedup": t_solo / max(t_bat, 1e-12),
-        "bit_identical": True,
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
 
 
@@ -240,64 +165,44 @@ def run_benchmark(reps: int = 3, output: Path = DEFAULT_OUTPUT, quick: bool = Fa
     if quick:
         ask_8 = measure_ask_phase(1, fleet_size=4, rounds=6)
         ask_32 = measure_ask_phase(1, fleet_size=8, rounds=6)
-        campaigns_8 = measure_campaigns(1, num_campaigns=4, max_evaluations=30)
-        campaigns_32 = measure_campaigns(1, num_campaigns=8, max_evaluations=24)
     else:
         ask_8 = measure_ask_phase(reps, fleet_size=8)
         ask_32 = measure_ask_phase(reps, fleet_size=32)
-        campaigns_8 = measure_campaigns(reps, num_campaigns=8)
-        campaigns_32 = measure_campaigns(reps, num_campaigns=32, max_evaluations=45)
     for label, entry in (("ask  x8", ask_8), ("ask x32", ask_32)):
         print(
             f"{label}      seq {entry['sequential_s']*1e3:7.1f}ms  "
             f"fused {entry['fused_s']*1e3:7.1f}ms  "
             f"speedup {entry['speedup']:.2f}x  (bit-identical)"
         )
-    for label, entry in (("camp x8", campaigns_8), ("camp x32", campaigns_32)):
-        print(
-            f"{label}      hatch {entry['escape_hatch_s']:6.2f}s  "
-            f"batched {entry['batched_s']:6.2f}s  "
-            f"speedup {entry['speedup']:.2f}x  "
-            f"({entry['ask_fleet_passes']} fused passes covering "
-            f"{entry['ask_fleet_members']} member asks, bit-identical)"
-        )
     target = 1.0 if quick else 1.3
     payload = {
         "benchmark": "fleet_ask",
         "reps": 1 if quick else reps,
         "quick": quick,
+        "host": host_info(),
         "description": (
             "Stacked prepare_ask_fleet proposal passes (one fused prior "
             "draw, shared dedup-key/unit/one-hot encoding, member-local "
             "dedup) vs sequential prepare_ask loops at 8 and 32 campaigns, "
-            "and the same cohorts end to end through CampaignRunner with "
-            "batch_asks on vs the escape hatch (results asserted "
-            "bit-identical at full size). Times are best-of-reps on a "
-            "1-CPU box."
+            "with proposals and RNG states asserted bit-identical. Times "
+            "are best-of-reps."
         ),
         "ask_phase_8": ask_8,
         "ask_phase_32": ask_32,
-        "campaigns_8": campaigns_8,
-        "campaigns_32": campaigns_32,
         "acceptance": {
             "criterion": (
                 "ask-phase >=1.3x fused vs sequential at 8+ campaigns on "
-                "this box, with proposals, dedup decisions and RNG states "
-                "asserted bitwise identical, and end-to-end runner results "
-                "bit-identical to the batch_asks=False escape hatch"
+                "this host, with proposals, dedup decisions and RNG states "
+                "asserted bitwise identical"
             ),
             "ask_phase_8_speedup": ask_8["speedup"],
             "ask_phase_32_speedup": ask_32["speedup"],
-            "campaigns_8_speedup": campaigns_8["speedup"],
-            "campaigns_32_speedup": campaigns_32["speedup"],
             "bit_identical": bool(
-                ask_8["bit_identical"]
-                and ask_32["bit_identical"]
-                and campaigns_8["bit_identical"]
-                and campaigns_32["bit_identical"]
+                ask_8["bit_identical"] and ask_32["bit_identical"]
             ),
             "passed": bool(
-                campaigns_8["bit_identical"]
+                ask_8["bit_identical"]
+                and ask_32["bit_identical"]
                 and max(ask_8["speedup"], ask_32["speedup"]) >= target
             ),
         },

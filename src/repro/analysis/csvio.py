@@ -77,8 +77,8 @@ _HISTORY_CACHE_MAX_FILES = 256
 
 #: Guards every mutation of ``_HISTORY_CACHE``.  Re-entrant because eviction
 #: runs inside ``_load_history_cached`` which already holds it.  Without it,
-#: concurrent loads (parallel shard stepping, threaded analysis sweeps) can
-#: corrupt the ``OrderedDict`` mid-reorder.
+#: concurrent loads (threaded analysis sweeps) can corrupt the
+#: ``OrderedDict`` mid-reorder.
 _HISTORY_CACHE_LOCK = threading.RLock()
 
 

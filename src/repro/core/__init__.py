@@ -42,11 +42,7 @@ from repro.core.priors import (
 )
 from repro.core.objective import Objective, runtime_objective
 from repro.core.history import Evaluation, SearchHistory
-from repro.core.optimizer import (
-    BayesianOptimizer,
-    CandidateScoringError,
-    make_surrogate,
-)
+from repro.core.optimizer import BayesianOptimizer, make_surrogate
 from repro.core.evaluator import AsyncVirtualEvaluator, WorkerState
 from repro.core.overhead import AnalyticOverheadModel, MeasuredOverheadModel
 from repro.core.search import CBOSearch, SearchResult, VAEABOSearch
@@ -56,7 +52,6 @@ __all__ = [
     "AnalyticOverheadModel",
     "AsyncVirtualEvaluator",
     "BayesianOptimizer",
-    "CandidateScoringError",
     "CategoricalParameter",
     "CategoricalPrior",
     "CBOSearch",

@@ -88,10 +88,10 @@ class ConstantLiar:
             Current training data (needed by the ``refit`` strategy).
         predictions:
             Optional precomputed ``(mean, std)`` surrogate scores of the
-            candidate matrix (e.g. from a sharded scoring pass).  Used by the
-            kernel-penalty strategy instead of its own ``predict`` call; the
-            refit strategy re-predicts per pick and ignores them (its first
-            prediction equals the precomputed one).
+            candidate matrix (e.g. from a fused fleet scoring pass).  Used by
+            the kernel-penalty strategy instead of its own ``predict`` call;
+            the refit strategy re-predicts per pick and ignores them (its
+            first prediction equals the precomputed one).
         """
         if n <= 0:
             return []

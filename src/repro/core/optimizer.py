@@ -25,6 +25,11 @@ that advertise :attr:`~repro.core.surrogate.base.Surrogate.supports_partial_fit`
 (the GP's rank-1 Cholesky extension) are handed only the rows appended since
 the last fit instead of the whole training matrix.
 
+Each ask scores its candidate pool with one surrogate ``predict``.  Fusion
+across campaigns happens one layer up: :func:`prepare_ask_fleet` stacks the
+candidate generation of a group of optimizers, and the multi-campaign runner
+(:mod:`repro.service.runner`) hands fused scores to :meth:`finish_ask`.
+
 The optimizer measures the wall-clock time spent fitting the surrogate and
 generating candidates (:attr:`last_tell_duration`, :attr:`last_ask_duration`)
 so the virtual-time search can charge a "measured" manager overhead; an
@@ -61,41 +66,10 @@ from repro.core.surrogate import (
 
 __all__ = [
     "BayesianOptimizer",
-    "CandidateScoringError",
     "PreparedAsk",
     "make_surrogate",
     "prepare_ask_fleet",
 ]
-
-
-class CandidateScoringError(RuntimeError):
-    """A candidate-pool ``predict`` failed inside the sharded scoring path.
-
-    Raised by :meth:`BayesianOptimizer._predict_candidates` in place of the
-    bare surrogate exception, which would otherwise surface mid-concatenation
-    with no indication of *which* shard (or, when ``score_executor`` maps the
-    shards on a thread pool, which task) failed.  The message carries the
-    shard index, shard count, shard shape and surrogate type so the runner's
-    quarantine path can record an actionable error against the owning
-    campaign instead of killing the whole tick.
-    """
-
-    def __init__(
-        self,
-        shard_index: int,
-        num_shards: int,
-        rows: int,
-        surrogate: str,
-        cause: BaseException,
-    ):
-        super().__init__(
-            f"candidate scoring failed on shard {shard_index + 1}/{num_shards} "
-            f"({rows} rows, {surrogate}): {cause!r}"
-        )
-        self.shard_index = int(shard_index)
-        self.num_shards = int(num_shards)
-        self.rows = int(rows)
-        self.surrogate = surrogate
 
 
 @dataclass
@@ -174,17 +148,6 @@ class BayesianOptimizer:
         interaction — the pre-cache behaviour, kept selectable so the
         regression tests can assert both paths produce bit-identical
         proposals and the benchmarks can quantify the cache's effect.
-    score_shards:
-        Number of row-contiguous shards the candidate matrix is split into
-        for surrogate scoring during :meth:`ask`.  ``1`` (default) scores the
-        whole pool in one ``predict`` call; larger values score shard-by-shard
-        (optionally mapped over ``score_executor``) and concatenate — the
-        proposals are bit-identical for any shard count because RF/GP
-        predictions are row-local.
-    score_executor:
-        Optional executor with a ``map`` method (e.g.
-        :class:`concurrent.futures.ThreadPoolExecutor`) used to score shards
-        concurrently; ``None`` scores them sequentially.
     seed:
         Seed of the optimizer's RNG.
     """
@@ -202,8 +165,6 @@ class BayesianOptimizer:
         random_sampling: bool = False,
         refit_interval: int = 1,
         incremental: bool = True,
-        score_shards: int = 1,
-        score_executor: Optional[object] = None,
         objective: Optional[Objective] = None,
         seed: int = 0,
     ):
@@ -211,8 +172,6 @@ class BayesianOptimizer:
             raise ValueError("num_candidates must be >= 1")
         if n_initial_points < 1:
             raise ValueError("n_initial_points must be >= 1")
-        if score_shards < 1:
-            raise ValueError("score_shards must be >= 1")
         self.space = space
         self.surrogate = make_surrogate(surrogate, seed=seed)
         self.prior = prior if prior is not None else IndependentPrior(space)
@@ -225,8 +184,6 @@ class BayesianOptimizer:
             raise ValueError("refit_interval must be >= 1")
         self.refit_interval = int(refit_interval)
         self.incremental = bool(incremental)
-        self.score_shards = int(score_shards)
-        self.score_executor = score_executor
         self._new_since_fit = 0
         self.objective = objective or Objective()
         self.rng = np.random.default_rng(seed)
@@ -397,10 +354,9 @@ class BayesianOptimizer:
     def ask(self, n: int = 1) -> List[Configuration]:
         """Propose ``n`` configurations for evaluation.
 
-        ``ask`` runs :meth:`prepare_ask` (candidate generation), scores the
-        pool with :meth:`_predict_candidates` (sharded when ``score_shards``
-        > 1) and selects the batch with :meth:`finish_ask`; the split lets
-        multi-campaign drivers interleave the phases across optimizers.
+        ``ask`` runs :meth:`prepare_ask` (candidate generation), then
+        :meth:`finish_ask` (surrogate scoring and batch selection); the split
+        lets multi-campaign drivers interleave the phases across optimizers.
         """
         start = time.perf_counter()
         prepared = self.prepare_ask(n)
@@ -456,57 +412,6 @@ class BayesianOptimizer:
             wants_scores=self.liar.strategy != "refit",
         )
 
-    def _predict_candidates(self, encoded: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Surrogate scores for the candidate pool, shard-by-shard if configured.
-
-        RF and GP predictions are row-local, so scoring ``score_shards``
-        row-contiguous shards and concatenating is bit-identical to one full
-        ``predict`` call (pinned by the test suite); the shard map optionally
-        runs on ``score_executor``.
-        """
-        shards = min(self.score_shards, max(1, int(encoded.shape[0])))
-        if shards <= 1:
-            return self.surrogate.predict(encoded)
-        chunks = np.array_split(encoded, shards)
-        if self.score_executor is not None:
-            parts = list(
-                self.score_executor.map(
-                    self._predict_shard, range(shards), [shards] * shards, chunks
-                )
-            )
-        else:
-            parts = [
-                self._predict_shard(index, shards, chunk)
-                for index, chunk in enumerate(chunks)
-            ]
-        mean = np.concatenate([p[0] for p in parts])
-        std = np.concatenate([p[1] for p in parts])
-        return mean, std
-
-    def _predict_shard(
-        self, index: int, num_shards: int, chunk: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One shard's ``predict``, with failures wrapped in shard context.
-
-        A bare exception escaping ``score_executor.map`` loses which shard
-        died; :class:`CandidateScoringError` keeps the shard index/shape and
-        surrogate type attached (and propagates unchanged through the
-        executor), so the runner's quarantine path records the failure
-        against the owning campaign with enough context to reproduce it.
-        """
-        try:
-            return self.surrogate.predict(chunk)
-        except CandidateScoringError:
-            raise
-        except Exception as error:
-            raise CandidateScoringError(
-                shard_index=index,
-                num_shards=num_shards,
-                rows=int(chunk.shape[0]),
-                surrogate=type(self.surrogate).__name__,
-                cause=error,
-            ) from error
-
     def finish_ask(
         self,
         prepared: "PreparedAsk",
@@ -516,12 +421,12 @@ class BayesianOptimizer:
         """Select the proposal batch from a scored candidate pool.
 
         ``mean``/``std`` may be ``None``: pools that want scores
-        (``prepared.wants_scores``) are then scored here via the (sharded)
-        scoring path, and pools that don't (the refit liar re-predicts per
+        (``prepared.wants_scores``) are then scored here with one surrogate
+        ``predict``, and pools that don't (the refit liar re-predicts per
         pick) proceed without.
         """
         if mean is None and prepared.wants_scores:
-            mean, std = self._predict_candidates(prepared.encoded)
+            mean, std = self.surrogate.predict(prepared.encoded)
         train_X, train_y = self._train_data()
         indices = self.liar.select(
             prepared.n,

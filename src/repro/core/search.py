@@ -137,10 +137,6 @@ class CBOSearch:
         (default) or re-encodes it per interaction; see
         :class:`~repro.core.optimizer.BayesianOptimizer`.  Both settings
         produce identical searches — only real wall-clock time differs.
-    score_shards, score_executor:
-        Candidate-scoring sharding of the optimizer's ``ask`` (see
-        :class:`~repro.core.optimizer.BayesianOptimizer`); any shard count
-        produces identical searches.
     evaluator_factory:
         Optional callable ``(run_function, num_workers, failure_duration) →
         evaluator`` replacing the private
@@ -187,8 +183,6 @@ class CBOSearch:
         random_sampling: bool = False,
         refit_interval: int = 1,
         incremental: bool = True,
-        score_shards: int = 1,
-        score_executor: Optional[object] = None,
         evaluator_factory: Optional[Callable] = None,
         prior_refresh_interval: Optional[int] = None,
         prior_refresh_top_k: int = 16,
@@ -211,8 +205,6 @@ class CBOSearch:
             random_sampling=random_sampling,
             refit_interval=refit_interval,
             incremental=incremental,
-            score_shards=score_shards,
-            score_executor=score_executor,
             objective=self.objective,
             seed=seed,
         )
@@ -767,8 +759,8 @@ class CampaignExecution:
         if prepared.proposals is not None:
             batch = prepared.proposals
         else:
-            # finish_ask scores the pool itself (sharded path) when no fused
-            # scores were provided and the pool wants them.
+            # finish_ask scores the pool itself when no fused scores were
+            # provided and the pool wants them.
             batch = self.optimizer.finish_ask(prepared, mean, std)
         # Keep the measured-overhead signal alive under phase stepping: the
         # campaign's own prepare + score/select time stands in for what a

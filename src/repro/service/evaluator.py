@@ -146,9 +146,9 @@ class SharedWorkerPool:
         #: the per-tenant slot accounting.  Re-entrant: ``process_until``
         #: holds it while calling ``_drain_queue``/``_start``, and a client's
         #: ``wait_any`` holds it across the advance-then-collect sequence so
-        #: parallel shard stepping can drive several clients of one pool
-        #: concurrently.  Event order stays deterministic because virtual
-        #: time, not thread arrival, orders the events each holder fires.
+        #: several threads can drive clients of one pool concurrently.
+        #: Event order stays deterministic because virtual time, not thread
+        #: arrival, orders the events each holder fires.
         self.lock = threading.RLock()
 
     # ------------------------------------------------------------------ state
@@ -770,7 +770,7 @@ class ServiceEvaluator:
         queued work is starved because every worker died).
 
         The whole advance-then-collect loop holds the pool lock: clients of
-        one pool stepped from parallel shards serialise here, and virtual
+        one pool driven from several threads serialise here, and virtual
         time (not thread arrival order) still decides which events fire.
         """
         pool = self.pool

@@ -183,3 +183,64 @@ class TestAskTell:
         space = quadratic_space()
         opt = BayesianOptimizer(space, seed=0)
         assert opt.categorical_column_indices() == [2]
+
+
+class TestPreparedAskScoring:
+    """``ask`` is ``prepare_ask`` then ``finish_ask``, and a pool scored
+    outside the optimizer selects exactly what ``finish_ask`` would have
+    selected scoring it itself — the contract fused fleet scoring relies on.
+    """
+
+    @staticmethod
+    def trajectory(surrogate, mode, liar_strategy="kernel_penalty", rounds=6):
+        opt = BayesianOptimizer(
+            quadratic_space(),
+            surrogate=surrogate,
+            num_candidates=64,
+            n_initial_points=5,
+            liar_strategy=liar_strategy,
+            seed=3,
+        )
+        batches, external = [], 0
+        for _ in range(rounds):
+            if mode == "ask":
+                batch = opt.ask(4)
+            else:
+                prepared = opt.prepare_ask(4)
+                if prepared.proposals is not None:
+                    batch = prepared.proposals
+                elif mode == "external" and prepared.wants_scores:
+                    external += 1
+                    batch = opt.finish_ask(
+                        prepared, *opt.surrogate.predict(prepared.encoded)
+                    )
+                else:
+                    batch = opt.finish_ask(prepared, None, None)
+            opt.tell(batch, [quadratic_objective(c) for c in batch])
+            batches.append(batch)
+        return batches, opt.rng.bit_generator.state, external
+
+    @pytest.mark.parametrize("surrogate", ["RF", "GP"])
+    def test_external_scores_select_what_finish_ask_selects(self, surrogate):
+        asked, asked_state, _ = self.trajectory(surrogate, "ask")
+        internal, internal_state, _ = self.trajectory(surrogate, "internal")
+        external, external_state, num_external = self.trajectory(surrogate, "external")
+        assert num_external >= 3
+        assert internal == asked and external == asked
+        assert internal_state == asked_state and external_state == asked_state
+
+    def test_refit_liar_pool_wants_no_scores(self):
+        opt = BayesianOptimizer(
+            quadratic_space(), num_candidates=32, n_initial_points=3,
+            liar_strategy="refit", seed=5,
+        )
+        batch = opt.ask(3)
+        opt.tell(batch, [quadratic_objective(c) for c in batch])
+        prepared = opt.prepare_ask(2)
+        assert prepared.proposals is None
+        assert not prepared.wants_scores
+        asked, _, _ = self.trajectory("RF", "ask", "refit", rounds=4)
+        external, _, num_external = self.trajectory("RF", "external", "refit", rounds=4)
+        assert num_external == 0
+        assert external == asked
+

@@ -8,7 +8,7 @@ Two families are provided:
   deterministic run function the multi-campaign runner tests drive, plus the
   campaign factory and the bit-identity assertion those tests share;
 * the **wide** fixtures — the 6-parameter mixed space and synthetic objective
-  the optimizer regression tests (incremental cache, sharded scoring) share.
+  the optimizer and journal-reader regression tests share.
 
 Import from test modules as ``from fixtures import ...`` (the ``tests``
 directory is on ``sys.path`` through pytest's conftest handling).  Keep these

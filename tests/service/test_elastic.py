@@ -123,8 +123,7 @@ class TestElasticBitIdentity:
     def test_mid_flight_join_reforms_fleet_groups(self):
         """A same-kind campaign joining later still fuses with the cohort."""
         space = make_service_space()
-        # step_shards=1: the fusion counters below assume global groups.
-        runner = ElasticCampaignRunner(step_shards=1)
+        runner = ElasticCampaignRunner()
         runner.admit(make_spec("rf", 0, space))
         runner.admit(make_spec("rf", 1, space))
         runner.admit(make_spec("rf", 2, space), arrival_tick=4)
@@ -255,3 +254,133 @@ class TestAdmissionControl:
         runner = ElasticCampaignRunner()
         with pytest.raises(RuntimeError, match="admit"):
             runner._begin()
+
+
+class TestElasticJournalsAndBatching:
+    """Leases end with a campaign's last tick, and batched submits keep the
+    error policy, when campaigns come and go."""
+
+    def journaled(self, kind, seed, root, **overrides):
+        spec = make_spec(kind, seed, make_service_space())
+        spec.journal_dir = root / f"{kind}-{seed}"
+        for name, value in overrides.items():
+            setattr(spec, name, value)
+        return spec
+
+    def test_finished_campaign_is_resumable_while_the_runner_ticks(self, tmp_path):
+        runner = ElasticCampaignRunner()
+        runner.admit(self.journaled("rf", 0, tmp_path, max_evaluations=8))
+        runner.admit(self.journaled("rf", 1, tmp_path))
+        while runner.num_inflight != 1:
+            runner.tick()
+        # Campaign 0 has finished and left; campaign 1 still holds its lease.
+        execution = make_service_search(0, make_service_space()).resume(
+            tmp_path / "rf-0"
+        )
+        assert execution.finished
+        assert len(execution.history) == len(runner.results()[0].history)
+        execution.close_journal()
+        results = runner.run_until_complete()
+        assert_identical(solo_result("rf", 1), results[1])
+
+    def test_quarantined_campaign_is_resumable_while_the_runner_ticks(self, tmp_path):
+        space = make_service_space()
+        runner = ElasticCampaignRunner(on_campaign_error="quarantine")
+        doomed = make_spec("rf", 0, space, doomed=True)
+        doomed.journal_dir = tmp_path / "doomed"
+        runner.admit(doomed)
+        runner.admit(self.journaled("refresh", 1, tmp_path))
+        while not runner.quarantined:
+            runner.tick()
+        assert runner.num_inflight == 1
+        # Resume with a repaired run function while the survivor still runs.
+        repaired = CBOSearch(
+            space,
+            service_run_function,
+            num_workers=6,
+            surrogate=RandomForestSurrogate(n_estimators=6, seed=0),
+            num_candidates=48,
+            n_initial_points=5,
+            seed=0,
+        ).resume(tmp_path / "doomed")
+        assert len(repaired.history) == len(runner.results()[0].history)
+        repaired.close_journal()
+        results = runner.run_until_complete()
+        assert_identical(solo_result("refresh", 1), results[1])
+
+    def test_close_releases_active_journals_without_committing(self, tmp_path):
+        runner = ElasticCampaignRunner()
+        for seed in range(2):
+            runner.admit(self.journaled("rf", seed, tmp_path))
+        for _ in range(4):
+            runner.tick()
+        assert runner.num_inflight == 2
+        committed = {
+            seed: {
+                path.name: path.read_bytes()
+                for path in sorted((tmp_path / f"rf-{seed}").iterdir())
+            }
+            for seed in range(2)
+        }
+        runner.close()
+        runner.close()  # idempotent
+        for seed in range(2):
+            directory = tmp_path / f"rf-{seed}"
+            assert {
+                path.name: path.read_bytes() for path in sorted(directory.iterdir())
+            } == committed[seed]
+            # The last checkpoint is where a resume picks up, and from there
+            # the campaign still finishes as its uninterrupted solo run.
+            execution = make_service_search(seed, make_service_space()).resume(
+                directory
+            )
+            while execution.advance():
+                pass
+            assert_identical(solo_result("rf", seed), execution.result())
+            execution.close_journal()
+
+    def test_raise_mode_releases_the_survivors_journals(self, tmp_path):
+        space = make_service_space()
+        runner = ElasticCampaignRunner()
+        runner.admit(self.journaled("rf", 0, tmp_path))
+        doomed = make_spec("rf", 1, space, doomed=True)
+        doomed.journal_dir = tmp_path / "doomed"
+        runner.admit(doomed, arrival_tick=1)
+        with pytest.raises(RuntimeError, match="injected elastic failure"):
+            runner.run_until_complete()
+        resumed = make_service_search(0, space).resume(tmp_path / "rf-0")
+        while resumed.advance():
+            pass
+        assert_identical(solo_result("rf", 0), resumed.result())
+        resumed.close_journal()
+
+    def test_batched_submit_failure_quarantines_only_its_campaign(self):
+        """A late arrival's fused initial submission comes back one short:
+        only that campaign is quarantined, in the submit phase."""
+        space = make_service_space()
+        calls = {"late": 0}
+
+        def batcher(requests):
+            runtimes = [
+                [service_run_function(c) for c in configs] for _, configs in requests
+            ]
+            for position, (index, _) in enumerate(requests):
+                if index == 2:
+                    calls["late"] += 1
+                    if calls["late"] == 1:
+                        runtimes[position] = runtimes[position][:-1]
+            return runtimes
+
+        runner = ElasticCampaignRunner(
+            run_batcher=batcher, on_campaign_error="quarantine"
+        )
+        runner.admit(make_spec("rf", 0, space))
+        runner.admit(make_spec("gp", 1, space))
+        runner.admit(make_spec("rf", 2, space), arrival_tick=2)
+        results = runner.run_until_complete()
+        assert [(q.index, q.phase) for q in runner.quarantined] == [(2, "submit")]
+        assert "equal length" in str(runner.quarantined[0].error)
+        assert calls["late"] == 1
+        assert_identical(solo_result("rf", 0), results[0])
+        assert_identical(solo_result("gp", 1), results[1])
+

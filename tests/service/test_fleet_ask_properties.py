@@ -2,13 +2,12 @@
 
 The acceptance property of the fleet ask (`prepare_ask_fleet` plus the
 runner's ``_begin_asks_fleet`` grouping): for any space, campaign count,
-surrogate mix and elastic join/leave/quarantine schedule, running with
-``batch_asks=True`` is **bitwise identical** — candidate sheets, dedup
-decisions, final histories and each optimizer's RNG state — to the
-``batch_asks=False`` escape hatch and to sequential solo runs.  Hypothesis
-draws the spaces and schedules; the dedup edge cases (cross-campaign
-candidate collisions, cardinality-exhausted spaces, fleets of one) are
-pinned deterministically.
+surrogate mix and elastic join/leave/quarantine schedule, the runner's
+fused asks are **bitwise identical** — candidate sheets, dedup decisions,
+final histories and each optimizer's RNG state — to sequential solo
+``CBOSearch.run`` calls.  Hypothesis draws the spaces and schedules; the
+dedup edge cases (cross-campaign candidate collisions, cardinality-exhausted
+spaces, fleets of one) are pinned deterministically.
 """
 
 import zlib
@@ -46,14 +45,19 @@ KINDS = {
 _SOLO_CACHE = {}
 
 
-def solo_result(kind, seed):
+def solo_run(kind, seed):
+    """A sequential solo run of one campaign: its result and final RNG state."""
     key = (kind, seed)
     if key not in _SOLO_CACHE:
         factory, max_time, max_evaluations = KINDS[kind]
-        _SOLO_CACHE[key] = factory(seed, make_service_space()).run(
-            max_time=max_time, max_evaluations=max_evaluations
-        )
+        search = factory(seed, make_service_space())
+        result = search.run(max_time=max_time, max_evaluations=max_evaluations)
+        _SOLO_CACHE[key] = (result, rng_state(search))
     return _SOLO_CACHE[key]
+
+
+def solo_result(kind, seed):
+    return solo_run(kind, seed)[0]
 
 
 def make_spec(kind, seed, space):
@@ -123,57 +127,45 @@ class TestFleetAskProperties:
     @settings(max_examples=8, deadline=None)
     @given(space=spaces, n_campaigns=st.integers(min_value=2, max_value=4))
     def test_random_spaces_batched_equals_unbatched(self, space, n_campaigns):
-        """Any drawn space: batched asks match the escape hatch bit for bit."""
+        """Any drawn space: batched asks match sequential solo runs bit for bit."""
         budget = dict(max_time=400.0, max_evaluations=12)
         specs_batched = [
             CampaignSpec(search=make_generic_search(seed, space), **budget)
             for seed in range(n_campaigns)
         ]
-        specs_solo = [
-            CampaignSpec(search=make_generic_search(seed, space), **budget)
-            for seed in range(n_campaigns)
+        solo_searches = [
+            make_generic_search(seed, space) for seed in range(n_campaigns)
         ]
-        # step_shards=1: the ask-fleet counters below assume global groups.
-        batched_runner = CampaignRunner(specs_batched, batch_asks=True, step_shards=1)
-        solo_runner = CampaignRunner(specs_solo, batch_asks=False, step_shards=1)
+        batched_runner = CampaignRunner(specs_batched)
         batched = batched_runner.run()
-        solo = solo_runner.run()
+        solo = [search.run(**budget) for search in solo_searches]
         for a, b in zip(solo, batched):
             assert_identical(a, b)
         # The RNG streams drained identically: same draws, same order.
-        for spec_a, spec_b in zip(specs_solo, specs_batched):
-            assert rng_state(spec_a.search) == rng_state(spec_b.search)
-        # Same-space same-encoding campaigns actually fused...
+        for search, spec in zip(solo_searches, specs_batched):
+            assert rng_state(search) == rng_state(spec.search)
+        # Same-space same-encoding campaigns actually fused.
         assert batched_runner.num_ask_fleet_passes > 0
         assert batched_runner.num_ask_fleet_members >= (
             2 * batched_runner.num_ask_fleet_passes
         )
-        # ...and the escape hatch never touched the fleet path.
-        assert solo_runner.num_ask_fleet_passes == 0
 
     @settings(max_examples=8, deadline=None)
     @given(schedule=schedules)
     def test_elastic_schedules_batched_is_bit_identical(self, schedule):
         """Join/leave schedules over mixed RF/GP/refresh cohorts."""
         space = make_service_space()
-        specs = {}
-        results = {}
-        runners = {}
-        for batch_asks in (True, False):
-            runner = ElasticCampaignRunner(batch_asks=batch_asks)
-            specs[batch_asks] = []
-            for seed, (kind, arrival) in enumerate(schedule):
-                spec = make_spec(kind, seed, space)
-                specs[batch_asks].append(spec)
-                runner.admit(spec, arrival_tick=arrival)
-            results[batch_asks] = runner.run_until_complete()
-            runners[batch_asks] = runner
-        for seed, (kind, _) in enumerate(schedule):
-            assert_identical(solo_result(kind, seed), results[True][seed])
-            assert_identical(results[False][seed], results[True][seed])
-        for spec_solo, spec_batched in zip(specs[False], specs[True]):
-            assert rng_state(spec_solo.search) == rng_state(spec_batched.search)
-        assert runners[False].num_ask_fleet_passes == 0
+        runner = ElasticCampaignRunner()
+        specs = []
+        for seed, (kind, arrival) in enumerate(schedule):
+            spec = make_spec(kind, seed, space)
+            specs.append(spec)
+            runner.admit(spec, arrival_tick=arrival)
+        results = runner.run_until_complete()
+        for seed, ((kind, _), spec) in enumerate(zip(schedule, specs)):
+            solo, solo_rng = solo_run(kind, seed)
+            assert_identical(solo, results[seed])
+            assert solo_rng == rng_state(spec.search)
 
     @settings(max_examples=6, deadline=None)
     @given(schedule=schedules, doom_mask=st.integers(min_value=1, max_value=7))
@@ -183,9 +175,7 @@ class TestFleetAskProperties:
         doomed_of = {
             seed: bool(doom_mask & (1 << seed)) for seed in range(len(schedule))
         }
-        runner = ElasticCampaignRunner(
-            on_campaign_error="quarantine", batch_asks=True
-        )
+        runner = ElasticCampaignRunner(on_campaign_error="quarantine")
         for seed, (kind, arrival) in enumerate(schedule):
             if doomed_of[seed]:
                 spec = CampaignSpec(
@@ -332,11 +322,9 @@ class TestFusedDedupEdgeCases:
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
     def test_fleet_of_one_degenerates_to_solo(self):
-        """A single campaign with ``batch_asks=True`` never fuses."""
+        """A single campaign never fuses."""
         space = make_service_space()
-        runner = CampaignRunner(
-            [make_spec("rf", 0, space)], batch_asks=True
-        )
+        runner = CampaignRunner([make_spec("rf", 0, space)])
         results = runner.run()
         assert_identical(solo_result("rf", 0), results[0])
         assert runner.num_ask_fleet_passes == 0
@@ -370,8 +358,7 @@ class TestFusedDedupEdgeCases:
                 ),
             ).run(**budget),
         ]
-        # step_shards=1: the ask-fleet counters below assume global groups.
-        runner = CampaignRunner(specs, batch_asks=True, step_shards=1)
+        runner = CampaignRunner(specs)
         batched = runner.run()
         for a, b in zip(solo, batched):
             assert_identical(a, b)

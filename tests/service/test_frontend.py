@@ -190,13 +190,12 @@ class TestBatchedAskService:
 
     Managed studies admitted by the registry run through the elastic
     runner's batched ask; ask/tell studies re-derive suggestions after a
-    crash.  Neither protocol promise may depend on ``batch_asks``.
+    crash.  Neither protocol promise may depend on the fleet ask.
     """
 
     def test_stale_studies_over_a_batched_managed_cohort(self):
         now = {"t": 0.0}
-        # step_shards=1: the ask-fleet counter below assumes global groups.
-        runner = ElasticCampaignRunner(batch_asks=True, step_shards=1)
+        runner = ElasticCampaignRunner()
         registry = make_registry(runner=runner, clock=lambda: now["t"])
         registry.create_study("a", mode="managed", **BUDGET)
         registry.create_study("b", mode="managed", seed=1, **BUDGET)
@@ -214,6 +213,23 @@ class TestBatchedAskService:
         assert runner.num_ask_fleet_passes > 0
         assert registry.status("a")["finished"]
         assert registry.status("b")["finished"]
+
+    def test_finished_managed_study_releases_its_journal(self, tmp_path):
+        """Regression: the embedded elastic runner kept every finished
+        managed study's journal lease while other studies still ran."""
+        runner = ElasticCampaignRunner()
+        registry = make_registry(root=tmp_path, runner=runner)
+        registry.create_study("short", mode="managed", max_time=600.0, max_evaluations=8)
+        registry.create_study("long", mode="managed", seed=1, **BUDGET)
+        while not registry.status("short")["finished"]:
+            runner.tick()
+        assert not registry.status("long")["finished"]
+        execution = make_service_search(0).resume(tmp_path / "short")
+        assert execution.finished
+        assert len(execution.history) == registry.status("short")["num_evaluations"]
+        execution.close_journal()
+        runner.run_until_complete()
+        assert_results_identical(solo_result(1), registry.result("long"))
 
     def test_suggest_after_crash_rederives_the_same_batch(self, tmp_path):
         first = make_registry(root=tmp_path)

@@ -2,16 +2,15 @@
 
 :func:`repro.service.grouping.plan_tick_groups` is the single implementation
 behind the runner's RF-fit, GP-fit, VAE-refresh and candidate-scoring
-grouping (legacy batch path and elastic path alike), so its contract is
+grouping (fixed and elastic runner alike), so its contract is
 pinned here once: partition completeness, first-appearance ordering, member
 order preservation, the ``min_fused`` threshold and the distinct-identity
 requirement.
 """
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.service.grouping import TickGroup, plan_step_shards, plan_tick_groups
+from repro.service.grouping import TickGroup, plan_tick_groups
 
 
 class TestPlanTickGroups:
@@ -93,82 +92,3 @@ class TestPlanTickGroups:
                 seen.append(key)
         assert [g.key for g in groups] == seen
 
-
-class TestPlanStepShards:
-    """The parallel runner's shard plan: pure, balanced, affinity-aware."""
-
-    def test_empty_input_yields_no_shards(self):
-        assert plan_step_shards([], 4) == []
-
-    def test_invalid_shard_count_raises(self):
-        with pytest.raises(ValueError):
-            plan_step_shards([1, 2], 0)
-
-    def test_one_shard_is_the_whole_sequence(self):
-        items = list(range(7))
-        assert plan_step_shards(items, 1) == [items]
-
-    def test_contiguous_balanced_slices(self):
-        items = list(range(10))
-        shards = plan_step_shards(items, 4)
-        assert shards == [[0, 1, 2], [3, 4], [5, 6, 7], [8, 9]]
-
-    def test_more_shards_than_items_degenerates_to_singletons(self):
-        items = ["a", "b", "c"]
-        assert plan_step_shards(items, 8) == [["a"], ["b"], ["c"]]
-
-    def test_affinity_pins_items_to_first_members_shard(self):
-        # Items 0 and 9 share a token: 9 must join 0's shard even though
-        # the contiguous deal would place it last.
-        tokens = {0: "pool", 9: "pool"}
-        shards = plan_step_shards(
-            list(range(10)), 4, affinity_of=lambda i: tokens.get(i)
-        )
-        joined = next(s for s in shards if 0 in s)
-        assert 9 in joined
-        flattened = [i for s in shards for i in s]
-        assert sorted(flattened) == list(range(10))
-
-    def test_plan_ignores_everything_but_order_and_count(self):
-        # Same items, same count → same plan, call after call (purity: this
-        # is half of the parallel runner's bit-identity contract).
-        items = ["w", "x", "y", "z"] * 3
-        assert plan_step_shards(items, 3) == plan_step_shards(items, 3)
-
-    @given(
-        n=st.integers(min_value=0, max_value=40),
-        k=st.integers(min_value=1, max_value=8),
-    )
-    def test_partition_properties_hold(self, n, k):
-        items = list(range(n))
-        shards = plan_step_shards(items, k)
-        # Partition: every item exactly once, order preserved (contiguous
-        # slices concatenate back to the input).
-        assert [i for s in shards for i in s] == items
-        assert all(s for s in shards)
-        assert len(shards) == min(k, n)
-        # Balance: shard sizes differ by at most one.
-        if shards:
-            sizes = [len(s) for s in shards]
-            assert max(sizes) - min(sizes) <= 1
-
-    @given(
-        n=st.integers(min_value=1, max_value=30),
-        k=st.integers(min_value=1, max_value=6),
-        tokens=st.lists(
-            st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
-            min_size=30,
-            max_size=30,
-        ),
-    )
-    def test_affinity_groups_always_coreside(self, n, k, tokens):
-        items = list(range(n))
-        shards = plan_step_shards(items, k, affinity_of=lambda i: tokens[i])
-        assert sorted(i for s in shards for i in s) == items
-        for token in {t for t in tokens[:n] if t is not None}:
-            holding = [
-                idx
-                for idx, shard in enumerate(shards)
-                if any(tokens[i] == token for i in shard)
-            ]
-            assert len(holding) == 1

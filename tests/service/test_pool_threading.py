@@ -1,18 +1,18 @@
 """Regression: ``SharedWorkerPool`` scheduling state raced under threads.
 
-Before the pool lock, parallel tick shards stepping two clients of one pool
-corrupted the scheduler: ``submit`` could double-start one idle worker (two
-threads both saw it idle), ``process_until`` could pop the retry heap
-concurrently, and ``wait_any``'s advance-then-collect could interleave with
-another client's clock advance so completions were collected at the wrong
-virtual time.  The pool now serialises every scheduling/clock/queue entry
-point behind one re-entrant lock — virtual time, not thread arrival order,
-still decides which events fire.
+Before the pool lock, two threads driving clients of one pool corrupted the
+scheduler: ``submit`` could double-start one idle worker (two threads both
+saw it idle), ``process_until`` could pop the retry heap concurrently, and
+``wait_any``'s advance-then-collect could interleave with another client's
+clock advance so completions were collected at the wrong virtual time.  The
+pool now serialises every scheduling/clock/queue entry point behind one
+re-entrant lock — virtual time, not thread arrival order, still decides
+which events fire.
 
-The runner itself never exercises this (same-pool campaigns are pinned to
-one shard by :func:`~repro.service.grouping.plan_step_shards`), so these
-tests hammer the pool directly from raw threads: the invariants are
-*conservation* ones (nothing lost, nothing duplicated, consistent final
+The lock stays because the threaded HTTP frontend serves concurrent
+requests; the runner itself steps every campaign from one thread.  These
+tests therefore hammer the pool directly from raw threads: the invariants
+are *conservation* ones (nothing lost, nothing duplicated, consistent final
 state), which must hold under any interleaving.
 """
 

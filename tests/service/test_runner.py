@@ -7,6 +7,7 @@ per-campaign :class:`~repro.core.search.SearchResult`\\ s bit-identical to N
 sequential ``CBOSearch.run`` calls with the same seeds.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -25,12 +26,16 @@ from repro.core.search import CBOSearch, VAEABOSearch
 from repro.core.space import IntegerParameter, RealParameter, SearchSpace
 from repro.core.surrogate import RandomForestSurrogate
 from repro.core.transfer import TransferLearningPrior
-from repro.service import CampaignRunner, CampaignSpec, SharedWorkerPool
+from repro.service import (
+    CampaignRunner,
+    CampaignSpec,
+    ElasticCampaignRunner,
+    SharedWorkerPool,
+)
 
 
 class TestRunnerBitIdentity:
-    @pytest.mark.parametrize("batch_fits,batch_scoring", [(True, True), (True, False), (False, True), (False, False)])
-    def test_runner_matches_sequential_runs(self, batch_fits, batch_scoring):
+    def test_runner_matches_sequential_runs(self):
         space = make_space()
         sequential = [
             make_search(seed, space).run(max_time=600.0, max_evaluations=30)
@@ -45,21 +50,13 @@ class TestRunnerBitIdentity:
             )
             for seed in range(4)
         ]
-        runner = CampaignRunner(
-            specs,
-            batch_surrogate_fits=batch_fits,
-            batch_candidate_scoring=batch_scoring,
-            # Fusion counters below assume global groups: one shard per tick
-            # regardless of the REPRO_STEP_WORKERS matrix value.
-            step_shards=1,
-        )
+        runner = CampaignRunner(specs)
         batched = runner.run()
         assert len(batched) == 4
         for a, b in zip(sequential, batched):
             assert_identical(a, b)
-        if batch_fits:
-            assert runner.num_fleet_fits > 0
-            assert runner.num_fleet_fitted_surrogates >= 2 * runner.num_fleet_fits
+        assert runner.num_fleet_fits > 0
+        assert runner.num_fleet_fitted_surrogates >= 2 * runner.num_fleet_fits
 
     def test_runner_with_gp_campaigns_matches_sequential(self):
         space = make_space()
@@ -100,28 +97,60 @@ class TestRunnerBitIdentity:
         for a, b in zip(sequential, batched):
             assert_identical(a, b)
 
-    def test_sharded_scoring_campaigns_match(self):
-        """score_shards on inside the runner stays bit-identical too."""
+    @pytest.mark.parametrize(
+        "factory",
+        [make_search, make_gp_search, make_refresh_search],
+        ids=["rf", "gp", "refresh"],
+    )
+    def test_quarantine_mode_without_failures_changes_nothing(self, factory):
+        """Every phase call goes through the error policy in quarantine mode;
+        with nothing failing, the fused run still matches the sequential
+        runs bit for bit and quarantines nobody."""
         space = make_space()
         sequential = [
-            make_search(seed, space, score_shards=3).run(max_time=500.0, max_evaluations=20)
+            factory(seed, space).run(max_time=600.0, max_evaluations=20)
             for seed in range(3)
         ]
-        specs = [
-            CampaignSpec(
-                search=make_search(seed, space, score_shards=3),
-                max_time=500.0,
-                max_evaluations=20,
-            )
-            for seed in range(3)
-        ]
-        batched = CampaignRunner(specs).run()
+        runner = CampaignRunner(
+            [
+                CampaignSpec(
+                    search=factory(seed, space), max_time=600.0, max_evaluations=20
+                )
+                for seed in range(3)
+            ],
+            on_campaign_error="quarantine",
+        )
+        batched = runner.run()
+        assert runner.quarantined == []
         for a, b in zip(sequential, batched):
             assert_identical(a, b)
 
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError):
             CampaignRunner([])
+
+
+class TestRunnerOptionSurface:
+    """The runners' keyword options, pinned: the fused tick pipeline is the
+    only in-process path, so there is nothing else to switch."""
+
+    def test_campaign_runner_options(self):
+        parameters = inspect.signature(CampaignRunner).parameters
+        assert {name: p.default for name, p in parameters.items()} == {
+            "specs": inspect.Parameter.empty,
+            "run_batcher": None,
+            "on_campaign_error": "raise",
+            "processes": 1,
+        }
+
+    def test_elastic_runner_options(self):
+        parameters = inspect.signature(ElasticCampaignRunner).parameters
+        assert {name: p.default for name, p in parameters.items()} == {
+            "max_inflight": None,
+            "max_inflight_per_tenant": None,
+            "run_batcher": None,
+            "on_campaign_error": "raise",
+        }
 
 
 class TestRunBatcher:
@@ -147,6 +176,102 @@ class TestRunBatcher:
         # The initial submissions come through the batcher as one pass.
         assert seen[0] == [0, 1, 2]
         assert all(all(0 <= idx < 3 for idx in batch) for batch in seen)
+
+    def test_batched_mixed_families_match_sequential(self):
+        space = make_space()
+        factories = (make_search, make_gp_search, make_refresh_search)
+        sequential = [
+            factory(seed, space).run(max_time=600.0, max_evaluations=20)
+            for seed, factory in enumerate(factories)
+        ]
+        calls = []
+
+        def batcher(requests):
+            calls.append(len(requests))
+            return [[run_function(c) for c in configs] for _, configs in requests]
+
+        specs = [
+            CampaignSpec(search=factory(seed, space), max_time=600.0, max_evaluations=20)
+            for seed, factory in enumerate(factories)
+        ]
+        batched = CampaignRunner(specs, run_batcher=batcher).run()
+        for a, b in zip(sequential, batched):
+            assert_identical(a, b)
+        assert calls[0] == 3
+        assert max(calls) == 3
+
+    def test_batcher_returning_too_few_lists_fails_loudly(self, tmp_path):
+        """A short outer list cannot be attributed to one campaign, so it
+        aborts the run even in quarantine mode; the journals are released."""
+        space = make_space()
+
+        def batcher(requests):
+            return [[run_function(c) for c in configs] for _, configs in requests][:-1]
+
+        specs = [
+            CampaignSpec(
+                search=make_search(seed, space),
+                max_time=600.0,
+                max_evaluations=20,
+                journal_dir=tmp_path / f"c{seed}",
+            )
+            for seed in range(2)
+        ]
+        runner = CampaignRunner(
+            specs, run_batcher=batcher, on_campaign_error="quarantine"
+        )
+        with pytest.raises(ValueError, match="1 runtime lists for 2 submissions"):
+            runner.run()
+        for seed in range(2):
+            make_search(seed, space).resume(tmp_path / f"c{seed}").close_journal()
+
+    def test_batched_submit_failure_raises_in_raise_mode(self):
+        space = make_space()
+
+        def batcher(requests):
+            runtimes = [[run_function(c) for c in configs] for _, configs in requests]
+            runtimes[-1] = runtimes[-1][:-1]
+            return runtimes
+
+        specs = [
+            CampaignSpec(search=make_search(seed, space), max_time=600.0, max_evaluations=20)
+            for seed in range(2)
+        ]
+        with pytest.raises(ValueError, match="equal length"):
+            CampaignRunner(specs, run_batcher=batcher).run()
+
+    def test_start_quarantined_campaign_is_not_sent_to_the_batcher(self, tmp_path):
+        space = make_space()
+        seen = []
+
+        def batcher(requests):
+            seen.append([index for index, _ in requests])
+            return [[run_function(c) for c in configs] for _, configs in requests]
+
+        specs = [
+            CampaignSpec(search=make_search(seed, space), max_time=500.0, max_evaluations=15)
+            for seed in range(3)
+        ]
+        # Campaign 1 attaches to another seed's journal: its start raises.
+        make_search(7, space).run(
+            max_time=300.0, max_evaluations=6, journal_dir=tmp_path / "other"
+        )
+        specs[1].journal_dir = tmp_path / "other"
+        specs[1].resume_from_journal = True
+        runner = CampaignRunner(
+            specs, run_batcher=batcher, on_campaign_error="quarantine"
+        )
+        results = runner.run()
+        assert [(q.index, q.phase) for q in runner.quarantined] == [(1, "start")]
+        assert "seed" in str(runner.quarantined[0].error)
+        assert results[1] is None
+        assert seen[0] == [0, 2]
+        assert all(1 not in batch for batch in seen)
+        for seed in (0, 2):
+            assert_identical(
+                make_search(seed, space).run(max_time=500.0, max_evaluations=15),
+                results[seed],
+            )
 
 
 class TestServiceBackedCampaigns:
@@ -238,7 +363,6 @@ class TestTransferCampaignFleet:
                 )
                 for seed in range(3)
             ],
-            step_shards=1,  # the VAE-fleet counters assume global groups
         )
         batched = runner.run()
         for a, b in zip(sequential, batched):
@@ -246,29 +370,6 @@ class TestTransferCampaignFleet:
         assert runner.num_prior_refreshes > 0
         assert runner.num_vae_fleet_fits > 0
         assert runner.num_vae_fleet_members <= runner.num_prior_refreshes
-
-    def test_batch_vae_fits_escape_hatch_matches(self):
-        space = make_space()
-        sequential = [
-            make_refresh_search(seed, space).run(max_time=600.0, max_evaluations=24)
-            for seed in range(2)
-        ]
-        runner = CampaignRunner(
-            [
-                CampaignSpec(
-                    search=make_refresh_search(seed, space),
-                    max_time=600.0,
-                    max_evaluations=24,
-                )
-                for seed in range(2)
-            ],
-            batch_vae_fits=False,
-        )
-        batched = runner.run()
-        for a, b in zip(sequential, batched):
-            assert_identical(a, b)
-        assert runner.num_prior_refreshes > 0
-        assert runner.num_vae_fleet_fits == 0
 
     def test_transfer_seeded_campaigns_refresh_in_the_runner(self):
         """Campaigns constructed with TransferLearningPriors keep refreshing
@@ -420,17 +521,12 @@ class TestGPFleetRunnerIdentity:
 
     The GP counterpart of the RF/VAE runner identity tests: batched GPFleet
     fits (stacked Cholesky full refits, concatenated factor extensions) and
-    fused posterior scoring must not change any campaign's results — the
-    ``batch_gp_fits``/``batch_candidate_scoring`` escape hatches reproduce the
-    same searches with the fusion off.  A reduced size runs in tier-1; the
-    full 8-campaign fleet is marked ``slow``.
+    fused posterior scoring must not change any campaign's results.  A
+    reduced size runs in tier-1; the full 8-campaign fleet is marked
+    ``slow``.
     """
 
-    @pytest.mark.parametrize(
-        "batch_gp_fits,batch_scoring",
-        [(True, True), (True, False), (False, True), (False, False)],
-    )
-    def test_gp_campaigns_match_sequential(self, batch_gp_fits, batch_scoring):
+    def test_gp_campaigns_match_sequential(self):
         space = make_space()
         sequential = [
             make_gp_search(seed, space, num_workers=6, n_initial_points=5).run(
@@ -447,24 +543,43 @@ class TestGPFleetRunnerIdentity:
                 )
                 for seed in range(3)
             ],
-            batch_gp_fits=batch_gp_fits,
-            batch_candidate_scoring=batch_scoring,
-            step_shards=1,  # the GP-fleet counters assume global groups
         )
         batched = runner.run()
         for a, b in zip(sequential, batched):
             assert_identical(a, b)
         fleet_passes = runner.num_gp_fleet_extends + runner.num_gp_fleet_full_fits
-        if batch_gp_fits:
-            assert fleet_passes > 0
-            assert runner.num_gp_fleet_members >= 2 * fleet_passes
-        else:
-            assert fleet_passes == 0
-            assert runner.num_gp_fleet_members == 0
-        if batch_scoring and batch_gp_fits:
-            assert runner.num_gp_fleet_predicts > 0
-        if not batch_scoring:
+        assert fleet_passes > 0
+        assert runner.num_gp_fleet_members >= 2 * fleet_passes
+        assert runner.num_gp_fleet_predicts > 0
+
+    @pytest.mark.parametrize("budget", [1, 10**9], ids=["solo", "one-sheet"])
+    def test_scoring_chunk_budget_changes_no_result(self, budget):
+        """Chunking the fused GP scoring sheet only changes wall-clock: a
+        budget of one element scores every pool solo, a huge one fuses each
+        group into one sheet, and both match the sequential runs."""
+        space = make_space()
+
+        def searches():
+            return [
+                make_gp_search(seed, space, num_workers=6, n_initial_points=5)
+                for seed in range(3)
+            ]
+
+        sequential = [s.run(max_time=600.0, max_evaluations=22) for s in searches()]
+        runner = CampaignRunner(
+            [
+                CampaignSpec(search=s, max_time=600.0, max_evaluations=22)
+                for s in searches()
+            ]
+        )
+        runner.gp_predict_chunk_elements = budget
+        batched = runner.run()
+        for a, b in zip(sequential, batched):
+            assert_identical(a, b)
+        if budget == 1:
             assert runner.num_gp_fleet_predicts == 0
+        else:
+            assert runner.num_gp_fleet_predicts > 0
 
     def test_mixed_rf_and_gp_fleet_campaigns(self):
         """RF and GP campaigns in one runner each fuse with their own kind."""
@@ -484,7 +599,6 @@ class TestGPFleetRunnerIdentity:
                 CampaignSpec(search=s, max_time=500.0, max_evaluations=18)
                 for s in searches()
             ],
-            step_shards=1,  # the fleet counters assume global groups
         )
         batched = runner.run()
         for a, b in zip(sequential, batched):
@@ -683,3 +797,159 @@ class TestQuarantineAndRunnerJournal:
         specs = [CampaignSpec(search=make_search(0, space), max_time=100.0)]
         with pytest.raises(ValueError, match="on_campaign_error"):
             CampaignRunner(specs, on_campaign_error="ignore")
+
+    def test_finished_campaigns_release_their_journals(self, tmp_path):
+        """Regression: a runner kept every journal's writer lease for as long
+        as it lived, so resuming a finished campaign raised JournalBusyError."""
+        space = make_space()
+        runner = CampaignRunner(
+            [
+                CampaignSpec(
+                    search=make_search(seed, space),
+                    max_time=600.0,
+                    max_evaluations=24,
+                    journal_dir=tmp_path / f"c{seed}",
+                )
+                for seed in range(2)
+            ]
+        )
+        results = runner.run()
+        for seed, result in enumerate(results):
+            execution = make_search(seed, space).resume(tmp_path / f"c{seed}")
+            assert execution.finished
+            assert len(execution.history) == len(result.history)
+            execution.close_journal()
+
+    def test_raise_mode_releases_the_survivors_journals(self, tmp_path):
+        """Regression: after ``run()`` raised, the campaigns still in flight
+        kept their leases and could not be resumed in the same process."""
+        space = make_space()
+
+        def doomed_search():
+            return CBOSearch(
+                space,
+                self.make_exploding_run(12),
+                num_workers=6,
+                surrogate=RandomForestSurrogate(n_estimators=6, seed=1),
+                num_candidates=48,
+                n_initial_points=5,
+                seed=1,
+            )
+
+        runner = CampaignRunner(
+            [
+                CampaignSpec(
+                    search=make_search(0, space),
+                    max_time=600.0,
+                    max_evaluations=24,
+                    journal_dir=tmp_path / "good",
+                ),
+                CampaignSpec(
+                    search=doomed_search(),
+                    max_time=600.0,
+                    max_evaluations=24,
+                    journal_dir=tmp_path / "doomed",
+                ),
+            ]
+        )
+        with pytest.raises(RuntimeError, match="injected campaign failure"):
+            runner.run()
+        # Both campaigns resume from their last checkpoints; the survivor
+        # then finishes bit-identical to an uninterrupted solo run.
+        resumed = make_search(0, space).resume(tmp_path / "good")
+        while resumed.advance():
+            pass
+        assert_identical(
+            make_search(0, space).run(max_time=600.0, max_evaluations=24),
+            resumed.result(),
+        )
+        resumed.close_journal()
+        doomed = CBOSearch(
+            space,
+            run_function,
+            num_workers=6,
+            surrogate=RandomForestSurrogate(n_estimators=6, seed=1),
+            num_candidates=48,
+            n_initial_points=5,
+            seed=1,
+        ).resume(tmp_path / "doomed")
+        assert len(doomed.history) > 0
+        doomed.close_journal()
+
+    @pytest.mark.parametrize("short_call", [1, 3])
+    def test_batched_submit_failure_quarantines_only_its_campaign(self, short_call):
+        """Regression: with a run batcher, one campaign's submit failure
+        aborted the whole run in quarantine mode.  ``short_call=1`` hits the
+        fused initial batches, ``3`` a later tick's submissions."""
+        space = make_space()
+        solo = [
+            make_search(seed, space).run(max_time=600.0, max_evaluations=24)
+            for seed in (0, 2)
+        ]
+        calls = {"n": 0}
+
+        def batcher(requests):
+            calls["n"] += 1
+            runtimes = [[run_function(c) for c in configs] for _, configs in requests]
+            if calls["n"] == short_call:
+                position = [index for index, _ in requests].index(1)
+                runtimes[position] = runtimes[position][:-1]  # one short
+            return runtimes
+
+        specs = [
+            CampaignSpec(
+                search=make_search(seed, space),
+                max_time=600.0,
+                max_evaluations=24,
+                label=f"c{seed}",
+            )
+            for seed in range(3)
+        ]
+        runner = CampaignRunner(
+            specs, run_batcher=batcher, on_campaign_error="quarantine"
+        )
+        results = runner.run()
+        assert [(q.index, q.phase) for q in runner.quarantined] == [(1, "submit")]
+        assert "equal length" in str(runner.quarantined[0].error)
+        assert_identical(solo[0], results[0])
+        assert_identical(solo[1], results[2])
+
+    def test_scoring_failure_quarantines_in_the_ask_phase(self):
+        """A candidate-scoring crash inside ``finish_ask`` is recorded against
+        its own campaign; the other campaign is untouched."""
+
+        class ExplodingSurrogate(RandomForestSurrogate):
+            def predict(self, X):
+                if self.fitted and X.shape[0] > 1:
+                    raise FloatingPointError("singular score sheet")
+                return super().predict(X)
+
+        space = make_space()
+        doomed = CBOSearch(
+            space,
+            run_function,
+            num_workers=6,
+            surrogate=ExplodingSurrogate(n_estimators=6, seed=1),
+            num_candidates=48,
+            n_initial_points=5,
+            seed=1,
+        )
+        # The healthy campaign is GP-backed, so the doomed RF pool is a
+        # singleton and scores through its own predict.
+        specs = [
+            CampaignSpec(
+                search=make_gp_search(0, space), max_time=400.0,
+                max_evaluations=16, label="good",
+            ),
+            CampaignSpec(
+                search=doomed, max_time=400.0, max_evaluations=16, label="doomed"
+            ),
+        ]
+        runner = CampaignRunner(specs, on_campaign_error="quarantine")
+        results = runner.run()
+        assert [(q.label, q.phase) for q in runner.quarantined] == [("doomed", "ask")]
+        assert isinstance(runner.quarantined[0].error, FloatingPointError)
+        assert_identical(
+            make_gp_search(0, space).run(max_time=400.0, max_evaluations=16),
+            results[0],
+        )
