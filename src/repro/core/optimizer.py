@@ -16,9 +16,9 @@ columns (:meth:`~repro.core.space.SearchSpace.sample_columns`), encoded
 column-wise, and only the configurations actually proposed are materialised
 as dicts.  The evaluated history is kept as an *incremental* encoded cache —
 ``tell`` appends encoded rows and objective values into growing buffers, so
-neither ``tell`` nor ``ask`` ever re-encodes the full history (the pre-PR
-behaviour re-encoded all ``n`` observations on every interaction, making the
-Python-side overhead grow linearly per iteration).  Duplicate detection uses
+neither ``tell`` nor ``ask`` ever re-encodes the full history (re-encoding
+all ``n`` observations on every interaction would make the Python-side
+overhead grow linearly per iteration).  Duplicate detection uses
 raw-value key rows (:meth:`~repro.core.space.SearchSpace.key_array`) hashed
 once per configuration instead of per-candidate ``repr`` tuples.  Surrogates
 that advertise :attr:`~repro.core.surrogate.base.Surrogate.supports_partial_fit`
@@ -141,13 +141,6 @@ class BayesianOptimizer:
         trade a slightly staler model for faster campaign wall-clock time in
         the large reproduction sweeps (the charged *search-time* overhead is
         unaffected — see :mod:`repro.core.overhead`).
-    incremental:
-        If True (default), the encoded history is cached incrementally:
-        ``tell`` appends encoded rows into growing buffers and ``ask``/``fit``
-        reuse them.  If False, the full history is re-encoded on every
-        interaction — the pre-cache behaviour, kept selectable so the
-        regression tests can assert both paths produce bit-identical
-        proposals and the benchmarks can quantify the cache's effect.
     seed:
         Seed of the optimizer's RNG.
     """
@@ -164,7 +157,6 @@ class BayesianOptimizer:
         liar_strategy: str = "kernel_penalty",
         random_sampling: bool = False,
         refit_interval: int = 1,
-        incremental: bool = True,
         objective: Optional[Objective] = None,
         seed: int = 0,
     ):
@@ -183,7 +175,6 @@ class BayesianOptimizer:
         if refit_interval < 1:
             raise ValueError("refit_interval must be >= 1")
         self.refit_interval = int(refit_interval)
-        self.incremental = bool(incremental)
         self._new_since_fit = 0
         self.objective = objective or Objective()
         self.rng = np.random.default_rng(seed)
@@ -226,11 +217,6 @@ class BayesianOptimizer:
             return self.space.to_one_hot_array(configs)
         return self.space.to_numeric_array(configs)
 
-    @staticmethod
-    def _key(config: Configuration) -> tuple:
-        """Legacy repr-based dedup key (kept for tests and benchmarks)."""
-        return tuple(sorted((k, repr(v)) for k, v in config.items()))
-
     def _key_bytes(self, configs: ConfigsLike) -> List[bytes]:
         """One stable dedup key per configuration, from the raw-value rows."""
         return [row.tobytes() for row in self.space.key_array(configs)]
@@ -248,15 +234,10 @@ class BayesianOptimizer:
     def _train_data(self) -> Tuple[np.ndarray, np.ndarray]:
         """The encoded training matrix and objective vector.
 
-        With the incremental cache these are views into the append-only
-        buffers; without it the full history is re-encoded (pre-cache
-        behaviour, bit-identical because the column codecs are elementwise).
+        Views into the append-only buffers: re-encoding the full history
+        would give the same bits, because the column codecs are elementwise.
         """
-        if self.incremental:
-            return self._X_buf[: self._n_rows], self._y_buf[: self._n_rows]
-        X = self._encode(self._configs)
-        y = np.asarray(self._objectives, dtype=float)
-        return X, y
+        return self._X_buf[: self._n_rows], self._y_buf[: self._n_rows]
 
     # ------------------------------------------------------------------- tell
     def tell(self, configurations: Sequence[Configuration], objectives: Sequence[float]) -> None:
@@ -302,8 +283,7 @@ class BayesianOptimizer:
         self._objectives.extend(filled)
         self._evaluated_keys.update(self._key_bytes(batch))
         self._new_since_fit += len(new_configs)
-        if self.incremental:
-            self._append_history(self._encode(batch), np.asarray(filled, dtype=float))
+        self._append_history(self._encode(batch), np.asarray(filled, dtype=float))
         return (
             not self.random_sampling
             and self.num_observations >= self.n_initial_points
@@ -346,7 +326,7 @@ class BayesianOptimizer:
         Called by :meth:`fit_now`, or by drivers that fitted the surrogate
         externally (the multi-campaign fleet fit).
         """
-        self._n_fitted_rows = self._n_rows if self.incremental else len(self._configs)
+        self._n_fitted_rows = self._n_rows
         self.num_fits += 1
         self._new_since_fit = 0
 

@@ -132,11 +132,6 @@ class CBOSearch:
         Worker time consumed by failed evaluations (600 s in the paper).
     objective:
         Objective transform (defaults to ``-log(runtime)``).
-    incremental:
-        Whether the optimizer caches the encoded history incrementally
-        (default) or re-encodes it per interaction; see
-        :class:`~repro.core.optimizer.BayesianOptimizer`.  Both settings
-        produce identical searches — only real wall-clock time differs.
     evaluator_factory:
         Optional callable ``(run_function, num_workers, failure_duration) →
         evaluator`` replacing the private
@@ -182,7 +177,6 @@ class CBOSearch:
         objective: Optional[Objective] = None,
         random_sampling: bool = False,
         refit_interval: int = 1,
-        incremental: bool = True,
         evaluator_factory: Optional[Callable] = None,
         prior_refresh_interval: Optional[int] = None,
         prior_refresh_top_k: int = 16,
@@ -204,7 +198,6 @@ class CBOSearch:
             liar_strategy=liar_strategy,
             random_sampling=random_sampling,
             refit_interval=refit_interval,
-            incremental=incremental,
             objective=self.objective,
             seed=seed,
         )
@@ -284,7 +277,6 @@ class CBOSearch:
         initial_configurations: Optional[Sequence[Configuration]] = None,
         defer_initial_submit: bool = False,
         journal_dir: Optional[object] = None,
-        journal_fsync: bool = True,
         checkpoint_interval: int = 1,
     ) -> "CampaignExecution":
         """Begin a search and return its stepping :class:`CampaignExecution`.
@@ -303,7 +295,6 @@ class CBOSearch:
             initial_configurations=initial_configurations,
             defer_initial_submit=defer_initial_submit,
             journal_dir=journal_dir,
-            journal_fsync=journal_fsync,
             checkpoint_interval=checkpoint_interval,
         )
 
@@ -324,7 +315,6 @@ class CBOSearch:
         max_evaluations: Optional[int] = None,
         initial_configurations: Optional[Sequence[Configuration]] = None,
         defer_initial_submit: bool = False,
-        journal_fsync: bool = True,
         checkpoint_interval: int = 1,
     ) -> "CampaignExecution":
         """Create-or-attach on a journal directory (the registry's semantics).
@@ -341,7 +331,6 @@ class CBOSearch:
             return CampaignExecution.resume(
                 self,
                 journal_dir,
-                journal_fsync=journal_fsync,
                 checkpoint_interval=checkpoint_interval,
                 defer_initial_submit=defer_initial_submit,
             )
@@ -351,7 +340,6 @@ class CBOSearch:
             initial_configurations=initial_configurations,
             defer_initial_submit=defer_initial_submit,
             journal_dir=journal_dir,
-            journal_fsync=journal_fsync,
             checkpoint_interval=checkpoint_interval,
         )
 
@@ -415,7 +403,6 @@ class CampaignExecution:
         initial_configurations: Optional[Sequence[Configuration]] = None,
         defer_initial_submit: bool = False,
         journal_dir: Optional[object] = None,
-        journal_fsync: bool = True,
         checkpoint_interval: int = 1,
         _resume: bool = False,
     ):
@@ -459,7 +446,6 @@ class CampaignExecution:
             self._journal = CampaignJournal.create(
                 journal_dir,
                 search.space,
-                fsync=journal_fsync,
                 checkpoint_interval=checkpoint_interval,
             )
             self._journal.write_meta(
@@ -890,7 +876,6 @@ class CampaignExecution:
         cls,
         search: "CBOSearch",
         journal_dir,
-        journal_fsync: bool = True,
         checkpoint_interval: int = 1,
         defer_initial_submit: bool = False,
     ) -> "CampaignExecution":
@@ -935,7 +920,6 @@ class CampaignExecution:
                 max_evaluations=max_evaluations,
                 defer_initial_submit=defer_initial_submit,
                 journal_dir=journal_dir,
-                journal_fsync=journal_fsync,
                 checkpoint_interval=checkpoint_interval,
             )
         execution = cls(
@@ -949,7 +933,6 @@ class CampaignExecution:
         journal = CampaignJournal.attach(
             journal_dir,
             search.space,
-            fsync=journal_fsync,
             checkpoint_interval=checkpoint_interval,
         )
         try:

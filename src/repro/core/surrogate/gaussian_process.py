@@ -178,14 +178,8 @@ class GaussianProcessSurrogate(Surrogate):
         likelihood.
     normalize_y:
         Whether to centre/scale the targets before fitting.
-    incremental:
-        Whether :meth:`partial_fit` extends the Cholesky factor by rank-1
-        block updates (the hot path).  When False the surrogate advertises no
-        partial-fit support and every update is a full reference refit — the
-        pre-incremental behaviour, kept selectable for regression tests and
-        benchmarks.
     refresh_growth:
-        Hyperparameter-refresh schedule of the incremental path: a full
+        Hyperparameter-refresh schedule of :meth:`partial_fit`: a full
         reference fit (recomputing length scales and the noise/signal grid) is
         triggered whenever the training set has grown by this factor since the
         last full fit.  Between refreshes hyperparameters are frozen, which is
@@ -205,7 +199,6 @@ class GaussianProcessSurrogate(Surrogate):
         length_scale: float = 1.0,
         auto_hyperparameters: bool = True,
         normalize_y: bool = True,
-        incremental: bool = True,
         refresh_growth: float = 1.25,
         hyperparameter_grid: Optional[Sequence[Tuple[float, float]]] = None,
     ):
@@ -228,7 +221,6 @@ class GaussianProcessSurrogate(Surrogate):
         self.length_scale = float(length_scale)
         self.auto_hyperparameters = bool(auto_hyperparameters)
         self.normalize_y = bool(normalize_y)
-        self.incremental = bool(incremental)
         self.refresh_growth = float(refresh_growth)
         self.fitted = False
         self._X: Optional[np.ndarray] = None
@@ -250,12 +242,10 @@ class GaussianProcessSurrogate(Surrogate):
         self.num_full_fits = 0
         self.num_partial_fits = 0
 
-    # --------------------------------------------------------------- plumbing
-    @property
-    def supports_partial_fit(self) -> bool:
-        """Whether :meth:`partial_fit` uses the incremental update."""
-        return self.incremental
+    #: :meth:`partial_fit` extends the Cholesky factor by rank-1 block updates.
+    supports_partial_fit = True
 
+    # --------------------------------------------------------------- plumbing
     @property
     def training_size(self) -> int:
         """Number of training rows the cached factor currently covers."""
@@ -350,23 +340,6 @@ class GaussianProcessSurrogate(Surrogate):
         self._cho = (self._L_buf[:n, :n], True)
         self._alpha = _cho_solve_lower(self._cho[0], y_n)
 
-    def refit_with_current_hyperparameters(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> "GaussianProcessSurrogate":
-        """Full refit that *keeps* the current hyperparameters.
-
-        The reference the incremental path is checked against: a
-        :meth:`partial_fit` sequence and this method produce the same kernel,
-        so their posteriors must agree to floating-point rounding.
-        """
-        if not self.fitted:
-            raise RuntimeError("the GP has not been fitted")
-        X, y = self._validate(X, y)
-        y_n = self._normalize_targets(y)
-        self._store_training_set(X, y)
-        self._factorize_full(y_n)
-        return self
-
     # ---------------------------------------------------------- partial fit
     def partial_fit_plan(self, total_rows: int) -> str:
         """Which path :meth:`partial_fit` takes at this total training size.
@@ -379,7 +352,7 @@ class GaussianProcessSurrogate(Surrogate):
         fleet drivers (:func:`gp_fleet_key`), so grouping members for a
         batched pass can never disagree with what each member would do solo.
         """
-        if not (self.incremental and self.fitted):
+        if not self.fitted:
             return "full"
         if total_rows >= self.refresh_growth * self._n_last_full:
             return "full"
@@ -563,7 +536,7 @@ def gp_fleet_key(
     hyperparameters frozen and need no grid in their key.
     """
     num_old = num_rows - num_new
-    if model.supports_partial_fit and model.fitted and 0 < num_old < num_rows:
+    if model.fitted and 0 < num_old < num_rows:
         # The solo driver (``fit_now``) routes this member through
         # ``partial_fit``, whose outcome — extend, or full refit on the
         # *member's stored rows* plus the update — depends on the cached
@@ -743,7 +716,7 @@ class GPFleet:
         factorised by one batched ``np.linalg.cholesky``; the per-member
         ``B = L⁻¹·K₁₂`` triangular solves and ``alpha`` recomputations call
         the same LAPACK wrappers the solo path calls.  Members must be
-        fitted, incremental, share one update shape ``(m, d)`` and not be due
+        fitted, share one update shape ``(m, d)`` and not be due
         a hyperparameter refresh (group with :func:`gp_fleet_key`) — their
         training-set sizes may differ freely: the cross-kernel is built on
         the *concatenated* old rows (row-local scaling/reductions and
@@ -765,10 +738,6 @@ class GPFleet:
             if not member.fitted:
                 raise RuntimeError(
                     "fleet extension requires fitted members — use GPFleet.fit"
-                )
-            if not member.incremental:
-                raise ValueError(
-                    "fleet extension requires incremental members — use GPFleet.fit"
                 )
             X_new, y_new = member._validate_update(X_new, y_new)
             if member.partial_fit_plan(member._n + X_new.shape[0]) != "extend":

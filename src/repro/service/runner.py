@@ -43,7 +43,7 @@ Because each campaign's operations run in exactly the order the sequential
 loop would run them, and the fleet fit is bit-identical per forest, the
 per-campaign :class:`~repro.core.search.SearchResult`\\ s are **bit-identical**
 to running the same seeds through ``CBOSearch.run`` one by one — the batch
-runner only changes wall-clock time (``benchmarks/bench_multi_campaign.py``
+runner only changes wall-clock time (``perfbench``'s ``fleet_e2e`` workload
 measures the effect; the identity is pinned by the test suite).  One
 carve-out: campaigns using the opt-in ``overhead="measured"`` model charge
 their *measured* Python time as virtual overhead, and a batched fleet fit's
@@ -464,11 +464,10 @@ class CampaignRunner:
             if due is _FAILED:
                 continue
             if due:
-                if self._fleet_eligible(execution):
+                surrogate = execution.optimizer.surrogate
+                if isinstance(surrogate, RandomForestSurrogate):
                     fit_due.append(execution)
-                elif isinstance(
-                    execution.optimizer.surrogate, GaussianProcessSurrogate
-                ):
+                elif isinstance(surrogate, GaussianProcessSurrogate):
                     gp_due.append(execution)
                 else:
                     self.num_solo_fits += 1
@@ -688,14 +687,6 @@ class CampaignRunner:
         ]
 
     # ------------------------------------------------------------ fleet fits
-    @staticmethod
-    def _fleet_eligible(execution: CampaignExecution) -> bool:
-        surrogate = execution.optimizer.surrogate
-        return (
-            isinstance(surrogate, RandomForestSurrogate)
-            and surrogate.fit_algorithm == "levelwise"
-        )
-
     def _fit_fleet(self, fit_due: List[CampaignExecution]) -> None:
         """Fit the due RF surrogates, grouped by compatible hyperparameters."""
         groups = plan_tick_groups(
@@ -1111,13 +1102,25 @@ def _run_spec_shard(runner: CampaignRunner, indices: List[int], sender) -> None:
     sends back a scalars-only payload — counters, quarantine records (spec
     indices remapped to the parent's numbering) and per-result summaries.
     Histories never cross the pipe: the parent rebuilds them from each
-    spec's journal through the mmap reader.
+    spec's journal through the mmap reader.  The child numbers its specs
+    from zero, so its run-batcher requests are remapped to the parent's
+    spec indices too: a batcher that dispatches on the index (one runtime
+    model per campaign) must see each campaign under one index.
     """
     try:
         specs = [runner.specs[index] for index in indices]
+        parent_batcher = runner.run_batcher
+        run_batcher = None
+        if parent_batcher is not None:
+
+            def run_batcher(requests):
+                return parent_batcher(
+                    [(indices[index], configs) for index, configs in requests]
+                )
+
         child = CampaignRunner(
             specs,
-            run_batcher=runner.run_batcher,
+            run_batcher=run_batcher,
             on_campaign_error=runner.on_campaign_error,
         )
         child.run()

@@ -99,6 +99,8 @@ def assert_history_rows_equal(a, b):
         assert ev_a.configuration == ev_b.configuration
         assert ev_a.submitted == ev_b.submitted
         assert ev_a.completed == ev_b.completed
+        assert ev_a.worker == ev_b.worker
+        assert ev_a.eval_id == ev_b.eval_id
         assert (ev_a.runtime == ev_b.runtime) or (
             math.isnan(ev_a.runtime) and math.isnan(ev_b.runtime)
         )

@@ -189,9 +189,6 @@ class TestFleetKey:
         assert gp_fleet_key(gp, 40, 20, D) == (
             "full", D, 40, gp.hyperparameter_grid,
         )  # past refresh
-        frozen = GaussianProcessSurrogate(incremental=False)
-        frozen.fit(*make_data(1, 20))
-        assert gp_fleet_key(frozen, 22, 2, D)[0] == "full"
 
     def test_extend_keys_ignore_history_size(self):
         """Ragged histories share one extension group."""

@@ -2,8 +2,8 @@
 
 The columnar :class:`~repro.core.history.SearchHistory` must be
 observationally identical to the former row-major storage: these tests pit
-it against :class:`~repro.core.history_reference.RowHistoryReference` (the
-original per-row algorithms, kept verbatim in the library) and assert,
+it against :class:`reference.history.RowHistoryReference` (the original
+per-row algorithms, kept verbatim in ``tests/reference/``) and assert,
 property-style over randomized histories with NaN failures, that
 ``objectives()``, ``incumbent_trajectory()``, ``top_quantile()`` and the CSV
 text are identical.
@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.gaussian_process import refit_with_current_hyperparameters
+from reference.history import RowHistoryReference
 from repro.core.history import Evaluation, SearchHistory, _parse_typed
-from repro.core.history_reference import RowHistoryReference
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.space import (
     CategoricalParameter,
@@ -362,7 +363,7 @@ class TestIncrementalGP:
         assert gp.num_partial_fits == 10
 
         reference = copy.deepcopy(gp)
-        reference.refit_with_current_hyperparameters(X, y)
+        refit_with_current_hyperparameters(reference, X, y)
         X_test = self._data(64, seed=99)[0]
         mean_inc, std_inc = gp.predict(X_test)
         mean_ref, std_ref = reference.predict(X_test)
@@ -382,15 +383,6 @@ class TestIncrementalGP:
         # The model stays a sane GP after mixed updates.
         mean, std = gp.predict(X[:4])
         assert np.all(np.isfinite(mean)) and np.all(std > 0)
-
-    def test_non_incremental_flag_always_full_fits(self):
-        X, y = self._data(40)
-        gp = GaussianProcessSurrogate(incremental=False)
-        assert not gp.supports_partial_fit
-        gp.fit(X[:30], y[:30])
-        gp.partial_fit(X[30:], y[30:])
-        assert gp.num_partial_fits == 0
-        assert gp.num_full_fits == 2
 
     def test_partial_fit_before_fit_falls_back_to_fit(self):
         X, y = self._data(20)

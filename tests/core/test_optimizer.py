@@ -119,7 +119,7 @@ class TestAskTell:
         for _ in range(3):
             batch = opt.ask(2)
             opt.tell(batch, [float(i) for i in range(len(batch))])
-            seen.extend(opt._key(c) for c in batch)
+            seen.extend(row.tobytes() for row in space.key_array(batch))
         # All 8 possible configs may eventually be exhausted, but within the
         # first three rounds we should not see duplicates.
         assert len(seen) == len(set(seen))

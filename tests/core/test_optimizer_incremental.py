@@ -1,11 +1,12 @@
 """Regression tests for the incremental encoded-history cache.
 
-The optimizer can run with ``incremental=True`` (encoded rows appended into
-growing buffers, the default) or ``incremental=False`` (full history
-re-encoded per interaction — the pre-cache behaviour).  Because the column
-codecs are elementwise, both paths must produce *bit-identical* surrogate
-inputs and therefore bit-identical ask/tell results; these tests pin that
-down for the optimizer, for :class:`CBOSearch` and for :class:`VAEABOSearch`.
+The optimizer appends encoded rows into growing buffers instead of
+re-encoding its full history per interaction.  The re-encoding oracle,
+:class:`reference.optimizer.ReencodingOptimizer`, rebuilds the training
+matrix from the stored configurations on every fit.  Because the column
+codecs are elementwise, both must produce *bit-identical* surrogate inputs
+and therefore bit-identical ask/tell results; these tests pin that down for
+the optimizer, for :class:`CBOSearch` and for :class:`VAEABOSearch`.
 """
 
 import math
@@ -14,20 +15,20 @@ import numpy as np
 import pytest
 
 from fixtures import make_wide_space as make_space, wide_objective as fake_objective
+from reference.optimizer import ReencodingOptimizer, install_reencoding
 from repro.core.history import SearchHistory
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.search import CBOSearch, VAEABOSearch
 from repro.core.space import CategoricalParameter, IntegerParameter, SearchSpace
 
 
-def run_ask_tell(incremental, surrogate, rounds=8, batch=4, seed=123):
+def run_ask_tell(optimizer_type, surrogate, rounds=8, batch=4, seed=123):
     space = make_space()
-    opt = BayesianOptimizer(
+    opt = optimizer_type(
         space,
         surrogate=surrogate,
         num_candidates=128,
         n_initial_points=6,
-        incremental=incremental,
         seed=seed,
     )
     trajectory = []
@@ -41,8 +42,8 @@ def run_ask_tell(incremental, surrogate, rounds=8, batch=4, seed=123):
 class TestIncrementalCacheIdentity:
     @pytest.mark.parametrize("surrogate", ["RF", "GP"])
     def test_ask_tell_bit_identical_with_and_without_cache(self, surrogate):
-        opt_inc, traj_inc = run_ask_tell(True, surrogate)
-        opt_ref, traj_ref = run_ask_tell(False, surrogate)
+        opt_inc, traj_inc = run_ask_tell(BayesianOptimizer, surrogate)
+        opt_ref, traj_ref = run_ask_tell(ReencodingOptimizer, surrogate)
         # Proposal sequences must match exactly — values, types and order.
         assert traj_inc == traj_ref
         # So must the final training data handed to the surrogate.
@@ -53,7 +54,7 @@ class TestIncrementalCacheIdentity:
 
     def test_cached_rows_match_full_reencode(self):
         """Appending encoded batches equals re-encoding the whole history."""
-        opt, _ = run_ask_tell(True, "RF", rounds=5)
+        opt, _ = run_ask_tell(BayesianOptimizer, "RF", rounds=5)
         X_cached, y_cached = opt._train_data()
         X_full = opt._encode(opt._configs)
         assert np.array_equal(X_cached, X_full)
@@ -86,7 +87,7 @@ class TestIncrementalCacheIdentity:
 
 
 class TestSearchIdentity:
-    def _run_cbo(self, incremental, surrogate="RF"):
+    def _run_cbo(self, reencode, surrogate="RF"):
         space = make_space()
 
         def run_function(config):
@@ -99,14 +100,15 @@ class TestSearchIdentity:
             surrogate=surrogate,
             n_initial_points=6,
             num_candidates=96,
-            incremental=incremental,
             seed=11,
         )
+        if reencode:
+            install_reencoding(search)
         return search.run(max_time=300.0, max_evaluations=60)
 
     def test_cbo_search_identical_with_and_without_cache(self):
-        res_inc = self._run_cbo(True)
-        res_ref = self._run_cbo(False)
+        res_inc = self._run_cbo(False)
+        res_ref = self._run_cbo(True)
         assert len(res_inc.history) == len(res_ref.history)
         for ev_a, ev_b in zip(res_inc.history, res_ref.history):
             assert ev_a.configuration == ev_b.configuration
@@ -131,7 +133,7 @@ class TestSearchIdentity:
         def run_function(config):
             return math.exp(-fake_objective(config) / 4.0)
 
-        def run(incremental):
+        def run(reencode):
             search = VAEABOSearch(
                 space,
                 run_function,
@@ -140,12 +142,13 @@ class TestSearchIdentity:
                 num_workers=4,
                 n_initial_points=5,
                 num_candidates=64,
-                incremental=incremental,
                 seed=21,
             )
+            if reencode:
+                install_reencoding(search)
             return search.run(max_time=240.0, max_evaluations=40)
 
-        res_inc, res_ref = run(True), run(False)
+        res_inc, res_ref = run(False), run(True)
         assert [ev.configuration for ev in res_inc.history] == [
             ev.configuration for ev in res_ref.history
         ]

@@ -1,9 +1,9 @@
 """Tests for the level-wise (breadth-first, joint-frontier) forest builder.
 
 The level-wise builder must implement exactly the same split criterion as the
-recursive reference (:class:`DecisionTreeRegressor`): variance-reduction
-scores over random feature subsets, distinct-value/min-leaf validity, midpoint
-thresholds and the degenerate-tie guard.  With randomness removed
+recursive reference (``reference.random_forest.DecisionTreeRegressor``):
+variance-reduction scores over random feature subsets, distinct-value/min-leaf
+validity, midpoint thresholds and the degenerate-tie guard.  With randomness removed
 (``bootstrap=False``, ``max_features=None``) both builders face identical
 decisions, so their trees must predict identically; with randomness enabled
 the forests differ tree-by-tree (different RNG draw order) but must be
@@ -13,11 +13,8 @@ statistically equivalent.
 import numpy as np
 import pytest
 
-from repro.core.surrogate.random_forest import (
-    DecisionTreeRegressor,
-    RandomForestSurrogate,
-    _ArrayTree,
-)
+from reference.random_forest import fit_recursive
+from repro.core.surrogate.random_forest import RandomForestSurrogate, _ArrayTree
 
 
 def make_data(n=200, d=6, seed=0, noise=0.05, quantized=False):
@@ -37,8 +34,8 @@ class TestDeterministicEquivalence:
     def test_single_tree_matches_reference_without_randomness(self, seed, quantized):
         X, y = make_data(n=120, d=4, seed=seed, quantized=quantized)
         kwargs = dict(n_estimators=1, bootstrap=False, max_features=None, seed=0)
-        fast = RandomForestSurrogate(fit_algorithm="levelwise", **kwargs).fit(X, y)
-        ref = RandomForestSurrogate(fit_algorithm="recursive", **kwargs).fit(X, y)
+        fast = RandomForestSurrogate(**kwargs).fit(X, y)
+        ref = fit_recursive(RandomForestSurrogate(**kwargs), X, y)
         np.testing.assert_allclose(fast.predict(X)[0], ref.predict(X)[0])
         assert fast._trees[0].node_count == ref._trees[0].node_count
 
@@ -47,8 +44,8 @@ class TestDeterministicEquivalence:
         kwargs = dict(
             n_estimators=1, bootstrap=False, max_features=None, max_depth=3, seed=0
         )
-        fast = RandomForestSurrogate(fit_algorithm="levelwise", **kwargs).fit(X, y)
-        ref = RandomForestSurrogate(fit_algorithm="recursive", **kwargs).fit(X, y)
+        fast = RandomForestSurrogate(**kwargs).fit(X, y)
+        ref = fit_recursive(RandomForestSurrogate(**kwargs), X, y)
         np.testing.assert_allclose(fast.predict(X)[0], ref.predict(X)[0])
 
 
@@ -58,7 +55,7 @@ class TestStatisticalEquivalence:
         X, y = X_all[:400], y_all[:400]
         X_test, y_test = X_all[400:], y_all[400:]
         fast = RandomForestSurrogate(seed=0).fit(X, y)
-        ref = RandomForestSurrogate(seed=0, fit_algorithm="recursive").fit(X, y)
+        ref = fit_recursive(RandomForestSurrogate(seed=0), X, y)
         mse = lambda f: float(np.mean((f.predict(X_test)[0] - y_test) ** 2))
         base = float(np.mean((np.mean(y) - y_test) ** 2))
         assert mse(fast) < 0.5 * base
@@ -137,10 +134,6 @@ class TestLevelwiseEdgeCases:
         second = forest.predict(X[:5])[0]
         assert np.allclose(second - first, 1.0, atol=0.5)
 
-    def test_invalid_fit_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            RandomForestSurrogate(fit_algorithm="iterative")
-
 
 class TestSpeedAssumption:
     def test_levelwise_not_slower_than_recursive_at_scale(self):
@@ -152,7 +145,7 @@ class TestSpeedAssumption:
         RandomForestSurrogate(seed=0).fit(X, y)
         fast = time.perf_counter() - t0
         t0 = time.perf_counter()
-        RandomForestSurrogate(seed=0, fit_algorithm="recursive").fit(X, y)
+        fit_recursive(RandomForestSurrogate(seed=0), X, y)
         slow = time.perf_counter() - t0
         # Conservative bound (CI machines are noisy); locally the ratio is ~5-7x.
         assert fast < slow

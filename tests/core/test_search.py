@@ -6,19 +6,24 @@ milliseconds; the full HEP workflow integration lives in
 ``tests/integration``.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from repro.core.history import SearchHistory
-from repro.core.search import CBOSearch, VAEABOSearch
+from repro.core.journal import CampaignJournal
+from repro.core.optimizer import BayesianOptimizer
+from repro.core.search import CampaignExecution, CBOSearch, VAEABOSearch
 from repro.core.space import (
     CategoricalParameter,
     IntegerParameter,
     RealParameter,
     SearchSpace,
 )
+from repro.core.surrogate import GaussianProcessSurrogate, RandomForestSurrogate
+from repro.core.vae.tvae import VAEFleet
 
 
 def toy_space():
@@ -177,3 +182,27 @@ class TestVAEABOSearch:
         assert set(search.transfer_prior.new_parameters) == {"k", "flag"}
         result = search.run(max_time=600.0)
         assert result.best_runtime < 40.0
+
+
+class TestOptionSurface:
+    def test_reference_paths_are_not_options(self):
+        """The reference paths tests compare against live in
+        ``tests/reference/``; none of them is selectable by an option, and
+        searches always fsync their journals."""
+        removed = [
+            (RandomForestSurrogate, "fit_algorithm"),
+            (GaussianProcessSurrogate, "incremental"),
+            (BayesianOptimizer, "incremental"),
+            (CBOSearch, "incremental"),
+            (CBOSearch.start, "journal_fsync"),
+            (CBOSearch.start_or_resume, "journal_fsync"),
+            (CampaignExecution, "journal_fsync"),
+            (CampaignExecution.resume, "journal_fsync"),
+            (VAEFleet.fit, "fused"),
+        ]
+        for target, name in removed:
+            assert name not in inspect.signature(target).parameters, target
+        assert GaussianProcessSurrogate.supports_partial_fit is True
+        # The journal keeps its switch: the CSV-to-journal export skips fsync.
+        for method in (CampaignJournal.create, CampaignJournal.attach):
+            assert inspect.signature(method).parameters["fsync"].default is True

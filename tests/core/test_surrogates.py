@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from reference.random_forest import DecisionTreeRegressor
 from repro.core.surrogate import (
     ConstantSurrogate,
-    DecisionTreeRegressor,
     GaussianProcessSurrogate,
     RandomForestSurrogate,
     TreeParzenEstimator,

@@ -5,7 +5,7 @@ members in fused lock-step epochs leaves every member — weights, training
 trace, samples, RNG state — bitwise identical to K sequential
 ``TabularVAE.fit`` calls with the same seeds.  The full-size version of that
 assertion is marked ``slow`` (CI runs it; local quick loops can skip with
-``-m "not slow"``) and also runs inside ``benchmarks/bench_vae_fleet.py``.
+``-m "not slow"``).
 """
 
 import numpy as np
@@ -261,6 +261,12 @@ def assert_members_bitwise_identical(a, b):
         assert np.array_equal(ma.sample(16), mb.sample(16)), f"member {k}: samples differ"
 
 
+def fit_sequentially(members, datasets, **budget):
+    """The sequential oracle: one plain ``member.fit`` after the other."""
+    for member, X in zip(members, datasets):
+        member.fit(X, **budget)
+
+
 class TestVAEFleet:
     def fleet_setup(self, count=3, rows=24):
         space = mixed_space()
@@ -275,8 +281,8 @@ class TestVAEFleet:
         transform, datasets = self.fleet_setup()
         sequential = make_members(transform, 3)
         fused = make_members(transform, 3)
-        VAEFleet(sequential).fit(datasets, epochs=8, batch_size=10, fused=False)
-        VAEFleet(fused).fit(datasets, epochs=8, batch_size=10, fused=True)
+        fit_sequentially(sequential, datasets, epochs=8, batch_size=10)
+        VAEFleet(fused).fit(datasets, epochs=8, batch_size=10)
         assert_members_bitwise_identical(sequential, fused)
 
     def test_fleet_of_one_matches_solo_fit(self):
@@ -293,8 +299,8 @@ class TestVAEFleet:
         transform, datasets = self.fleet_setup(count=2, rows=17)
         sequential = make_members(transform, 2)
         fused = make_members(transform, 2)
-        VAEFleet(sequential).fit(datasets, epochs=5, batch_size=8, fused=False)
-        VAEFleet(fused).fit(datasets, epochs=5, batch_size=8, fused=True)
+        fit_sequentially(sequential, datasets, epochs=5, batch_size=8)
+        VAEFleet(fused).fit(datasets, epochs=5, batch_size=8)
         assert_members_bitwise_identical(sequential, fused)
 
     def test_validation_rejects_bad_fleets(self):
@@ -350,6 +356,6 @@ class TestVAEFleet:
         ]
         sequential = make_members(transform, 8, latent_dim=4, hidden=(64, 64))
         fused = make_members(transform, 8, latent_dim=4, hidden=(64, 64))
-        VAEFleet(sequential).fit(datasets, epochs=120, batch_size=64, fused=False)
-        VAEFleet(fused).fit(datasets, epochs=120, batch_size=64, fused=True)
+        fit_sequentially(sequential, datasets, epochs=120, batch_size=64)
+        VAEFleet(fused).fit(datasets, epochs=120, batch_size=64)
         assert_members_bitwise_identical(sequential, fused)

@@ -3,12 +3,9 @@
 The columnar :class:`~repro.core.history.SearchHistory` replaced a list of
 :class:`~repro.core.history.Evaluation` dataclasses with per-row derived
 views.  This module preserves those original per-row algorithms verbatim —
-the same role the ``*_loop`` codecs play in :mod:`repro.core.space` and the
-recursive builder plays in the random forest: a ground truth for the
-property-based equivalence tests (``tests/core/test_history_columnar.py``)
-and the cost baseline for the history microbenchmark
-(``benchmarks/bench_ask_tell_scaling.py``).  It is **not** part of the
-public search API.
+the same role the ``*_loop`` codecs of :mod:`reference.space` and the
+recursive builder of :mod:`reference.random_forest` play: a ground truth for
+the property-based equivalence tests (``tests/core/test_history_columnar.py``).
 
 Historical semantics worth preserving exactly:
 

@@ -3,16 +3,21 @@
 The service-scale smoke the elastic runner must absorb: a burst of many
 small tenant-labelled campaigns arriving in waves against a shared worker
 pool.  Pinned here: every campaign is eventually admitted exactly once and
-runs to completion (no starvation), the in-flight cap holds at every tick,
-admission stays FIFO within each tenant, and the pool's per-tenant slot
-caps (``tenant_slots``) bound each tenant's concurrent evaluations.
+runs to completion (no starvation) bit-identical to its solo run, with fused
+fleet fits along the way, the in-flight cap holds at every tick, admission
+stays FIFO within each tenant, and the pool's per-tenant slot caps
+(``tenant_slots``) bound each tenant's concurrent evaluations.
 """
 
 import itertools
 
 import pytest
 
-from fixtures import make_service_space, service_run_function
+from fixtures import (
+    assert_results_identical,
+    make_service_space,
+    service_run_function,
+)
 from repro.core.search import CBOSearch
 from repro.core.surrogate import RandomForestSurrogate
 from repro.service import (
@@ -83,6 +88,16 @@ class TestBurstAdmission:
         # The cap held at every tick and was actually exercised by the burst.
         assert peak <= MAX_INFLIGHT
         assert peak == MAX_INFLIGHT
+
+        # Elasticity changes scheduling, never results: with private workers
+        # every campaign matches its solo run, and fused fits did happen.
+        for index, result in enumerate(results):
+            spec = make_burst_spec(index, space)
+            solo = spec.search.run(
+                max_time=spec.max_time, max_evaluations=spec.max_evaluations
+            )
+            assert_results_identical(solo, result)
+        assert runner.num_fleet_fitted_surrogates > 0
 
     def test_admission_is_fifo_within_each_tenant(self):
         space = make_service_space()

@@ -7,11 +7,14 @@ fused asks are **bitwise identical** — candidate sheets, dedup decisions,
 final histories and each optimizer's RNG state — to sequential solo
 ``CBOSearch.run`` calls.  Hypothesis draws the spaces and schedules; the
 dedup edge cases (cross-campaign candidate collisions, cardinality-exhausted
-spaces, fleets of one) are pinned deterministically.
+spaces, fleets of one, stacked sheets of 8 and 32 members) are pinned
+deterministically.
 """
 
 import zlib
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixtures import (
@@ -234,6 +237,24 @@ def make_tiny_optimizer(seed=0, num_candidates=16):
     )
 
 
+def make_model_phase_fleet(fleet_size):
+    """Model-phase RF optimizers over one shared space, ragged histories."""
+    space = make_service_space()
+    optimizers = []
+    for k in range(fleet_size):
+        opt = BayesianOptimizer(
+            space,
+            surrogate=RandomForestSurrogate(n_estimators=6, seed=k),
+            num_candidates=128,
+            n_initial_points=4,
+            seed=k,
+        )
+        configs = space.sample(10 + k % 5, np.random.default_rng(100 + k))
+        opt.tell(configs, [service_run_function(c) for c in configs])
+        optimizers.append(opt)
+    return optimizers
+
+
 def assert_prepared_equal(a, b):
     """Two ``PreparedAsk``\\ s must match bit for bit, dedup decisions included."""
     assert a.n == b.n
@@ -304,6 +325,22 @@ class TestFusedDedupEdgeCases:
             # the request, so proposals were topped up via _sample_unique.
             assert b.fresh_configs is not None
             assert len(b.fresh_configs) == 3
+        for a, b in zip(solo, fleet):
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+    @pytest.mark.parametrize("fleet_size", [8, 32])
+    def test_large_fleets_match_solo_asks(self, fleet_size):
+        """Stacked sheets at fleet sizes the runner tests never reach: every
+        round's proposals, dedup decisions, encoded and unit sheets and the
+        final RNG states match solo ``prepare_ask`` calls."""
+        solo = make_model_phase_fleet(fleet_size)
+        fleet = make_model_phase_fleet(fleet_size)
+        for _ in range(3):
+            prepared_solo = [opt.prepare_ask(4) for opt in solo]
+            prepared_fleet = prepare_ask_fleet([(opt, 4) for opt in fleet])
+            for a, b in zip(prepared_solo, prepared_fleet):
+                assert b.proposals is None  # the stacked model-phase path
+                assert_prepared_equal(a, b)
         for a, b in zip(solo, fleet):
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
 

@@ -301,11 +301,19 @@ class TestProcessShards:
         for index in (0, 1, 3):
             assert_results_identical(in_process[index], results[index])
 
-    def test_run_batcher_serves_every_child(self, tmp_path):
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_run_batcher_serves_every_child(self, tmp_path, processes):
+        """Children call the batcher with the parent's spec indices: a
+        batcher that dispatches on the index (one runtime model per
+        campaign) must evaluate every campaign with its own model."""
+
         def batcher(requests):
             return [
-                [service_run_function(config) for config in configs]
-                for _, configs in requests
+                [
+                    (1.0 + 0.5 * index) * service_run_function(config)
+                    for config in configs
+                ]
+                for index, configs in requests
             ]
 
         in_process = CampaignRunner(
@@ -314,7 +322,7 @@ class TestProcessShards:
         results = CampaignRunner(
             make_mixed_specs(journal_root=tmp_path / "b"),
             run_batcher=batcher,
-            processes=2,
+            processes=processes,
         ).run()
         for a, b in zip(in_process, results):
             assert_results_identical(a, b)
