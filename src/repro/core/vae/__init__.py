@@ -9,9 +9,11 @@ implemented from scratch:
   container with manual forward/backward passes, plus their fleet-stacked
   counterparts (:class:`~repro.core.vae.layers.DenseFleet`,
   :class:`~repro.core.vae.layers.MLPFleet`) driving ``K`` networks with one
-  batched contraction per layer.
-* :mod:`repro.core.vae.optim` — the Adam optimiser and its fleet-stacked
-  variant (:class:`~repro.core.vae.optim.AdamFleet`).
+  batched contraction per layer, and
+  :func:`~repro.core.vae.layers.flatten_parameters`, which lays a fleet's
+  weights and gradients out in one flat buffer pair.
+* :mod:`repro.core.vae.optim` — the Adam optimiser: 14 in-place ufunc calls
+  per step over a flat buffer pair.
 * :mod:`repro.core.vae.transforms` — the tabular transform mapping mixed
   integer/real/categorical configurations onto the VAE's numeric inputs
   (unit-interval columns for numeric/ordinal parameters, one-hot blocks for
@@ -20,20 +22,19 @@ implemented from scratch:
   as the bit-identical reference.
 * :mod:`repro.core.vae.tvae` — the VAE itself: Gaussian latent space,
   per-column reconstruction losses (Gaussian for numeric columns,
-  cross-entropy for categorical blocks), trained with Adam — solo
-  (:meth:`~repro.core.vae.tvae.TabularVAE.fit`) or as a fused lock-step
-  fleet (:class:`~repro.core.vae.tvae.VAEFleet`, bitwise identical per
-  member to sequential fits).
+  cross-entropy for categorical blocks), trained with Adam by one loop —
+  :class:`~repro.core.vae.tvae.VAEFleet`, ``K`` members in fused lock-step
+  epochs, each bitwise identical to training it alone;
+  :meth:`~repro.core.vae.tvae.TabularVAE.fit` is a fleet of one.
 """
 
 from repro.core.vae.layers import Dense, DenseFleet, MLP, MLPFleet, ReLU, Tanh
-from repro.core.vae.optim import Adam, AdamFleet
+from repro.core.vae.optim import Adam
 from repro.core.vae.transforms import TabularTransform
 from repro.core.vae.tvae import TabularVAE, VAEFleet, vae_fleet_key
 
 __all__ = [
     "Adam",
-    "AdamFleet",
     "Dense",
     "DenseFleet",
     "MLP",

@@ -17,6 +17,9 @@ Two families of layers live here:
   solo layer would, so fleet activations and gradients are **bitwise
   identical** per member to running the members one by one — the property
   the fused :class:`~repro.core.vae.tvae.VAEFleet` training relies on.
+  :func:`flatten_parameters` re-homes a fleet's weights and gradients in one
+  flat buffer pair, so one optimiser call and one ``fill`` serve every
+  layer.
 
 The elementwise activations (:class:`ReLU`, :class:`Tanh`) are shape-agnostic
 and shared by both families.
@@ -28,7 +31,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Layer", "Dense", "ReLU", "Tanh", "MLP", "DenseFleet", "MLPFleet"]
+__all__ = [
+    "Layer", "Dense", "ReLU", "Tanh", "MLP", "DenseFleet", "MLPFleet", "flatten_parameters",
+]
 
 
 class Layer:
@@ -274,3 +279,31 @@ class MLPFleet(Layer):
         for layer in self.layers:
             params.extend(layer.parameters())
         return params
+
+
+def flatten_parameters(layers: Sequence[DenseFleet]) -> Tuple[np.ndarray, np.ndarray]:
+    """Lay the layers' weights and gradients out in one flat buffer pair.
+
+    Every layer's ``W``, ``b``, ``dW`` and ``db`` become views into one
+    parameter buffer and one gradient buffer, in layer order.  Each array
+    keeps its own contiguous ``(K, in, out)``/``(K, out)`` block, the layout
+    ``np.stack`` gives, so the stacked contractions see the same operands.
+    The current weights are copied in and the gradients start at zero.
+
+    Returns ``(params, grads)``: one optimiser call over the pair updates
+    every layer, and ``grads.fill(0.0)`` zeroes every gradient.
+    """
+    size = sum(layer.W.size + layer.b.size for layer in layers)
+    params = np.empty(size)
+    grads = np.zeros(size)
+    offset = 0
+    for layer in layers:
+        views = []
+        for array in (layer.W, layer.b):
+            end = offset + array.size
+            view = params[offset:end].reshape(array.shape)
+            view[...] = array
+            views.append((view, grads[offset:end].reshape(array.shape)))
+            offset = end
+        (layer.W, layer.dW), (layer.b, layer.db) = views
+    return params, grads

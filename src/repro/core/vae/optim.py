@@ -1,34 +1,34 @@
-"""Adam optimisers for the NumPy MLPs (solo and fleet-stacked).
+"""Adam over one flat parameter buffer and its gradient buffer.
 
-:class:`Adam` drives one network's ``(parameter, gradient)`` pairs.
-:class:`AdamFleet` drives the stacked parameters of a
-:class:`~repro.core.vae.layers.DenseFleet`/:class:`~repro.core.vae.layers.MLPFleet`:
-its moment buffers carry the fleet's leading ``K`` axis and the step count
-is shared (fleet members step in lock step by construction).  Because every
-Adam update is elementwise, each member's slice of a fleet update is bitwise
-identical to a solo :class:`Adam` update on the same gradients.
+:class:`~repro.core.vae.tvae.VAEFleet` lays every weight and gradient of its
+``K`` stacked networks out as views into one parameter buffer and one
+gradient buffer (:func:`~repro.core.vae.layers.flatten_parameters`), so one
+:class:`Adam` step is 14 in-place ufunc calls over the whole fleet.  Every
+Adam update is elementwise and the calls follow the textbook operation
+order, so each parameter's update is bitwise identical to updating its
+array on its own.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
 import numpy as np
 
-__all__ = ["Adam", "AdamFleet"]
+__all__ = ["Adam"]
 
 
 class Adam:
-    """Adam (Kingma & Ba, 2015) operating on ``(parameter, gradient)`` pairs.
+    """Adam (Kingma & Ba, 2015) over a ``(parameters, gradients)`` buffer pair.
 
     Parameters are updated in place; gradients are expected to have been
     accumulated by the layers' ``backward`` calls and are *not* cleared here
-    (call ``zero_grad`` on the model between steps).
+    (zero the gradient buffer between steps).
 
     Parameters
     ----------
-    parameters:
-        The ``(parameter, gradient)`` array pairs to optimise.
+    params, grads:
+        Arrays of one shape: the parameters to optimise and their gradients
+        (typically the flat buffers of
+        :func:`~repro.core.vae.layers.flatten_parameters`).
     lr:
         Learning rate.
     beta1, beta2:
@@ -39,7 +39,8 @@ class Adam:
 
     def __init__(
         self,
-        parameters: Sequence[Tuple[np.ndarray, np.ndarray]],
+        params: np.ndarray,
+        grads: np.ndarray,
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -49,67 +50,45 @@ class Adam:
             raise ValueError("learning rate must be positive")
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ValueError("betas must be in [0, 1)")
-        self.parameters = list(parameters)
+        if params.shape != grads.shape:
+            raise ValueError("parameters and gradients must share one shape")
+        self.params = params
+        self.grads = grads
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: List[np.ndarray] = [np.zeros_like(p) for p, _ in self.parameters]
-        self._v: List[np.ndarray] = [np.zeros_like(p) for p, _ in self.parameters]
+        self._m = np.zeros_like(params)
+        self._v = np.zeros_like(params)
+        self._update = np.empty_like(params)
+        self._denom = np.empty_like(params)
         self._t = 0
 
     def step(self) -> None:
-        """Apply one update using the currently accumulated gradients."""
+        """Apply one update using the currently accumulated gradients.
+
+        ``m = b1·m + (1-b1)·g``, ``v = b2·v + (1-b2)·g²``, then
+        ``p -= lr·(m/(1-b1ᵗ)) / (sqrt(v/(1-b2ᵗ)) + eps)``.
+        """
         self._t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, (param, grad) in enumerate(self.parameters):
-            self._m[i] = b1 * self._m[i] + (1 - b1) * grad
-            self._v[i] = b2 * self._v[i] + (1 - b2) * grad**2
-            m_hat = self._m[i] / (1 - b1**self._t)
-            v_hat = self._v[i] / (1 - b2**self._t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, g, update, denom = self._m, self._v, self.grads, self._update, self._denom
+        np.multiply(b1, m, out=m)
+        np.multiply(1 - b1, g, out=update)
+        np.add(m, update, out=m)
+        np.square(g, out=update)
+        np.multiply(1 - b2, update, out=update)
+        np.multiply(b2, v, out=v)
+        np.add(v, update, out=v)
+        np.divide(m, 1 - b1**self._t, out=update)
+        np.divide(v, 1 - b2**self._t, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, self.eps, out=denom)
+        np.multiply(self.lr, update, out=update)
+        np.divide(update, denom, out=update)
+        np.subtract(self.params, update, out=self.params)
 
     @property
     def steps_taken(self) -> int:
         """Number of update steps applied so far."""
         return self._t
-
-
-class AdamFleet(Adam):
-    """Adam over fleet-stacked parameters (leading axis = fleet member).
-
-    Every Adam update is elementwise, so the base :meth:`Adam.step` already
-    advances all members at once when the moment buffers carry the stacked
-    shapes; this subclass pins the fleet contract — every parameter must lead
-    with the ``K`` axis, the step count is shared because members step in
-    lock step — and validates it up front.
-
-    Parameters
-    ----------
-    parameters:
-        ``(parameter, gradient)`` pairs whose arrays carry the fleet's
-        leading ``K`` axis (e.g. ``DenseFleet.parameters()``).
-    fleet_size:
-        Number of members ``K`` (validated against every parameter).
-    lr, beta1, beta2, eps:
-        As for :class:`Adam`, shared by all members.
-    """
-
-    def __init__(
-        self,
-        parameters: Sequence[Tuple[np.ndarray, np.ndarray]],
-        fleet_size: int,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        if fleet_size < 1:
-            raise ValueError("fleet_size must be >= 1")
-        super().__init__(parameters, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        for param, _ in self.parameters:
-            if param.shape[0] != fleet_size:
-                raise ValueError(
-                    f"parameter of shape {param.shape} does not lead with fleet_size={fleet_size}"
-                )
-        self.fleet_size = int(fleet_size)

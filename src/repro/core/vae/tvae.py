@@ -16,61 +16,76 @@ Everything — forward pass, backward pass, training loop, sampling — is
 implemented with NumPy; the gradients are verified against finite differences
 in the test suite.
 
-Two training entry points exist:
-
-* :meth:`TabularVAE.fit` — one model, the reference training loop (with
-  preallocated per-epoch batch buffers);
-* :class:`VAEFleet` — ``K`` structurally identical models trained in fused
-  lock-step epochs over stacked ``(K, batch, dim)`` activations, one batched
-  contraction per layer.  Every member's weights, training trace and RNG
-  state end up **bitwise identical** to ``K`` sequential
-  :meth:`TabularVAE.fit` calls with the same seeds (asserted by the test
-  suite); the fleet only changes wall-clock time.
+There is one training loop, :meth:`VAEFleet.fit`: ``K`` structurally
+identical models trained in fused lock-step epochs over stacked
+``(K, batch, dim)`` activations, one batched contraction per layer, with
+every weight and gradient laid out in one flat buffer pair that one in-place
+:class:`~repro.core.vae.optim.Adam` updates.  The categorical loss runs one
+softmax/cross-entropy pass per distinct block width.  :meth:`TabularVAE.fit`
+is a fleet of one.  Every member's weights, training trace and RNG state end
+up **bitwise identical** to the per-model reference loop the test suite
+keeps (``tests/reference/vae.py``) run with the same seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.vae.layers import Dense, DenseFleet, MLP, MLPFleet
-from repro.core.vae.optim import Adam, AdamFleet
+from repro.core.vae.layers import Dense, DenseFleet, MLP, MLPFleet, flatten_parameters
+from repro.core.vae.optim import Adam
 
 __all__ = ["TabularVAE", "TrainingTrace", "VAEFleet", "vae_fleet_key"]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _slice_sums(arr: np.ndarray) -> np.ndarray:
-    """Per-leading-slice totals of a stacked array, one ``np.sum`` per slice.
-
-    The trace terms must reduce each member's slice exactly as the solo fit
-    reduces its 2-D array.  Full reductions traverse *memory* order, and the
-    fancy-indexed loss operands carry an advanced-axis-outermost layout that
-    ``np.sum(arr[k])`` preserves — whereas clever stacked alternatives
-    (``arr.sum(axis=(1, 2))``, ``arr.reshape(K, -1).sum(axis=1)``) re-block
-    or re-copy the reduction and drift by an ulp.  Per-slice sums keep the
-    fleet traces bitwise identical to sequential fits.
-    """
-    return np.asarray([float(np.sum(arr[k])) for k in range(arr.shape[0])])
+    # Branch-free form of the overflow-safe logistic: 1/(1+e^-x) for x >= 0
+    # and e^x/(1+e^x) below, both through e = exp(-|x|).  minimum(x, -x) is
+    # -|x| that keeps a NaN's sign (minimum returns its first NaN operand).
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    # Normalise along the last axis so the same kernel serves both the solo
-    # (batch, block) and the fleet-stacked (K, batch, block) activations;
-    # per-row arithmetic is unchanged either way.
+    # Normalise along the last axis, whatever the leading axes: per-row
+    # arithmetic is the same for (batch, block) and stacked layouts.
     shifted = x - x.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def _loss_gathers(
+    numeric: Sequence[int], blocks: Sequence[Tuple[int, int]], rows: int, dim: int
+) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """Flat gather indices that lay a ``(rows, dim)`` minibatch out for the loss.
+
+    ``np.take`` with these indices along a flattened ``(K, rows * dim)`` axis
+    puts every member's loss operands in the order a per-model loop sums
+    them, each as one contiguous run, so one reduction over the run's axis
+    gives the per-model sum bit for bit:
+
+    * the numeric index is ``[column, row]``: per member, column by column,
+      the memory order of the ``X[:, numeric]`` operand a per-model loop
+      sums;
+    * each distinct categorical block width gets ``(positions, index)``:
+      the block numbers of that width in block order, and
+      ``index[block, row, column]``, one ``rows × width`` run per block.
+    """
+    row_offsets = dim * np.arange(rows)
+    numeric_index = np.asarray(numeric, dtype=np.intp)[:, None] + row_offsets[None, :]
+    gathers = []
+    for width in dict.fromkeys(stop - start for start, stop in blocks):
+        positions = [j for j, (start, stop) in enumerate(blocks) if stop - start == width]
+        starts = np.array([blocks[j][0] for j in positions])
+        index = (
+            starts[:, None, None]
+            + row_offsets[None, :, None]
+            + np.arange(width)[None, None, :]
+        )
+        gathers.append((np.array(positions), index))
+    return numeric_index, gathers
 
 
 @dataclass
@@ -143,19 +158,6 @@ class TabularVAE:
         self.fitted = False
         self.trace: Optional[TrainingTrace] = None
 
-    # -------------------------------------------------------------- internals
-    def _all_parameters(self):
-        return (
-            self.encoder.parameters()
-            + self.mu_head.parameters()
-            + self.logvar_head.parameters()
-            + self.decoder.parameters()
-        )
-
-    def _zero_grad(self) -> None:
-        for _, grad in self._all_parameters():
-            grad[...] = 0.0
-
     def _decode_activations(self, logits: np.ndarray) -> np.ndarray:
         """Apply sigmoid to numeric columns and softmax to categorical blocks."""
         out = np.empty_like(logits)
@@ -166,45 +168,6 @@ class TabularVAE:
             out[:, start:stop] = _softmax(logits[:, start:stop])
         return out
 
-    def _loss_and_grad(self, X: np.ndarray) -> Tuple[float, float, np.ndarray, np.ndarray, dict]:
-        """Forward pass returning losses and the gradients wrt decoder logits and latent stats."""
-        n = X.shape[0]
-        h = self.encoder.forward(X)
-        mu = self.mu_head.forward(h)
-        logvar = np.clip(self.logvar_head.forward(h), -10.0, 10.0)
-        eps = self.rng.standard_normal(mu.shape)
-        std = np.exp(0.5 * logvar)
-        z = mu + eps * std
-
-        logits = self.decoder.forward(z)
-        recon = self._decode_activations(logits)
-
-        # ---------------------------------------------------------- losses
-        recon_loss = 0.0
-        grad_logits = np.zeros_like(logits)
-        if self.numeric_columns:
-            cols = self.numeric_columns
-            diff = recon[:, cols] - X[:, cols]
-            recon_loss += float(0.5 * np.sum((diff / self.numeric_sigma) ** 2)) / n
-            # d/dlogit of 0.5*((sigmoid(l)-x)/s)^2 = (sigmoid-x)/s^2 * sigmoid'
-            grad_logits[:, cols] = (
-                diff / (self.numeric_sigma**2) * recon[:, cols] * (1.0 - recon[:, cols])
-            ) / n
-        for start, stop in self.categorical_blocks:
-            probs = recon[:, start:stop]
-            target = X[:, start:stop]
-            recon_loss += float(-np.sum(target * np.log(np.clip(probs, 1e-12, None)))) / n
-            grad_logits[:, start:stop] = (probs - target) / n
-
-        kl = float(-0.5 * np.sum(1.0 + logvar - mu**2 - np.exp(logvar))) / n
-        return recon_loss, kl, grad_logits, z, {
-            "mu": mu,
-            "logvar": logvar,
-            "eps": eps,
-            "std": std,
-            "n": n,
-        }
-
     # -------------------------------------------------------------------- fit
     def fit(
         self,
@@ -213,59 +176,8 @@ class TabularVAE:
         batch_size: int = 64,
         lr: float = 1e-3,
     ) -> TrainingTrace:
-        """Train the VAE on the transformed rows ``X``."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.input_dim:
-            raise ValueError(f"expected {self.input_dim} columns, got {X.shape[1]}")
-        if X.shape[0] < 1:
-            raise ValueError("cannot train on an empty dataset")
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        optimizer = Adam(self._all_parameters(), lr=lr)
-        n = X.shape[0]
-        batch_size = max(1, min(batch_size, n))
-        trace = TrainingTrace(loss=[], reconstruction=[], kl=[])
-        # One gather buffer for the whole fit: each minibatch is copied into
-        # it instead of fancy-indexing a fresh array per step (values are
-        # identical; only the per-minibatch allocation disappears).
-        batch_buf = np.empty((batch_size, X.shape[1]), dtype=float)
-
-        for _ in range(epochs):
-            order = self.rng.permutation(n)
-            epoch_recon, epoch_kl, batches = 0.0, 0.0, 0
-            for start in range(0, n, batch_size):
-                rows = min(batch_size, n - start)
-                batch = batch_buf[:rows]
-                np.take(X, order[start : start + rows], axis=0, out=batch)
-                self._zero_grad()
-                recon_loss, kl, grad_logits, z, cache = self._loss_and_grad(batch)
-
-                # Backward through the decoder to the latent sample.
-                grad_z = self.decoder.backward(grad_logits)
-                # Reparameterisation: z = mu + eps * exp(0.5*logvar)
-                mu, logvar = cache["mu"], cache["logvar"]
-                eps, std, nb = cache["eps"], cache["std"], cache["n"]
-                grad_mu = grad_z + self.beta * mu / nb
-                grad_logvar = (
-                    grad_z * eps * 0.5 * std
-                    + self.beta * 0.5 * (np.exp(logvar) - 1.0) / nb
-                )
-                grad_h = self.mu_head.backward(grad_mu) + self.logvar_head.backward(
-                    grad_logvar
-                )
-                self.encoder.backward(grad_h)
-                optimizer.step()
-
-                epoch_recon += recon_loss
-                epoch_kl += kl
-                batches += 1
-            trace.reconstruction.append(epoch_recon / batches)
-            trace.kl.append(epoch_kl / batches)
-            trace.loss.append(trace.reconstruction[-1] + self.beta * trace.kl[-1])
-
-        self.fitted = True
-        self.trace = trace
-        return trace
+        """Train the VAE on the transformed rows ``X`` (a :class:`VAEFleet` of one)."""
+        return VAEFleet([self]).fit([X], epochs=epochs, batch_size=batch_size, lr=lr)[0]
 
     # ----------------------------------------------------------------- sample
     def sample(self, n: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -288,12 +200,6 @@ class TabularVAE:
         mu = self.mu_head.forward(h)
         logits = self.decoder.forward(mu)
         return self._decode_activations(logits)
-
-    def loss_on(self, X: np.ndarray) -> float:
-        """Total loss (reconstruction + β·KL) on ``X`` without training."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        recon_loss, kl, _, _, _ = self._loss_and_grad(X)
-        return recon_loss + self.beta * kl
 
 
 # -------------------------------------------------------------------- fleets
@@ -330,19 +236,23 @@ def vae_fleet_key(
     )
 
 
+#: The member networks a fleet stacks, in the order it lays them out.
+_NETWORKS = ("encoder", "mu_head", "logvar_head", "decoder")
+
+
 class VAEFleet:
     """Train ``K`` independent :class:`TabularVAE`\\ s in fused lock-step epochs.
 
     The members' encoder/decoder stacks are fused into
     :class:`~repro.core.vae.layers.MLPFleet`\\ s (one stacked ``(K, in, out)``
-    contraction per layer per step) and optimised by one
-    :class:`~repro.core.vae.optim.AdamFleet`; per-member RNG draws (epoch
-    permutations, reparameterisation noise) come from each member's own
-    generator in the member's own order.  Every member therefore finishes
-    with weights, :class:`TrainingTrace` and RNG state bitwise identical to a
-    sequential ``member.fit(...)`` — the fleet only amortises the Python and
-    NumPy dispatch overhead of the small per-layer operations across ``K``
-    models.
+    contraction per layer per step), every weight and gradient lives in one
+    flat buffer pair, and one :class:`~repro.core.vae.optim.Adam` updates it;
+    per-member RNG draws (epoch permutations, reparameterisation noise) come
+    from each member's own generator in the member's own order.  Every
+    member therefore finishes with weights, :class:`TrainingTrace` and RNG
+    state bitwise identical to training it alone — the fleet only amortises
+    the Python and NumPy dispatch overhead of the small per-layer operations
+    across ``K`` models.
 
     Members must be structurally identical (architecture, loss layout) and
     train on datasets of equal shape with the same epochs/batch-size/learning
@@ -387,13 +297,21 @@ class VAEFleet:
     ) -> List[TrainingTrace]:
         """Train every member on its own dataset, in fused lock-step epochs.
 
+        A pass that raises leaves every member as it found it: weights,
+        RNG state, ``fitted`` and ``trace``.  A retry, fused or solo, then
+        trains exactly as the first attempt would have.
+
         Parameters
         ----------
         datasets:
             One training matrix per member, all of equal shape
             ``(n, input_dim)``.
-        epochs, batch_size, lr:
-            Shared training budget (see :meth:`TabularVAE.fit`).
+        epochs:
+            Passes over each dataset.
+        batch_size:
+            Minibatch rows (capped at ``n``).
+        lr:
+            Adam learning rate.
         """
         if len(datasets) != len(self.members):
             raise ValueError(f"need {len(self.members)} datasets, got {len(datasets)}")
@@ -407,58 +325,78 @@ class VAEFleet:
             raise ValueError("cannot train on an empty dataset")
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        return self._fit_fused(mats, epochs=epochs, batch_size=batch_size, lr=lr)
+        states = [member.rng.bit_generator.state for member in self.members]
+        try:
+            networks, traces = self._train(mats, epochs, batch_size, lr)
+        except BaseException:
+            for member, state in zip(self.members, states):
+                member.rng.bit_generator.state = state
+            raise
+        # Member weights change only once the whole pass has succeeded.
+        for name, fused in zip(_NETWORKS, networks):
+            fused.write_back([getattr(member, name) for member in self.members])
+        for member, trace in zip(self.members, traces):
+            member.fitted = True
+            member.trace = trace
+        return traces
 
-    def _fit_fused(
+    def _train(
         self, mats: List[np.ndarray], epochs: int, batch_size: int, lr: float
-    ) -> List[TrainingTrace]:
+    ) -> Tuple[List, List[TrainingTrace]]:
+        """The fused training loop; returns the trained fleet networks and traces."""
         members = self.members
         K = len(members)
         n, dim = mats[0].shape
-        latent = members[0].latent_dim
+        first = members[0]
+        latent = first.latent_dim
         batch_size = max(1, min(batch_size, n))
-        numeric = members[0].numeric_columns
-        blocks = members[0].categorical_blocks
-        beta = members[0].beta
-        sigma = members[0].numeric_sigma
+        numeric = first.numeric_columns
+        beta = first.beta
+        sigma = first.numeric_sigma
+        num_blocks = len(first.categorical_blocks)
 
         encoder = MLPFleet.from_members([m.encoder for m in members])
         mu_head = DenseFleet.from_members([m.mu_head for m in members])
         logvar_head = DenseFleet.from_members([m.logvar_head for m in members])
         decoder = MLPFleet.from_members([m.decoder for m in members])
-        params = (
-            encoder.parameters()
-            + mu_head.parameters()
-            + logvar_head.parameters()
-            + decoder.parameters()
+        dense = (
+            [layer for layer in encoder.layers if isinstance(layer, DenseFleet)]
+            + [mu_head, logvar_head]
+            + [layer for layer in decoder.layers if isinstance(layer, DenseFleet)]
         )
-        optimizer = AdamFleet(params, fleet_size=K, lr=lr)
+        params, grads = flatten_parameters(dense)
+        optimizer = Adam(params, grads, lr=lr)
         traces = [TrainingTrace(loss=[], reconstruction=[], kl=[]) for _ in members]
 
-        # Preallocated per-step buffers (the fleet analogue of fit's gather
-        # buffer): the stacked minibatch and the reparameterisation noise.
-        batch_buf = np.empty((K, batch_size, dim), dtype=float)
-        eps_buf = np.empty((K, batch_size, latent), dtype=float)
+        # Flat per-step buffers: the stacked minibatch and the
+        # reparameterisation noise stay C-contiguous for every batch length.
+        batch_buf = np.empty(K * batch_size * dim)
+        eps_buf = np.empty(K * batch_size * latent)
+        # The loss gathers of each batch length.  A batch's reconstruction
+        # terms sit in one row per member: the running total's 0.0 start
+        # (column 0), the numeric term (column 1), then one column per block.
+        layouts: Dict[int, Tuple] = {}
+        for rows in {min(batch_size, n - start) for start in range(0, n, batch_size)}:
+            numeric_index, gathers = _loss_gathers(numeric, first.categorical_blocks, rows, dim)
+            layouts[rows] = (numeric_index, [(2 + positions, index) for positions, index in gathers])
 
         for _ in range(epochs):
             # Per-member draws in each member's own stream order (permutation
-            # first, then one noise draw per minibatch) keep the generators in
-            # lock step with a sequential member.fit.
+            # first, then one noise draw per minibatch).
             orders = [member.rng.permutation(n) for member in members]
             epoch_recon = np.zeros(K)
             epoch_kl = np.zeros(K)
             batches = 0
             for start in range(0, n, batch_size):
                 rows = min(batch_size, n - start)
-                xb = batch_buf[:, :rows, :]
-                eps = eps_buf[:, :rows, :]
+                xb = batch_buf[: K * rows * dim].reshape(K, rows, dim)
+                eps = eps_buf[: K * rows * latent].reshape(K, rows, latent)
                 for k, member in enumerate(members):
                     np.take(mats[k], orders[k][start : start + rows], axis=0, out=xb[k])
                 for k, member in enumerate(members):
-                    eps[k] = member.rng.standard_normal((rows, latent))
+                    member.rng.standard_normal(out=eps[k])
 
-                for _, grad in params:
-                    grad[...] = 0.0
+                grads.fill(0.0)
                 h = encoder.forward(xb)
                 mu = mu_head.forward(h)
                 logvar = np.clip(logvar_head.forward(h), -10.0, 10.0)
@@ -466,30 +404,37 @@ class VAEFleet:
                 z = mu + eps * std
                 logits = decoder.forward(z)
 
-                # Per-batch loss scalars accumulate member-locally first and
-                # join the epoch totals once, matching the float addition
-                # order of the solo fit.  The per-member reductions run as one
-                # trailing-axes sum per term: NumPy reduces each leading slice
-                # over the same contiguous layout a solo fit sums, so the
-                # traces stay bit-identical.
-                batch_recon = np.zeros(K)
+                # Each batch's loss terms are summed per member in the order a
+                # per-model loop adds its float scalars: numeric term, then one
+                # per categorical block.  np.add.accumulate adds strictly left
+                # to right, so the traces stay bit-identical.
+                numeric_index, gathers = layouts[rows]
+                terms = np.zeros((K, 2 + num_blocks))
                 grad_logits = np.zeros_like(logits)
+                flat_logits = logits.reshape(K, rows * dim)
+                flat_x = xb.reshape(K, rows * dim)
+                flat_grad = grad_logits.reshape(K, rows * dim)
                 if numeric:
-                    rec_num = _sigmoid(logits[:, :, numeric])
-                    diff = rec_num - xb[:, :, numeric]
-                    grad_logits[:, :, numeric] = (
+                    # (K, columns, rows).  d/dlogit of 0.5*((sigmoid(l)-x)/s)^2
+                    # is (sigmoid-x)/s^2 * sigmoid'.
+                    rec_num = _sigmoid(np.take(flat_logits, numeric_index, axis=1))
+                    diff = rec_num - np.take(flat_x, numeric_index, axis=1)
+                    flat_grad[:, numeric_index] = (
                         diff / (sigma**2) * rec_num * (1.0 - rec_num)
                     ) / rows
-                    batch_recon += (0.5 * _slice_sums((diff / sigma) ** 2)) / rows
-                for b_start, b_stop in blocks:
-                    probs = _softmax(logits[:, :, b_start:b_stop])
-                    target = xb[:, :, b_start:b_stop]
-                    grad_logits[:, :, b_start:b_stop] = (probs - target) / rows
+                    squares = ((diff / sigma) ** 2).reshape(K, -1)
+                    terms[:, 1] = (0.5 * squares.sum(axis=1)) / rows
+                for columns, index in gathers:
+                    # (K, blocks, rows, width)
+                    probs = _softmax(np.take(flat_logits, index, axis=1))
+                    target = np.take(flat_x, index, axis=1)
+                    flat_grad[:, index] = (probs - target) / rows
                     logp = np.log(np.clip(probs, 1e-12, None))
-                    batch_recon += -_slice_sums(target * logp) / rows
-                kl_terms = 1.0 + logvar - mu**2 - np.exp(logvar)
-                epoch_recon += batch_recon
-                epoch_kl += (-0.5 * _slice_sums(kl_terms)) / rows
+                    cross = (target * logp).reshape(K, len(columns), -1).sum(axis=2)
+                    terms[:, columns] = -cross / rows
+                kl_terms = (1.0 + logvar - mu**2 - np.exp(logvar)).reshape(K, -1)
+                epoch_recon += np.add.accumulate(terms, axis=1)[:, -1]
+                epoch_kl += (-0.5 * kl_terms.sum(axis=1)) / rows
 
                 grad_z = decoder.backward(grad_logits)
                 grad_mu = grad_z + beta * mu / rows
@@ -505,12 +450,4 @@ class VAEFleet:
                 trace.reconstruction.append(float(epoch_recon[k]) / batches)
                 trace.kl.append(float(epoch_kl[k]) / batches)
                 trace.loss.append(trace.reconstruction[-1] + beta * trace.kl[-1])
-
-        encoder.write_back([m.encoder for m in members])
-        mu_head.write_back([m.mu_head for m in members])
-        logvar_head.write_back([m.logvar_head for m in members])
-        decoder.write_back([m.decoder for m in members])
-        for member, trace in zip(members, traces):
-            member.fitted = True
-            member.trace = trace
-        return traces
+        return [encoder, mu_head, logvar_head, decoder], traces

@@ -397,10 +397,8 @@ class CampaignRunner:
         ``CampaignExecution.__init__``
         (:meth:`~repro.core.search.CBOSearch.complete_pending_transfer_fit`).
         A fused pass that fails under quarantine leaves its members to that
-        same backstop.  The retry is a *valid* prior fit, not necessarily
-        the eager-path bits: a pass that dies mid-training has already
-        consumed member RNG draws (the same honest caveat as the fused
-        prior-refresh fallback in :meth:`_refresh_priors`).
+        same backstop; the failed pass restores every member's weights and
+        RNG state, so the retry trains the eager-path bits.
         """
         pending: List[Tuple[CBOSearch, object]] = []
         for index in indices:
@@ -1095,6 +1093,35 @@ class CampaignRunner:
         )
 
 
+def _pin_blas_threads() -> None:
+    """Set NumPy's and SciPy's bundled OpenBLAS pools to one thread each.
+
+    A second BLAS thread per shard child only competes with the other
+    shards for the host's cores.  The wheels bundle OpenBLAS in a
+    ``<package>.libs`` directory; a build without it (or without the
+    setter) is left as it is.
+    """
+    import ctypes
+    import glob
+    import os
+
+    import numpy
+    import scipy
+
+    for package, setter in (
+        (numpy, "scipy_openblas_set_num_threads64_"),
+        (scipy, "scipy_openblas_set_num_threads"),
+    ):
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in glob.glob(os.path.join(site, f"{package.__name__}.libs", "libscipy_openblas*")):
+            try:
+                set_num_threads = getattr(ctypes.CDLL(path), setter)
+            except (OSError, AttributeError):
+                continue
+            set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
+            set_num_threads(1)
+
+
 def _run_spec_shard(runner: CampaignRunner, indices: List[int], sender) -> None:
     """Child-process entry point of a multi-process run: run one spec shard.
 
@@ -1105,9 +1132,12 @@ def _run_spec_shard(runner: CampaignRunner, indices: List[int], sender) -> None:
     spec's journal through the mmap reader.  The child numbers its specs
     from zero, so its run-batcher requests are remapped to the parent's
     spec indices too: a batcher that dispatches on the index (one runtime
-    model per campaign) must see each campaign under one index.
+    model per campaign) must see each campaign under one index.  Shards
+    share the host's cores, so each child first pins its BLAS pools to one
+    thread (:func:`_pin_blas_threads`).
     """
     try:
+        _pin_blas_threads()
         specs = [runner.specs[index] for index in indices]
         parent_batcher = runner.run_batcher
         run_batcher = None

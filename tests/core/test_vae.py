@@ -101,7 +101,7 @@ class TestAdam:
     def test_minimises_a_quadratic(self):
         w = np.array([5.0, -3.0])
         grad = np.zeros_like(w)
-        opt = Adam([(w, grad)], lr=0.1)
+        opt = Adam(w, grad, lr=0.1)
         for _ in range(500):
             grad[...] = 2 * w  # d/dw of ||w||²
             opt.step()
@@ -111,9 +111,11 @@ class TestAdam:
     def test_invalid_hyperparameters(self):
         w = np.zeros(2)
         with pytest.raises(ValueError):
-            Adam([(w, np.zeros(2))], lr=0.0)
+            Adam(w, np.zeros(2), lr=0.0)
         with pytest.raises(ValueError):
-            Adam([(w, np.zeros(2))], beta1=1.5)
+            Adam(w, np.zeros(2), beta1=1.5)
+        with pytest.raises(ValueError):
+            Adam(w, np.zeros(3))
 
 
 def mixed_space():

@@ -11,7 +11,9 @@ not in ``src/``, because only tests run them:
 * :mod:`reference.gaussian_process` — the frozen-hyperparameter full GP
   refit;
 * :mod:`reference.optimizer` — an optimizer that re-encodes its whole
-  history on every fit.
+  history on every fit;
+* :mod:`reference.vae` — the per-model VAE training loop (per-array Adam,
+  masked sigmoid, one loss pass per categorical block).
 
 Import as ``from reference.<module> import ...`` (the ``tests`` directory is
 on ``sys.path`` through pytest's conftest handling).

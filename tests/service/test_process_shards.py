@@ -95,6 +95,31 @@ def make_logged_search(label, log):
     )
 
 
+def bundled_blas_pools():
+    """``(get, set)`` thread-count functions of NumPy's and SciPy's bundled
+    OpenBLAS, for each one this build ships."""
+    import ctypes
+    import glob
+
+    import numpy
+    import scipy
+
+    pools = []
+    for package, suffix in ((numpy, "64_"), (scipy, "")):
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in glob.glob(os.path.join(site, f"{package.__name__}.libs", "libscipy_openblas*")):
+            library = ctypes.CDLL(path)
+            try:
+                get = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            pools.append((get, set_))
+    return pools
+
+
 def counters(runner):
     """Every ``num_*`` counter of a runner, by name."""
     return {
@@ -326,6 +351,36 @@ class TestProcessShards:
         ).run()
         for a, b in zip(in_process, results):
             assert_results_identical(a, b)
+
+    def test_children_pin_blas_to_one_thread(self, tmp_path):
+        """Every shard child runs NumPy's and SciPy's BLAS on one thread, even
+        when the parent's pools are wider: a batcher running in the children
+        records what both getters read there."""
+        pools = bundled_blas_pools()
+        if len(pools) < 2:
+            pytest.skip("this build does not bundle both OpenBLAS libraries")
+        record = tmp_path / "threads.log"
+
+        def batcher(requests):
+            with open(record, "a") as handle:
+                handle.write(" ".join(str(get()) for get, _ in pools) + "\n")
+            return [[service_run_function(c) for c in configs] for _, configs in requests]
+
+        before = [get() for get, _ in pools]
+        try:
+            for _, set_threads in pools:
+                set_threads(2)
+            CampaignRunner(
+                make_mixed_specs(journal_root=tmp_path / "j"),
+                run_batcher=batcher,
+                processes=2,
+            ).run()
+        finally:
+            for (_, set_threads), threads in zip(pools, before):
+                set_threads(threads)
+        readings = record.read_text().split("\n")[:-1]
+        assert readings
+        assert set(readings) == {"1 1"}
 
     def test_journals_are_released_when_the_run_returns(self, tmp_path):
         """The children's writer leases end with the children: every

@@ -473,6 +473,60 @@ class TestTransferCampaignFleet:
         # And entirely outside a runner, a deferred solo run is unchanged.
         assert_identical(eager, make(True).run(max_time=600.0, max_evaluations=20))
 
+    def test_failed_fused_transfer_pass_retries_bit_identically(self, monkeypatch):
+        """Under quarantine, a fused transfer pass that dies mid-training
+        leaves its members to the solo backstop, and every campaign still
+        finishes bit-identical to eager construction-time fits: the failed
+        pass hands back each member's RNG stream untouched."""
+        from repro.core.vae.layers import DenseFleet
+
+        space = make_space()
+        source = make_source_history(space, n=120)
+
+        def make(seed, defer):
+            return VAEABOSearch(
+                space,
+                run_function,
+                source_history=source,
+                vae_epochs=15,
+                num_workers=6,
+                surrogate=RandomForestSurrogate(n_estimators=6, seed=seed),
+                num_candidates=48,
+                n_initial_points=5,
+                seed=seed,
+                defer_transfer_fit=defer,
+            )
+
+        eager = [
+            make(seed, False).run(max_time=600.0, max_evaluations=20)
+            for seed in range(3)
+        ]
+        fused_calls = {"n": 0}
+        original_backward = DenseFleet.backward
+
+        def backward(self, grad_output):
+            # Only fused passes (more than one member) fail, mid-training.
+            if grad_output.shape[0] > 1:
+                fused_calls["n"] += 1
+                if fused_calls["n"] == 7:
+                    raise FloatingPointError("injected fused-pass failure")
+            return original_backward(self, grad_output)
+
+        monkeypatch.setattr(DenseFleet, "backward", backward)
+        runner = CampaignRunner(
+            [
+                CampaignSpec(search=make(seed, True), max_time=600.0, max_evaluations=20)
+                for seed in range(3)
+            ],
+            on_campaign_error="quarantine",
+        )
+        batched = runner.run()
+        assert fused_calls["n"] >= 7
+        assert runner.num_transfer_fleet_fits == 0
+        assert runner.quarantined == []
+        for a, b in zip(eager, batched):
+            assert_identical(a, b)
+
     def test_solo_run_installs_refreshed_prior(self):
         space = make_space()
         search = make_refresh_search(0, space)
