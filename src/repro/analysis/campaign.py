@@ -224,27 +224,19 @@ def run_repeated_search(
     vae_epochs: int = 300,
     seed: int = 0,
     search_kwargs: Optional[dict] = None,
-    runner: str = "sequential",
 ) -> CampaignResult:
     """Run one (setup, method) combination ``repetitions`` times.
 
     Parameters mirror :class:`~repro.core.search.CBOSearch` /
     :class:`~repro.core.search.VAEABOSearch`; ``source_history`` switches the
-    method to VAE-ABO transfer learning.
-
-    ``runner`` selects how the repetitions execute: ``"sequential"`` (one
-    ``run`` after another) or ``"batched"`` — all repetitions advanced
-    concurrently by a :class:`~repro.service.CampaignRunner`, which batches
-    their surrogate refits and candidate scoring into per-tick fleet passes.
-    With a deterministic (stateless) ``run_function`` both modes produce
-    bit-identical per-repetition results; a run function carrying hidden
-    state (e.g. a shared noise generator) would see its calls interleaved
-    differently, so the batched mode is opt-in.
+    method to VAE-ABO transfer learning.  Repetition ``rep`` uses seed
+    ``seed + 1000 * rep``, and the repetitions run one after another, each
+    through :meth:`~repro.core.search.CBOSearch.run`.  To advance several
+    campaigns together, hand their searches to a
+    :class:`~repro.service.CampaignRunner`.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if runner not in ("sequential", "batched"):
-        raise ValueError(f"unknown runner {runner!r} (expected 'sequential' or 'batched')")
     campaign = CampaignResult(
         label=label, setup=setup, max_time=max_time, num_workers=num_workers
     )
@@ -278,17 +270,7 @@ def run_repeated_search(
                 **extra,
             )
         searches.append(search)
-    if runner == "batched":
-        from repro.service import CampaignRunner, CampaignSpec
-
-        specs = [
-            CampaignSpec(search=search, max_time=max_time, label=f"{label}/rep{rep}")
-            for rep, search in enumerate(searches)
-        ]
-        campaign.results.extend(CampaignRunner(specs).run())
-    else:
-        for search in searches:
-            campaign.results.append(search.run(max_time=max_time))
+    campaign.results.extend(search.run(max_time=max_time) for search in searches)
     return campaign
 
 

@@ -519,8 +519,24 @@ def prepare_ask_fleet(
     materialisation (``take``, ``to_configurations``) goes through each
     member's own columns, so cross-member dtype promotion cannot leak into
     proposed configurations.
+
+    A pass that raises leaves every member's generator as it found it, so a
+    solo ``prepare_ask`` retry draws exactly what it would have drawn.
     """
     requests = list(requests)
+    states = [opt.rng.bit_generator.state for opt, _ in requests]
+    try:
+        return _prepare_ask_fleet(requests)
+    except BaseException:
+        for (opt, _), state in zip(requests, states):
+            opt.rng.bit_generator.state = state
+        raise
+
+
+def _prepare_ask_fleet(
+    requests: List[Tuple[BayesianOptimizer, int]],
+) -> List[PreparedAsk]:
+    """The body of :func:`prepare_ask_fleet`, before any RNG restore."""
     if not requests:
         return []
     rep, _ = requests[0]

@@ -259,16 +259,21 @@ class CBOSearch:
             Optional directory for a crash-safe campaign journal (see
             :mod:`repro.core.journal`); a crashed run restarts from its last
             checkpoint via :meth:`resume` instead of from scratch.
+
+        The search runs as a :class:`~repro.service.runner.CampaignRunner`
+        of one: the runner's batch tick is the one loop that steps an
+        in-process campaign.
         """
-        execution = self.start(
+        from repro.service.runner import CampaignRunner, CampaignSpec
+
+        spec = CampaignSpec(
+            search=self,
             max_time=max_time,
             max_evaluations=max_evaluations,
             initial_configurations=initial_configurations,
             journal_dir=journal_dir,
         )
-        while execution.advance():
-            pass
-        return execution.result()
+        return CampaignRunner([spec]).run()[0]
 
     def start(
         self,
@@ -281,8 +286,9 @@ class CBOSearch:
     ) -> "CampaignExecution":
         """Begin a search and return its stepping :class:`CampaignExecution`.
 
-        ``run`` is ``start`` plus stepping to completion; multi-campaign
-        drivers step several executions in lock-step instead.  With
+        The campaign runner's tick steps the execution (``run`` is a runner
+        of one); ask/tell drivers step it through
+        :meth:`CampaignExecution.next_suggestion`.  With
         ``defer_initial_submit`` the initialisation batch is proposed but
         left pending (see :meth:`CampaignExecution.submit_prepared`), so a
         batch driver can evaluate all campaigns' initial batches in one pass.
@@ -368,31 +374,39 @@ class PreparedPriorRefresh:
     batch_size: int
     top_batch: object
 
+    def train(self) -> None:
+        """Train the VAE solo on its design (the fleet of one)."""
+        self.vae.fit(self.design, epochs=self.epochs, batch_size=self.batch_size)
+
 
 class CampaignExecution:
-    """One in-flight campaign: the stepping form of :meth:`CBOSearch.run`.
+    """One in-flight campaign, stepped phase by phase (Algorithm 1's loop).
 
-    The manager loop is decomposed into the phases a multi-campaign driver
-    needs to interleave:
+    One manager interaction is collect → tell → prior refresh → ask →
+    submit → checkpoint, split at every seam where a driver fuses work
+    across campaigns:
 
     * :meth:`collect` — advance the evaluator to the next completion event
       and record the finished evaluations;
-    * :meth:`tell_collected` — feed them to the optimizer (refitting the
-      surrogate) and charge the model-update overhead, or — for drivers that
-      batch surrogate fits across campaigns — :meth:`ingest_collected` /
-      :meth:`charge_tell` around an external fleet fit;
-    * :meth:`refresh_prior_if_due` — the continuous-retuning scenario
-      (``prior_refresh_interval``): refit the sampling prior's VAE on the
-      campaign's own incumbents, or — for drivers that fuse the VAE refits
-      of several campaigns into one
-      :class:`~repro.core.vae.tvae.VAEFleet` pass —
-      :meth:`prepare_prior_refresh` / :meth:`finish_prior_refresh` around
-      the external fleet fit;
-    * :meth:`ask_and_submit` — generate proposals for the idle workers,
-      charge the candidate-generation overhead and submit.
+    * :meth:`ingest_collected` / :meth:`fit_collected` /
+      :meth:`charge_tell` — feed them to the optimizer, fit the surrogate
+      when due (or leave the fit to a fleet pass) and charge the
+      model-update overhead;
+    * :meth:`prepare_prior_refresh` / :meth:`finish_prior_refresh` — the
+      continuous-retuning scenario (``prior_refresh_interval``) around the
+      VAE training, solo or fused;
+    * :meth:`begin_ask_request` / :meth:`complete_ask` (or
+      :meth:`accept_prepared_ask`) / :meth:`finish_ask` — generate, score
+      and select proposals for the idle workers, then
+      :meth:`submit_prepared`;
+    * :meth:`maybe_checkpoint` — journal the tick.
 
-    Stepping all phases in order (:meth:`advance`) reproduces the sequential
-    search loop exactly — same evaluations, same clock, same history.
+    Two drivers step it: the campaign runner's batch tick
+    (:class:`~repro.service.runner.CampaignRunner`, and ``CBOSearch.run``
+    is a runner of one) and the client-driven
+    :meth:`next_suggestion` / :meth:`report_runtimes` of ask/tell studies.
+    ``tests/reference/search.py`` keeps the plain sequential loop over
+    these phases as the oracle both are compared against.
     """
 
     def __init__(
@@ -525,23 +539,18 @@ class CampaignExecution:
         addition: a due fit is noted in the campaign journal *before* it runs,
         capturing the surrogate RNG state a resume needs to replay it.
         """
-        start = time.perf_counter()
-        if self.optimizer.ingest(self._tell_configs, self._tell_objectives):
-            self._note_fit_due()
-            self.optimizer.fit_now()
-        self.optimizer.last_tell_duration = time.perf_counter() - start
+        if self.ingest_collected():
+            self.fit_collected()
         self.charge_tell()
 
     def ingest_collected(self) -> bool:
-        """Record the collected evaluations without fitting (fleet-fit path).
+        """Record the collected evaluations without fitting.
 
-        Returns whether a surrogate fit is due; the driver performs it (solo
-        or fleet) and then calls
-        :meth:`~repro.core.optimizer.BayesianOptimizer.mark_fitted` before
-        :meth:`charge_tell`.  The ingest time refreshes the optimizer's
-        measured tell duration (an externally batched fit's time is shared
-        across campaigns and not attributed to any one of them).  A due fit
-        is noted in the campaign journal here — fleet fits consume the
+        Returns whether a surrogate fit is due; the driver performs it solo
+        (:meth:`fit_collected`) or in a fleet pass followed by
+        :meth:`~repro.core.optimizer.BayesianOptimizer.mark_fitted`.  The
+        ingest time refreshes the optimizer's measured tell duration.  A due
+        fit is noted in the campaign journal here — fleet fits consume the
         surrogate RNG bitwise-identically to solo fits, so the pre-fit
         capture covers both.
         """
@@ -551,6 +560,16 @@ class CampaignExecution:
         if due:
             self._note_fit_due()
         return due
+
+    def fit_collected(self) -> None:
+        """Fit the due surrogate solo, adding its wall time to the tell.
+
+        Under ``overhead="measured"`` a solo fit is charged as model-update
+        time; a fused fleet fit's time is shared and charged to nobody.
+        """
+        start = time.perf_counter()
+        self.optimizer.fit_now()
+        self.optimizer.last_tell_duration += time.perf_counter() - start
 
     def _note_fit_due(self) -> None:
         """Journal the surrogate fit about to run over the current history."""
@@ -579,9 +598,11 @@ class CampaignExecution:
         the campaign's best configurations are selected and encoded as
         columns (no row dicts) and a fresh, unfitted
         :class:`~repro.core.vae.tvae.TabularVAE` is returned for the caller
-        to train — solo (:meth:`refresh_prior_if_due`) or fused across
+        to train — solo (:meth:`PreparedPriorRefresh.train`) or fused across
         campaigns in one :class:`~repro.core.vae.tvae.VAEFleet` pass —
-        before :meth:`finish_prior_refresh` installs the new prior.
+        before :meth:`finish_prior_refresh` installs the new prior.  Like
+        the initial transfer-learning fit, the refit is manager-side
+        background work and is charged no virtual search time.
         """
         search = self.search
         interval = search.prior_refresh_interval
@@ -642,61 +663,8 @@ class CampaignExecution:
         if self._journal is not None:
             self._journal.note_prior_refresh(len(self.history))
 
-    def refresh_prior_if_due(self) -> bool:
-        """Refit the sampling prior from the campaign's own incumbents.
-
-        The solo path of the continuous-retuning scenario: prepare, train
-        the VAE in place, install.  Like the initial transfer-learning fit,
-        no virtual search time is charged — the refit is manager-side
-        background work (a batched fleet refit's wall-clock is shared across
-        campaigns anyway, mirroring the fleet surrogate-fit carve-out).
-        """
-        prepared = self.prepare_prior_refresh()
-        if prepared is None:
-            return False
-        prepared.vae.fit(
-            prepared.design, epochs=prepared.epochs, batch_size=prepared.batch_size
-        )
-        self.finish_prior_refresh(prepared)
-        return True
-
-    def ask_and_submit(self) -> None:
-        """Propose for the idle workers, charge overhead and submit."""
-        batch = self.prepare_submit()
-        if batch is not None:
-            self.submit_prepared()
-
-    def prepare_submit(self) -> Optional[List[Configuration]]:
-        """The ask half of :meth:`ask_and_submit`: propose and charge overhead.
-
-        Returns the batch awaiting submission (``None`` when there is nothing
-        to submit or the budget ran out).  Batch drivers evaluate several
-        campaigns' pending batches in one pass and then call
-        :meth:`submit_prepared` with the precomputed runtimes.
-        """
-        if self.begin_ask() is None:
-            return None
-        return self.finish_ask()
-
-    def begin_ask(self) -> Optional["object"]:
-        """Candidate generation for the idle workers, scores still pending.
-
-        Returns the optimizer's
-        :class:`~repro.core.optimizer.PreparedAsk` (``None`` when no workers
-        are idle or the budget ran out).  Drivers that fuse candidate scoring
-        across campaigns score the prepared pool externally and hand the
-        results to :meth:`finish_ask`; drivers that also fuse candidate
-        *generation* (the fleet ask) split this method into
-        :meth:`begin_ask_request` and :meth:`complete_ask` /
-        :meth:`accept_prepared_ask` instead.
-        """
-        n = self.begin_ask_request()
-        if n is None:
-            return None
-        return self.complete_ask(n)
-
     def begin_ask_request(self) -> Optional[int]:
-        """The eligibility half of :meth:`begin_ask`: how many proposals?
+        """The eligibility half of an ask: how many proposals?
 
         Clears any pending batch/pool, applies the budget check, and returns
         the number of idle workers to propose for — ``None`` when the budget
@@ -716,7 +684,7 @@ class CampaignExecution:
         return None
 
     def complete_ask(self, n: int) -> "object":
-        """The solo generation half of :meth:`begin_ask`: prepare ``n``."""
+        """The solo generation half of an ask: prepare ``n`` candidates."""
         start = time.perf_counter()
         self._prepared_ask = self.optimizer.prepare_ask(n)
         self._ask_elapsed = time.perf_counter() - start
@@ -727,8 +695,8 @@ class CampaignExecution:
 
         The fused pass's wall-clock is shared across campaigns and not
         attributed to any one member, so ``_ask_elapsed`` is zeroed — the
-        same ``overhead="measured"`` carve-out the fused scoring path
-        documents in :meth:`finish_ask`.  Virtual search time is unaffected.
+        same ``overhead="measured"`` carve-out as fused fits and fused
+        scoring.  Virtual search time is unaffected.
         """
         self._prepared_ask = prepared
         self._ask_elapsed = 0.0
@@ -766,28 +734,17 @@ class CampaignExecution:
         return batch
 
     def submit_prepared(self, runtimes: Optional[Sequence[float]] = None) -> None:
-        """Submit the batch returned by :meth:`prepare_submit`."""
+        """Submit the batch :meth:`finish_ask` left pending."""
         if self._pending_batch is None:
             return
         self._submit(self._pending_batch, runtimes)
         self._pending_batch = None
 
-    def advance(self) -> bool:
-        """One full manager interaction; False once the campaign is over."""
-        if self.collect() is None:
-            self.maybe_checkpoint(force=True)
-            return False
-        self.tell_collected()
-        self.refresh_prior_if_due()
-        self.ask_and_submit()
-        self.maybe_checkpoint()
-        return True
-
     # --------------------------------------------------------------- ask/tell
     def next_suggestion(self) -> Optional[List[Configuration]]:
         """Advance to the next proposal batch without evaluating it (ask/tell).
 
-        The client-driven form of :meth:`advance`: the returned
+        The client-driven form of one manager interaction: the returned
         configurations are *suggested* to an external client, which runs
         them itself and reports the measured runtimes back through
         :meth:`report_runtimes`.  Suggest is idempotent until reported — a
@@ -806,8 +763,14 @@ class CampaignExecution:
             if self.collect() is None:
                 break
             self.tell_collected()
-            self.refresh_prior_if_due()
-            self.prepare_submit()
+            refresh = self.prepare_prior_refresh()
+            if refresh is not None:
+                refresh.train()
+                self.finish_prior_refresh(refresh)
+            n = self.begin_ask_request()
+            if n is not None:
+                self.complete_ask(n)
+                self.finish_ask()
         if self._pending_batch is None:
             self.maybe_checkpoint(force=True)
             return None
@@ -829,11 +792,10 @@ class CampaignExecution:
     def maybe_checkpoint(self, force: bool = False) -> bool:
         """Journal new rows/intervals and commit a checkpoint when one is due.
 
-        Called at the end of every tick (by :meth:`advance` and the
-        multi-campaign runner); a no-op without a journal.  ``force`` commits
-        regardless of the journal's ``checkpoint_interval`` (used for the
-        final tick, so ``finished`` is durably recorded).  Returns whether a
-        checkpoint was committed.
+        Called at the end of every runner tick and ask/tell report; a no-op
+        without a journal.  ``force`` commits regardless of the journal's
+        ``checkpoint_interval`` (used for the final tick, so ``finished`` is
+        durably recorded).  Returns whether a checkpoint was committed.
         """
         journal = self._journal
         if journal is None:
@@ -996,11 +958,7 @@ class CampaignExecution:
                     "journaled prior refresh cannot be rebuilt from the "
                     "restored history"
                 )
-            prepared.vae.fit(
-                prepared.design,
-                epochs=prepared.epochs,
-                batch_size=prepared.batch_size,
-            )
+            prepared.train()
             self.finish_prior_refresh(prepared)
         optimizer.rng.bit_generator.state = checkpoint["optimizer_rng"]
         self._evals_since_prior_refresh = int(checkpoint["evals_since_prior_refresh"])

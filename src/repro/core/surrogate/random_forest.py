@@ -652,13 +652,32 @@ def fit_forest_fleet(
     hyperparameters (``max_depth``, ``min_samples_split``,
     ``min_samples_leaf`` and the resolved number of split features) and train
     on the same feature dimensionality; forests may differ in
-    ``n_estimators`` and training-set size.
+    ``n_estimators`` and training-set size.  A fit that raises leaves every
+    forest as it found it, RNG stream included, so a solo retry is
+    bit-identical to a solo fit.
     """
     if not fits:
         return
     models = [model for model, _, _ in fits]
     if len({id(model) for model in models}) != len(models):
         raise ValueError("each forest may appear only once per fleet fit")
+    states = [model._rng.bit_generator.state for model in models]
+    try:
+        forests = _fit_forests(fits)
+    except BaseException:
+        for model, state in zip(models, states):
+            model._rng.bit_generator.state = state
+        raise
+    for model, trees in zip(models, forests):
+        model._trees = trees
+        model._fused_cache = None
+        model.fitted = True
+
+
+def _fit_forests(
+    fits: Sequence[Tuple[RandomForestSurrogate, np.ndarray, np.ndarray]],
+) -> List[List[_ArrayTree]]:
+    """Validate a fleet fit and grow its forests (models stay untouched)."""
     Xs: List[np.ndarray] = []
     ys: List[np.ndarray] = []
     rngs: List[np.random.Generator] = []
@@ -676,11 +695,8 @@ def fit_forest_fleet(
         Xs.append(X)
         ys.append(y)
         rngs.append(model._rng)
-    # Bootstrap draws only after every member validated: an error above must
-    # not leave earlier members' RNG streams advanced (a later solo fit would
-    # no longer be bit-identical).
     boots = [model._bootstrap_rows(X.shape[0]) for (model, _, _), X in zip(fits, Xs)]
-    forests = _build_forest_fleet(
+    return _build_forest_fleet(
         Xs,
         ys,
         boots,
@@ -690,10 +706,6 @@ def fit_forest_fleet(
         min_samples_leaf=shared[3],
         n_split_features=shared[4],
     )
-    for model, trees in zip(models, forests):
-        model._trees = trees
-        model._fused_cache = None
-        model.fitted = True
 
 
 def predict_forest_fleet(

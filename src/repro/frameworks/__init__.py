@@ -21,9 +21,15 @@ common :class:`~repro.frameworks.base.Framework` interface:
   Tree-Parzen-Estimator BO; transfer learning mixes the source-data "good"
   density into the acquisition as a weighted prior, as described in the
   HiPerBOt paper.
+
+Each framework runs alone through ``run``.  The two that wrap
+:class:`~repro.core.search.CBOSearch` (random search and DeepHyper) also
+expose the search itself through ``build_search``, so a
+:class:`~repro.service.CampaignRunner` can advance several of them
+together.
 """
 
-from repro.frameworks.base import Framework, FrameworkResult, run_framework_suite
+from repro.frameworks.base import Framework, FrameworkResult
 from repro.frameworks.random_search import RandomSearch
 from repro.frameworks.deephyper_like import DeepHyperSearch
 from repro.frameworks.gptune_like import GPTuneLike
@@ -36,5 +42,4 @@ __all__ = [
     "GPTuneLike",
     "HiPerBOtLike",
     "RandomSearch",
-    "run_framework_suite",
 ]

@@ -65,7 +65,7 @@ class DeepHyperSearch(Framework):
         self.name = f"DH{self.num_workers}W"
 
     def build_search(self, source_history: Optional[SearchHistory] = None) -> VAEABOSearch:
-        """The underlying asynchronous search (multi-campaign-runner hook)."""
+        """The underlying asynchronous search (a campaign runner can step it)."""
         return VAEABOSearch(
             self.space,
             self.run_function,

@@ -46,7 +46,7 @@ class RandomSearch(Framework):
         self.failure_duration = float(failure_duration)
 
     def build_search(self, source_history: Optional[SearchHistory] = None) -> CBOSearch:
-        """The underlying random-sampling search (multi-campaign-runner hook).
+        """The underlying random-sampling search (a campaign runner can step it).
 
         ``source_history`` is ignored — random search has no transfer mode.
         """

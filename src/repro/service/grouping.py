@@ -3,9 +3,11 @@
 Each batch tick the runner fuses the due work of compatible campaigns — RF
 refits through :func:`~repro.core.surrogate.random_forest.fit_forest_fleet`,
 GP refits through :class:`~repro.core.surrogate.gaussian_process.GPFleet`,
-prior-refresh VAE refits through :class:`~repro.core.vae.tvae.VAEFleet`, and
-candidate-pool scoring through the fused predict passes.  All of those share
-the same grouping rule:
+prior-refresh VAE refits through :class:`~repro.core.vae.tvae.VAEFleet`, the
+asks through :func:`~repro.core.optimizer.prepare_ask_fleet` and RF
+candidate-pool scoring through
+:func:`~repro.core.surrogate.random_forest.predict_forest_fleet`.  All of
+those share the same grouping rule:
 
 * members are grouped by a *compatibility key* (hyperparameters + shapes);
 * a group only takes the fused path when it has at least ``min_fused``

@@ -1,72 +1,52 @@
 """Multi-campaign runners: batch ticks over one event loop, fixed or elastic.
 
 The paper's evaluation runs many asynchronous BO campaigns (setups ×
-methods × repetitions); executed naively they run strictly one after
-another, each paying its own Python/NumPy pass overhead per manager
-interaction.  :class:`CampaignRunner` instead advances N campaigns in
-lock-step *batch ticks* over their virtual-time evaluators:
+methods × repetitions).  :class:`CampaignRunner` advances N campaigns in
+lock-step *batch ticks* over their virtual-time evaluators, and its tick is
+the one loop that runs an in-process campaign: ``CBOSearch.run`` is a
+runner of one.  A tick is Algorithm 1's manager loop, once per campaign:
 
 1. **collect** — every active campaign advances to its own next completion
-   event and records the finished evaluations;
-2. **tell** — the completions are ingested per campaign, and the due
-   random-forest surrogate refits are grouped into one
-   :func:`~repro.core.surrogate.random_forest.fit_forest_fleet` pass (the
-   per-level NumPy overhead — the dominant refit cost at campaign scale —
-   is paid once per tick instead of once per campaign); due
-   Gaussian-process refits are grouped the same way into batched
-   :class:`~repro.core.surrogate.gaussian_process.GPFleet` passes — one
-   stacked ``(K, n, n)`` Cholesky per tick for members due a full refit,
-   one batched factor extension for members extending incrementally
-   (members keep their own ``refresh_growth`` schedules, so one campaign
-   can full-refit while its siblings extend) — grouped by
-   :func:`~repro.core.surrogate.gaussian_process.gp_fleet_key` with solo
-   fallbacks where history shapes can't align;
-3. **prior refresh** — campaigns on the continuous-retuning scenario
-   (``CBOSearch(prior_refresh_interval=...)``, including transfer campaigns
-   seeded with a :class:`~repro.core.transfer.TransferLearningPrior`) whose
-   VAE refit falls due this tick train them as one fused
-   :class:`~repro.core.vae.tvae.VAEFleet` pass per compatible group;
-4. **ask** — the fleet ask: the tick's due asks are grouped by search
-   space and encoding and each group's candidate generation runs as one
-   stacked
-   :func:`~repro.core.optimizer.prepare_ask_fleet` pass — one fused prior
-   sample, one shared encoding, one fused dedup sweep — before the
-   already-fused posterior scoring and submission.
+   event and records the finished evaluations, then ingests them and is
+   charged its model-update overhead;
+2. **fit** — due random-forest refits run as
+   :func:`~repro.core.surrogate.random_forest.fit_forest_fleet` passes and
+   due Gaussian-process refits as
+   :class:`~repro.core.surrogate.gaussian_process.GPFleet` passes (grouped
+   by :func:`~repro.core.surrogate.gaussian_process.gp_fleet_key`);
+3. **prior refresh** — due VAE refits of the continuous-retuning scenario
+   train as :class:`~repro.core.vae.tvae.VAEFleet` passes;
+4. **ask** — candidate generation runs as stacked
+   :func:`~repro.core.optimizer.prepare_ask_fleet` passes, RF-backed pools
+   score in one :func:`~repro.core.surrogate.random_forest.predict_forest_fleet`
+   traversal, and each campaign selects and submits its batch;
+5. **checkpoint** — journaled campaigns commit the tick.
 
-Campaign fleets built from transfer-learning searches constructed with
-``VAEABOSearch(defer_transfer_fit=True)`` additionally get their initial
-``fit_transfer_prior`` VAE fits fused into
-:class:`~repro.core.vae.tvae.VAEFleet` passes when the runner starts them
-instead of paying K solo VAE trainings up front.
+Transfer-learning searches built with
+``VAEABOSearch(defer_transfer_fit=True)`` also get their initial VAE fits
+fused into :class:`~repro.core.vae.tvae.VAEFleet` passes when the runner
+starts them.
 
-Because each campaign's operations run in exactly the order the sequential
-loop would run them, and the fleet fit is bit-identical per forest, the
-per-campaign :class:`~repro.core.search.SearchResult`\\ s are **bit-identical**
-to running the same seeds through ``CBOSearch.run`` one by one — the batch
-runner only changes wall-clock time (``perfbench``'s ``fleet_e2e`` workload
-measures the effect; the identity is pinned by the test suite).  One
-carve-out: campaigns using the opt-in ``overhead="measured"`` model charge
-their *measured* Python time as virtual overhead, and a batched fleet fit's
-wall-clock is shared rather than attributed per campaign, so measured-mode
-virtual timelines differ between the two executions (the default analytic
-model depends only on campaign state and is exactly identical).
+Every fleet pass follows one rule (:meth:`CampaignRunner._fused_or_solo`):
+groups are planned fresh from the tick's active set by
+:func:`~repro.service.grouping.plan_tick_groups`; a fused group runs its
+fleet pass, and every other group — and, under quarantine, a fused group
+whose pass raised — runs each member's solo step.  A failed fleet pass
+leaves its members' weights and RNG streams as it found them, and every
+fleet pass is bit-identical per member to the solo step, so each
+campaign's :class:`~repro.core.search.SearchResult` is **bit-identical** to
+its run alone.  One carve-out: under the opt-in ``overhead="measured"``
+model a fused pass's wall time is shared and charged to no campaign.  A fit
+that cannot fuse this tick (its surrogate is neither RF nor GP, or no
+other active campaign has its kind) runs inline before the tell is charged,
+so a runner of one charges every fit, as ask/tell does.
 
-The fleet-fusion groups are planned from the **active set of the tick**, by
-the shared pure function :func:`~repro.service.grouping.plan_tick_groups` —
-nothing about a group survives the tick.  That is what makes the runner
+Because nothing about a group survives the tick, the runner is
 **elastic**: :class:`ElasticCampaignRunner` admits campaigns mid-flight
-(:meth:`~ElasticCampaignRunner.admit`) under admission control
-(``max_inflight`` overall, ``max_inflight_per_tenant`` per tenant), lets
-finished or quarantined campaigns leave, and simply re-plans the groups each
-tick from whoever is active.  Per-campaign bit-identity to an isolated
-sequential run holds regardless of when a campaign joins or leaves the
-fleet, because each campaign's own phase order is unchanged and every fused
-pass is bit-identical per member.
-
-Campaigns may also share a :class:`~repro.service.SharedWorkerPool` through
-``CBOSearch(evaluator_factory=pool.evaluator_factory())``, in which case they
-compete for the same workers on one clock — the service deployment scenario
-(results then legitimately differ from private-worker runs).
+under admission control and lets finished or quarantined campaigns leave.
+Campaigns may also share a :class:`~repro.service.SharedWorkerPool`
+through ``CBOSearch(evaluator_factory=pool.evaluator_factory())``; they
+then compete for the same workers on one clock.
 
 **Multi-core execution** runs whole campaigns in worker processes:
 ``CampaignRunner(specs, processes=N)`` deals the specs into N contiguous
@@ -77,11 +57,11 @@ bit-identical to its in-process run (see docs/architecture.md §15).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.journal import CampaignJournal, open_journal_reader
+from repro.core.journal import open_journal_reader
 from repro.core.optimizer import prepare_ask_fleet
 from repro.core.search import CampaignExecution, CBOSearch, SearchResult
 from repro.core.space import Configuration
@@ -97,7 +77,7 @@ from repro.core.surrogate.random_forest import (
     predict_forest_fleet,
 )
 from repro.core.vae.tvae import VAEFleet, vae_fleet_key
-from repro.service.grouping import plan_tick_groups
+from repro.service.grouping import TickGroup, plan_tick_groups
 
 __all__ = [
     "CampaignSpec",
@@ -165,15 +145,13 @@ _FAILED = object()
 class CampaignRunner:
     """Run several independent campaigns concurrently over batch ticks.
 
-    Every tick fuses what it can: due RF refits into one
-    :func:`~repro.core.surrogate.random_forest.fit_forest_fleet` pass, due
-    GP refits into :class:`~repro.core.surrogate.gaussian_process.GPFleet`
-    passes, due prior-refresh and deferred transfer-prior VAE fits into
-    :class:`~repro.core.vae.tvae.VAEFleet` passes, the asks into stacked
-    :func:`~repro.core.optimizer.prepare_ask_fleet` passes and the candidate
-    scoring into fused RF/GP predicts.  Each fused pass is bit-identical per
-    member, so every campaign matches its sequential ``CBOSearch.run`` — the
-    reference the identity tests compare against.
+    Every tick fuses what it can: due RF and GP refits, due prior-refresh
+    and deferred transfer-prior VAE fits, the asks and the RF candidate
+    scoring run as fleet passes under one fused-or-solo rule (see the
+    module docstring).  Each fleet pass is bit-identical per member, so
+    every campaign matches its run alone; ``CBOSearch.run`` is a runner of
+    one, and the identity tests compare both against the sequential loop
+    in ``tests/reference/search.py``.
 
     Parameters
     ----------
@@ -197,9 +175,9 @@ class CampaignRunner:
         and the journal closed, recorded in :attr:`quarantined`, and removed
         from the batch, and the surviving campaigns' fleet groupings re-form
         on the next tick as usual (groups are rebuilt from the active set
-        every tick).  A fused
-        fleet pass that fails falls back to per-campaign solo fits first —
-        only campaigns whose *solo* step also fails are quarantined.
+        every tick).  A fused fleet pass that fails falls back to each
+        member's solo step first — only campaigns whose *solo* step also
+        fails are quarantined.
         Quarantined campaigns still contribute their partial
         :class:`~repro.core.search.SearchResult`.
     processes:
@@ -260,12 +238,10 @@ class CampaignRunner:
         self.num_fleet_fits = 0
         self.num_fleet_fitted_surrogates = 0
         #: GP fleet counters: batched full-refit passes, batched factor
-        #: extensions, GPs advanced through either, and fused posterior
-        #: scoring passes.
+        #: extensions, and GPs advanced through either.
         self.num_gp_fleet_full_fits = 0
         self.num_gp_fleet_extends = 0
         self.num_gp_fleet_members = 0
-        self.num_gp_fleet_predicts = 0
         #: Prior-refresh counters: refreshes overall, fused VAEFleet passes,
         #: and VAEs trained through those passes.
         self.num_prior_refreshes = 0
@@ -279,8 +255,8 @@ class CampaignRunner:
         #: over deferred fit_transfer_prior fits and members trained so.
         self.num_transfer_fleet_fits = 0
         self.num_transfer_fleet_members = 0
-        #: Solo surrogate fits a tick ran because no fused group formed —
-        #: together with the fleet counters this yields the fusion hit rate.
+        #: Solo surrogate fits, unfused or retried after a failed fleet
+        #: pass — with the fleet counters this yields the fusion hit rate.
         self.num_solo_fits = 0
 
     def close(self) -> None:
@@ -332,11 +308,14 @@ class CampaignRunner:
     def _start_specs(self, indices: Sequence[int]) -> None:
         """Start (or resume) the given specs and submit their initial batches.
 
-        With a run batcher, the initialisation batches of all newly started
-        campaigns are evaluated in one fused pass (they are the largest
-        submissions of the whole run).  In quarantine mode a spec whose
-        start itself raises is recorded with phase ``"start"`` instead of
-        aborting the batch.
+        A spec with ``resume_from_journal`` goes through
+        :meth:`~repro.core.search.CBOSearch.start_or_resume`, the registry's
+        create-or-attach path.  With a run batcher, the initialisation
+        batches of all newly started campaigns — fresh, or rebuilt from a
+        journal with no checkpoint yet — are evaluated in one fused pass
+        (they are the largest submissions of the whole run).  In quarantine
+        mode a spec whose start itself raises is recorded with phase
+        ``"start"`` instead of aborting the batch.
         """
         self._fit_transfer_fleet(indices)
         batching_runs = self.run_batcher is not None
@@ -345,21 +324,16 @@ class CampaignRunner:
             spec = self.specs[index]
             while len(self._executions) <= index:
                 self._executions.append(None)
+            attach = spec.resume_from_journal and spec.journal_dir is not None
+            start = spec.search.start_or_resume if attach else spec.search.start
             try:
-                if (
-                    spec.resume_from_journal
-                    and spec.journal_dir is not None
-                    and CampaignJournal.exists(spec.journal_dir)
-                ):
-                    execution = spec.search.resume(spec.journal_dir)
-                else:
-                    execution = spec.search.start(
-                        max_time=spec.max_time,
-                        max_evaluations=spec.max_evaluations,
-                        initial_configurations=spec.initial_configurations,
-                        defer_initial_submit=batching_runs,
-                        journal_dir=spec.journal_dir,
-                    )
+                execution = start(
+                    journal_dir=spec.journal_dir,
+                    max_time=spec.max_time,
+                    max_evaluations=spec.max_evaluations,
+                    initial_configurations=spec.initial_configurations,
+                    defer_initial_submit=batching_runs,
+                )
             except Exception as error:
                 if self.on_campaign_error != "quarantine":
                     raise
@@ -389,50 +363,28 @@ class CampaignRunner:
         Searches built with ``VAEABOSearch(defer_transfer_fit=True)`` carry
         their untrained transfer VAE as
         :attr:`~repro.core.search.CBOSearch.pending_transfer_fit`; groups of
-        compatible fits (same architecture, design shape and training
-        budget — :func:`~repro.core.vae.tvae.vae_fleet_key`) train as one
-        :class:`~repro.core.vae.tvae.VAEFleet` pass before their campaigns
-        start, bit-identical per member to the eager solo fit.  Singletons
-        and leftover members are trained by the solo backstop inside
+        compatible fits train as one :class:`~repro.core.vae.tvae.VAEFleet`
+        pass before their campaigns start, bit-identical per member to the
+        eager solo fit.  Unfused fits, and the fits of a fused pass that
+        failed under quarantine, have no solo step here: the backstop inside
         ``CampaignExecution.__init__``
-        (:meth:`~repro.core.search.CBOSearch.complete_pending_transfer_fit`).
-        A fused pass that fails under quarantine leaves its members to that
-        same backstop; the failed pass restores every member's weights and
-        RNG state, so the retry trains the eager-path bits.
+        (:meth:`~repro.core.search.CBOSearch.complete_pending_transfer_fit`)
+        trains them.
         """
-        pending: List[Tuple[CBOSearch, object]] = []
-        for index in indices:
-            search = self.specs[index].search
-            fit = getattr(search, "pending_transfer_fit", None)
-            if fit is not None:
-                pending.append((search, fit))
-        for group in plan_tick_groups(
-            pending,
-            key_of=lambda pair: vae_fleet_key(
-                pair[1].vae,
-                pair[1].design.shape[0],
-                pair[1].epochs,
-                pair[1].batch_size,
-            ),
-            identity_of=lambda pair: id(pair[1].vae),
-        ):
-            if not group.fused:
-                continue
-            first = group.members[0][1]
-            try:
-                VAEFleet([fit.vae for _, fit in group.members]).fit(
-                    [fit.design for _, fit in group.members],
-                    epochs=first.epochs,
-                    batch_size=first.batch_size,
-                )
-            except Exception:
-                if self.on_campaign_error != "quarantine":
-                    raise
-                continue
+        pending = [
+            (search, search.pending_transfer_fit)
+            for search in (self.specs[index].search for index in indices)
+            if getattr(search, "pending_transfer_fit", None) is not None
+        ]
+
+        def fused(group: TickGroup) -> None:
+            _train_vae_fleet([fit for _, fit in group.members])
             self.num_transfer_fleet_fits += 1
             self.num_transfer_fleet_members += len(group.members)
             for search, _ in group.members:
                 search.pending_transfer_fit = None
+
+        self._fused_or_solo(_plan_vae_groups(pending), "start", fused)
 
     # ------------------------------------------------------------------ tick
     def tick(self) -> None:
@@ -441,14 +393,20 @@ class CampaignRunner:
         The pipeline is collect → tell/fit → prior refresh → ask → score →
         submit → checkpoint.  Fleet-fusion groups are planned fresh from the
         active set (:func:`~repro.service.grouping.plan_tick_groups`), so
-        nothing about a group survives the tick.  Campaigns that finish
-        release their journals right after their final checkpoint and,
-        like quarantined ones, leave the active set at the end of the tick.
+        nothing about a group survives the tick.  A due fit that cannot
+        fuse this tick — its surrogate is neither RF nor GP, or no other
+        active campaign has its kind — runs inline before the tell is
+        charged, so it is charged like a solo ``tell``.  Campaigns that
+        finish release their journals right after their final checkpoint
+        and, like quarantined ones, leave the active set at the end of the
+        tick.
         """
         self.num_ticks += 1
+        kinds = Counter(_fleet_kind(execution) for execution in self._active)
+        fleet_due: Dict[type, List[CampaignExecution]] = {
+            kind: [] for kind in _FLEET_KINDS
+        }
         ticking: List[CampaignExecution] = []
-        fit_due: List[CampaignExecution] = []
-        gp_due: List[CampaignExecution] = []
         for execution in self._active:
             completed = self._step(execution, "collect", execution.collect)
             if completed is _FAILED:
@@ -462,33 +420,25 @@ class CampaignRunner:
             if due is _FAILED:
                 continue
             if due:
-                surrogate = execution.optimizer.surrogate
-                if isinstance(surrogate, RandomForestSurrogate):
-                    fit_due.append(execution)
-                elif isinstance(surrogate, GaussianProcessSurrogate):
-                    gp_due.append(execution)
-                else:
-                    self.num_solo_fits += 1
-                    if (
-                        self._step(
-                            execution, "fit", execution.optimizer.fit_now
-                        )
-                        is _FAILED
-                    ):
-                        continue
+                kind = _fleet_kind(execution)
+                if kind is not None and kinds[kind] > 1:
+                    fleet_due[kind].append(execution)
+                elif (
+                    self._step(execution, "fit", lambda e=execution: self._fit_solo(e))
+                    is _FAILED
+                ):
+                    continue
             if self._step(execution, "tell", execution.charge_tell) is _FAILED:
                 continue
             ticking.append(execution)
-        self._fit_fleet(self._surviving(fit_due))
-        self._fit_gp_fleet(self._surviving(gp_due))
+        self._fit_rf_fleet(self._surviving(fleet_due[RandomForestSurrogate]))
+        self._fit_gp_fleet(self._surviving(fleet_due[GaussianProcessSurrogate]))
         ticking = self._surviving(ticking)
         self._refresh_priors(ticking)
         ticking = self._surviving(ticking)
 
-        # ---- ask: fused candidate generation (the fleet ask), fused scoring
         pairs = self._begin_asks_fleet(ticking)
         scored = self._score_rf_fleet(pairs)
-        self._score_gp_fleet(pairs, scored)
         submissions: List[Tuple[CampaignExecution, List[Configuration]]] = []
         for execution, prepared in pairs:
             scores = scored.get(id(execution), ())
@@ -511,6 +461,38 @@ class CampaignRunner:
             ):
                 active.append(execution)
         self._active = active
+
+    def _fused_or_solo(
+        self,
+        groups: Sequence[TickGroup],
+        phase: str,
+        fused: Callable[[TickGroup], None],
+        solo: Optional[Callable] = None,
+    ) -> None:
+        """The one fused-or-solo rule every fleet pass of a tick follows.
+
+        A group that :func:`~repro.service.grouping.plan_tick_groups` marks
+        fused runs ``fused(group)``, its fleet pass.  Every other group —
+        and, under quarantine, a fused group whose pass raised — runs
+        ``solo(*member)`` for each member, under the error policy as
+        ``phase`` (``member[0]`` is the member's campaign).  A fleet pass
+        that raises leaves each member's model and RNG streams as it found
+        them, so the solo retry gives the solo bits.  Without ``solo`` the
+        members' own later phase does the work: a pool without fused scores
+        scores inside ``finish_ask``, and a transfer VAE trains in the
+        execution's start-up backstop.
+        """
+        for group in groups:
+            if group.fused:
+                try:
+                    fused(group)
+                    continue
+                except Exception:
+                    if self.on_campaign_error != "quarantine":
+                        raise
+            if solo is not None:
+                for member in group.members:
+                    self._step(member[0], phase, lambda m=member: solo(*m))
 
     def _finish(self, execution: CampaignExecution) -> None:
         """Commit a finished campaign's final checkpoint, then release its
@@ -607,302 +589,71 @@ class CampaignRunner:
             )
         return runtimes
 
-    # --------------------------------------------------------------- fleet ask
-    def _begin_asks_fleet(self, ticking: List[CampaignExecution]) -> List[Tuple]:
-        """Run the tick's due asks as stacked per-space fleet passes.
-
-        Each campaign's eligibility half
-        (:meth:`~repro.core.search.CampaignExecution.begin_ask_request` —
-        budget check, idle-worker count) runs first in tick order; the
-        askable campaigns are then grouped by search space and encoding
-        (:func:`~repro.service.grouping.plan_tick_groups` — groups re-form
-        every tick, so elastic join/leave just changes the next tick's
-        plan) and each fused group's candidate generation runs as one
-        :func:`~repro.core.optimizer.prepare_ask_fleet` pass.  Singleton
-        groups and shared-optimizer degeneracies complete solo — the fleet
-        of one *is* the solo path.  Bit-identical per campaign either way;
-        returned pairs keep tick order so downstream submission order is
-        unchanged.
-
-        A fused pass that fails under quarantine falls back to solo
-        ``complete_ask`` calls; like every fused-fallback in this runner the
-        retry is a *valid* ask, not necessarily the solo-path bits — the
-        failed pass may already have consumed member RNG draws.
-        """
-        prepared_of: Dict[int, object] = {}
-        askable: List[Tuple[CampaignExecution, int]] = []
-        for execution in ticking:
-            n = self._step(execution, "ask", execution.begin_ask_request)
-            if n is _FAILED:
-                continue
-            if n is None:
-                prepared_of[id(execution)] = None
-            else:
-                askable.append((execution, n))
-
-        def solo(members: Sequence[Tuple[CampaignExecution, int]]) -> None:
-            for execution, n in members:
-                prepared = self._step(
-                    execution, "ask", lambda e=execution, m=n: e.complete_ask(m)
-                )
-                if prepared is not _FAILED:
-                    prepared_of[id(execution)] = prepared
-
-        for group in plan_tick_groups(
-            askable,
-            key_of=lambda pair: (
-                tuple(pair[0].optimizer.space.parameters),
-                pair[0].optimizer.encoding,
-            ),
-            identity_of=lambda pair: id(pair[0].optimizer),
-        ):
-            if not group.fused:
-                solo(group.members)
-                continue
-            try:
-                prepared_list = prepare_ask_fleet(
-                    [(execution.optimizer, n) for execution, n in group.members]
-                )
-            except Exception:
-                if self.on_campaign_error != "quarantine":
-                    raise
-                solo(group.members)
-                continue
-            self.num_ask_fleet_passes += 1
-            self.num_ask_fleet_members += len(group.members)
-            for (execution, _), prepared in zip(group.members, prepared_list):
-                accepted = self._step(
-                    execution,
-                    "ask",
-                    lambda e=execution, p=prepared: e.accept_prepared_ask(p),
-                )
-                if accepted is not _FAILED:
-                    prepared_of[id(execution)] = accepted
-        return [
-            (execution, prepared_of[id(execution)])
-            for execution in ticking
-            if id(execution) in prepared_of
-        ]
-
     # ------------------------------------------------------------ fleet fits
-    def _fit_fleet(self, fit_due: List[CampaignExecution]) -> None:
+    def _fit_solo(self, execution: CampaignExecution, *training_data) -> None:
+        """Fit one campaign's due surrogate solo, charging its wall time."""
+        self.num_solo_fits += 1
+        execution.fit_collected()
+
+    def _fit_rf_fleet(self, due: List[CampaignExecution]) -> None:
         """Fit the due RF surrogates, grouped by compatible hyperparameters."""
-        groups = plan_tick_groups(
-            fit_due,
-            key_of=lambda e: fleet_compatibility_key(
-                e.optimizer.surrogate, e.optimizer.training_data()[0].shape[1]
-            ),
-            identity_of=lambda e: id(e.optimizer.surrogate),
-        )
-        for group in groups:
-            if not group.fused:
-                # A single campaign (or a degenerate shared-surrogate setup):
-                # the sequential path is the fleet of one.
-                for execution in group.members:
-                    self.num_solo_fits += 1
-                    self._step(execution, "fit", execution.optimizer.fit_now)
-                continue
-            try:
-                fit_forest_fleet(
-                    [
-                        (execution.optimizer.surrogate, *execution.optimizer.training_data())
-                        for execution in group.members
-                    ]
-                )
-            except Exception:
-                if self.on_campaign_error != "quarantine":
-                    raise
-                # Degrade to solo refits; only campaigns whose solo fit also
-                # fails are quarantined.
-                for execution in group.members:
-                    self._step(execution, "fit", execution.optimizer.fit_now)
-                continue
-            for execution in group.members:
+
+        def fused(group: TickGroup) -> None:
+            fit_forest_fleet(
+                [(execution.optimizer.surrogate, X, y) for execution, X, y in group.members]
+            )
+            for execution, _, _ in group.members:
                 execution.optimizer.mark_fitted()
             self.num_fleet_fits += 1
             self.num_fleet_fitted_surrogates += len(group.members)
 
-    def _fit_gp_fleet(self, fit_due: List[CampaignExecution]) -> None:
+        groups = plan_tick_groups(
+            [(execution, *execution.optimizer.training_data()) for execution in due],
+            key_of=lambda item: fleet_compatibility_key(
+                item[0].optimizer.surrogate, item[1].shape[1]
+            ),
+            identity_of=lambda item: id(item[0].optimizer.surrogate),
+        )
+        self._fused_or_solo(groups, "fit", fused, self._fit_solo)
+
+    def _fit_gp_fleet(self, due: List[CampaignExecution]) -> None:
         """Fit the due GP surrogates, grouped by fleet mode and shape.
 
         :func:`~repro.core.surrogate.gaussian_process.gp_fleet_key` splits
         the tick's due GPs into batched full refits (equal total sizes) and
         batched factor extensions (equal old/new sizes) — each member keeps
         its own ``refresh_growth`` schedule, so one campaign can full-refit
-        while its siblings extend.  Groups of one (ragged history sizes are
-        the norm for GPs) and degenerate shared-surrogate setups take the
-        sequential ``fit_now`` path: a fleet of one is the solo fit.
+        while its siblings extend.
         """
-        items: List[Tuple[CampaignExecution, object, object]] = []
-        for execution in fit_due:
-            X, y = execution.optimizer.training_data()
-            items.append((execution, X, y))
 
-        def gp_key(item):
+        def fused(group: TickGroup) -> None:
+            fleet = GPFleet([execution.optimizer.surrogate for execution, _, _ in group.members])
+            if group.key[0] == "extend":
+                new = [execution.optimizer.fitted_rows for execution, _, _ in group.members]
+                fleet.partial_fit(
+                    [X[rows:] for (_, X, _), rows in zip(group.members, new)],
+                    [y[rows:] for (_, _, y), rows in zip(group.members, new)],
+                )
+                self.num_gp_fleet_extends += 1
+            else:
+                fleet.fit([X for _, X, _ in group.members], [y for _, _, y in group.members])
+                self.num_gp_fleet_full_fits += 1
+            for execution, _, _ in group.members:
+                execution.optimizer.mark_fitted()
+            self.num_gp_fleet_members += len(group.members)
+
+        def gp_key(item) -> tuple:
             execution, X, _ = item
             optimizer = execution.optimizer
             num_new = X.shape[0] - optimizer.fitted_rows
             return gp_fleet_key(optimizer.surrogate, X.shape[0], num_new, X.shape[1])
 
-        for group in plan_tick_groups(
-            items,
+        groups = plan_tick_groups(
+            [(execution, *execution.optimizer.training_data()) for execution in due],
             key_of=gp_key,
             identity_of=lambda item: id(item[0].optimizer.surrogate),
-        ):
-            if not group.fused:
-                for execution, _, _ in group.members:
-                    self.num_solo_fits += 1
-                    self._step(execution, "fit", execution.optimizer.fit_now)
-                continue
-            try:
-                fleet = GPFleet(
-                    [execution.optimizer.surrogate for execution, _, _ in group.members]
-                )
-                if group.key[0] == "extend":
-                    fleet.partial_fit(
-                        [
-                            X[execution.optimizer.fitted_rows :]
-                            for execution, X, _ in group.members
-                        ],
-                        [
-                            y[execution.optimizer.fitted_rows :]
-                            for execution, _, y in group.members
-                        ],
-                    )
-                    self.num_gp_fleet_extends += 1
-                else:
-                    fleet.fit(
-                        [X for _, X, _ in group.members],
-                        [y for _, _, y in group.members],
-                    )
-                    self.num_gp_fleet_full_fits += 1
-            except Exception:
-                if self.on_campaign_error != "quarantine":
-                    raise
-                for execution, _, _ in group.members:
-                    self._step(execution, "fit", execution.optimizer.fit_now)
-                continue
-            for execution, _, _ in group.members:
-                execution.optimizer.mark_fitted()
-            self.num_gp_fleet_members += len(group.members)
-
-    # ---------------------------------------------------------- fused scoring
-    @staticmethod
-    def _wants_fused_scores(pair, surrogate_type) -> bool:
-        execution, prepared = pair
-        return (
-            prepared is not None
-            and prepared.proposals is None
-            and prepared.wants_scores
-            and isinstance(execution.optimizer.surrogate, surrogate_type)
         )
-
-    def _score_rf_fleet(self, pairs) -> Dict[int, Tuple]:
-        """Score the tick's RF-backed candidate pools in fused traversals.
-
-        Campaigns may tune different spaces: only pools of equal encoded
-        width fuse (the traversal stacks the matrices).  Returns the scores
-        by execution id; members without fused scores score their own pools
-        inside ``finish_ask``.
-        """
-        scored: Dict[int, Tuple] = {}
-        for group in plan_tick_groups(
-            [pair for pair in pairs if self._wants_fused_scores(pair, RandomForestSurrogate)],
-            key_of=lambda pair: int(pair[1].encoded.shape[1]),
-        ):
-            if not group.fused:
-                continue
-            results = predict_forest_fleet(
-                [
-                    (execution.optimizer.surrogate, prepared.encoded)
-                    for execution, prepared in group.members
-                ]
-            )
-            scored.update(
-                (id(execution), result)
-                for (execution, _), result in zip(group.members, results)
-            )
-        return scored
-
-    #: Element budget of one fused GP scoring sheet (the ``(nc, Σn)``
-    #: cross-kernel).  Fusing amortises NumPy dispatch, but a sheet that
-    #: outgrows the CPU cache pays more in memory traffic than it saves in
-    #: call overhead (measured on the 1-CPU box), so big ticks are scored in
-    #: cache-sized chunks — still bit-identical, chunk composition only
-    #: changes wall-clock.
-    gp_predict_chunk_elements = 8192
-
-    def _score_gp_fleet(self, pairs, scored: Dict[int, Tuple]) -> None:
-        """Fuse the tick's GP-backed candidate scoring where shapes align.
-
-        Pools of equal candidate shape score through a single
-        :meth:`~repro.core.surrogate.gaussian_process.GPFleet.predict`
-        cross-kernel pass — bit-identical per campaign to solo scoring;
-        training-set sizes may be ragged (the fused cross-kernel works on
-        concatenated training rows).  Singleton groups fall through to the
-        per-campaign path.
-        """
-        pool = [
-            pair
-            for pair in pairs
-            if self._wants_fused_scores(pair, GaussianProcessSurrogate)
-            and pair[0].optimizer.surrogate.fitted
-        ]
-        for group in plan_tick_groups(
-            pool,
-            key_of=lambda pair: tuple(pair[1].encoded.shape),
-            identity_of=lambda pair: id(pair[0].optimizer.surrogate),
-        ):
-            if not group.fused:
-                continue
-            for chunk in self._chunk_gp_predicts(group.key[0], group.members):
-                if len(chunk) < 2:
-                    continue
-                try:
-                    results = GPFleet(
-                        [execution.optimizer.surrogate for execution, _ in chunk]
-                    ).predict([prepared.encoded for _, prepared in chunk])
-                except Exception:
-                    if self.on_campaign_error != "quarantine":
-                        raise
-                    # Fused scoring is an optimisation: members without fused
-                    # scores simply score their own pools inside finish_ask.
-                    continue
-                scored.update(
-                    (id(execution), result)
-                    for (execution, _), result in zip(chunk, results)
-                )
-                self.num_gp_fleet_predicts += 1
-
-    def _chunk_gp_predicts(self, num_candidates: int, group: List) -> List[List]:
-        """Split one scoring group into cache-sized fused chunks.
-
-        Members are packed smallest-first so small members fuse together
-        instead of being split into skipped singletons by one large
-        neighbour; chunk composition only changes wall-clock, never results
-        (each member's slice is bitwise independent).
-        """
-        sized = sorted(
-            (
-                (num_candidates * execution.optimizer.surrogate.training_size,
-                 (execution, prepared))
-                for execution, prepared in group
-            ),
-            key=lambda pair: pair[0],
-        )
-        chunks: List[List] = []
-        current: List = []
-        elements = 0
-        budget = self.gp_predict_chunk_elements
-        for member_elements, item in sized:
-            if current and elements + member_elements > budget:
-                chunks.append(current)
-                current, elements = [], 0
-            current.append(item)
-            elements += member_elements
-        if current:
-            chunks.append(current)
-        return chunks
+        self._fused_or_solo(groups, "fit", fused, self._fit_solo)
 
     # -------------------------------------------------------- prior refreshes
     def _refresh_priors(self, ticking: List[CampaignExecution]) -> None:
@@ -922,64 +673,110 @@ class CampaignRunner:
             )
             if prepared is not None and prepared is not _FAILED:
                 due.append((execution, prepared))
-        if not due:
-            return
         self.num_prior_refreshes += len(due)
-        for group in plan_tick_groups(
-            due,
-            key_of=lambda pair: vae_fleet_key(
-                pair[1].vae,
-                pair[1].design.shape[0],
-                pair[1].epochs,
-                pair[1].batch_size,
-            ),
-            identity_of=lambda pair: id(pair[1].vae),
-        ):
-            if not group.fused:
-                for execution, prepared in group.members:
-                    if (
-                        self._step(
-                            execution,
-                            "refresh",
-                            lambda p=prepared: p.vae.fit(
-                                p.design, epochs=p.epochs, batch_size=p.batch_size
-                            ),
-                        )
-                        is _FAILED
-                    ):
-                        continue
-                    self._finish_refresh(execution, prepared)
-                continue
-            first = group.members[0][1]
-            try:
-                VAEFleet([prepared.vae for _, prepared in group.members]).fit(
-                    [prepared.design for _, prepared in group.members],
-                    epochs=first.epochs,
-                    batch_size=first.batch_size,
-                )
-            except Exception:
-                if self.on_campaign_error != "quarantine":
-                    raise
-                # A failed fused pass leaves the fresh VAEs half-trained;
-                # re-prepare and train each solo (deterministic per-refresh
-                # seeds make the rebuilt VAE a clean restart).
-                for execution, _ in group.members:
-                    self._step(
-                        execution, "refresh", execution.refresh_prior_if_due
-                    )
-                continue
+
+        def fused(group: TickGroup) -> None:
+            _train_vae_fleet([prepared for _, prepared in group.members])
             self.num_vae_fleet_fits += 1
             self.num_vae_fleet_members += len(group.members)
             for execution, prepared in group.members:
-                self._finish_refresh(execution, prepared)
+                self._step(
+                    execution,
+                    "refresh",
+                    lambda e=execution, p=prepared: e.finish_prior_refresh(p),
+                )
 
-    def _finish_refresh(self, execution: CampaignExecution, prepared) -> None:
-        """Install one campaign's trained refresh VAE under the error policy."""
-        self._step(
-            execution,
-            "refresh",
-            lambda e=execution, p=prepared: e.finish_prior_refresh(p),
+        def solo(execution: CampaignExecution, prepared) -> None:
+            prepared.train()
+            execution.finish_prior_refresh(prepared)
+
+        self._fused_or_solo(_plan_vae_groups(due), "refresh", fused, solo)
+
+    # --------------------------------------------------------------- fleet ask
+    def _begin_asks_fleet(self, ticking: List[CampaignExecution]) -> List[Tuple]:
+        """Run the tick's due asks as stacked per-space fleet passes.
+
+        Each campaign's eligibility half
+        (:meth:`~repro.core.search.CampaignExecution.begin_ask_request` —
+        budget check, idle-worker count) runs first in tick order; the
+        askable campaigns are then grouped by search space and encoding and
+        each fused group's candidate generation runs as one
+        :func:`~repro.core.optimizer.prepare_ask_fleet` pass, other groups
+        as solo ``complete_ask`` calls.  Returned pairs keep tick order, so
+        submission order is unchanged.
+        """
+        prepared_of: Dict[int, object] = {}
+        askable: List[Tuple[CampaignExecution, int]] = []
+        for execution in ticking:
+            n = self._step(execution, "ask", execution.begin_ask_request)
+            if n is _FAILED:
+                continue
+            if n is None:
+                prepared_of[id(execution)] = None
+            else:
+                askable.append((execution, n))
+
+        def fused(group: TickGroup) -> None:
+            prepared_list = prepare_ask_fleet(
+                [(execution.optimizer, n) for execution, n in group.members]
+            )
+            self.num_ask_fleet_passes += 1
+            self.num_ask_fleet_members += len(group.members)
+            for (execution, _), prepared in zip(group.members, prepared_list):
+                accepted = self._step(
+                    execution,
+                    "ask",
+                    lambda e=execution, p=prepared: e.accept_prepared_ask(p),
+                )
+                if accepted is not _FAILED:
+                    prepared_of[id(execution)] = accepted
+
+        def solo(execution: CampaignExecution, n: int) -> None:
+            prepared_of[id(execution)] = execution.complete_ask(n)
+
+        groups = plan_tick_groups(
+            askable,
+            key_of=lambda pair: (
+                tuple(pair[0].optimizer.space.parameters),
+                pair[0].optimizer.encoding,
+            ),
+            identity_of=lambda pair: id(pair[0].optimizer),
         )
+        self._fused_or_solo(groups, "ask", fused, solo)
+        return [
+            (execution, prepared_of[id(execution)])
+            for execution in ticking
+            if id(execution) in prepared_of
+        ]
+
+    def _score_rf_fleet(self, pairs) -> Dict[int, Tuple]:
+        """Score the tick's RF-backed candidate pools in fused traversals.
+
+        Campaigns may tune different spaces: only pools of equal encoded
+        width fuse (the traversal stacks the matrices).  Returns the scores
+        by execution id; members without fused scores — GP pools among
+        them — score their own pools inside ``finish_ask``.
+        """
+        scored: Dict[int, Tuple] = {}
+
+        def fused(group: TickGroup) -> None:
+            results = predict_forest_fleet(
+                [
+                    (execution.optimizer.surrogate, prepared.encoded)
+                    for execution, prepared in group.members
+                ]
+            )
+            scored.update(
+                (id(execution), result)
+                for (execution, _), result in zip(group.members, results)
+            )
+
+        groups = plan_tick_groups(
+            [pair for pair in pairs if _wants_fused_scores(pair)],
+            key_of=lambda pair: int(pair[1].encoded.shape[1]),
+        )
+        self._fused_or_solo(groups, "ask", fused)
+        return scored
 
     # --------------------------------------------------------- process shards
     def _run_process_shards(self) -> List[SearchResult]:
@@ -1091,6 +888,49 @@ class CampaignRunner:
             num_workers=summary["num_workers"],
             busy_intervals=reader.intervals(),
         )
+
+
+#: Surrogate kinds with a fleet fit.
+_FLEET_KINDS = (RandomForestSurrogate, GaussianProcessSurrogate)
+
+
+def _fleet_kind(execution: CampaignExecution) -> Optional[type]:
+    """The campaign's surrogate kind if it has a fleet fit, else ``None``."""
+    for kind in _FLEET_KINDS:
+        if isinstance(execution.optimizer.surrogate, kind):
+            return kind
+    return None
+
+
+def _wants_fused_scores(pair) -> bool:
+    """Whether an ``(execution, prepared ask)`` pool can take fused RF scores."""
+    execution, prepared = pair
+    return (
+        prepared is not None
+        and prepared.proposals is None
+        and prepared.wants_scores
+        and isinstance(execution.optimizer.surrogate, RandomForestSurrogate)
+    )
+
+
+def _plan_vae_groups(pairs: Sequence[Tuple]) -> List[TickGroup]:
+    """Group ``(owner, fit)`` pairs whose prepared VAE fits can train fused."""
+    return plan_tick_groups(
+        pairs,
+        key_of=lambda pair: vae_fleet_key(
+            pair[1].vae, pair[1].design.shape[0], pair[1].epochs, pair[1].batch_size
+        ),
+        identity_of=lambda pair: id(pair[1].vae),
+    )
+
+
+def _train_vae_fleet(fits: Sequence) -> None:
+    """Train prepared VAE fits of one group as one :class:`VAEFleet` pass."""
+    VAEFleet([fit.vae for fit in fits]).fit(
+        [fit.design for fit in fits],
+        epochs=fits[0].epochs,
+        batch_size=fits[0].batch_size,
+    )
 
 
 def _pin_blas_threads() -> None:

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from fixtures import assert_results_identical
+from reference.search import run as run_sequential
+from repro.core.search import CBOSearch
 from repro.core.space import CategoricalParameter, RealParameter, SearchSpace
 from repro.analysis.campaign import (
     AggregatedMetrics,
@@ -210,30 +213,15 @@ class TestCampaignIncumbentAt:
                 )
 
 
-class TestBatchedRepeatedSearch:
-    def test_batched_runner_repetitions_match_sequential(self):
-        kwargs = dict(
-            label="RF",
-            setup="toy",
-            repetitions=3,
-            max_time=400.0,
-            num_workers=4,
-            seed=7,
+class TestRepeatedSearch:
+    def test_repetitions_match_the_sequential_loop(self):
+        """Each repetition is a search with seed ``seed + 1000·rep``, run to
+        the same budget as the sequential reference loop runs it."""
+        campaign = run_repeated_search(
+            toy_space(), toy_runtime, label="RF", setup="toy", repetitions=3,
+            max_time=400.0, num_workers=4, seed=7,
         )
-        sequential = run_repeated_search(toy_space(), toy_runtime, **kwargs)
-        batched = run_repeated_search(
-            toy_space(), toy_runtime, runner="batched", **kwargs
-        )
-        assert len(batched.results) == 3
-        for a, b in zip(sequential.results, batched.results):
-            assert [e.configuration for e in a.history] == [
-                e.configuration for e in b.history
-            ]
-            assert a.busy_intervals == b.busy_intervals
-            assert a.worker_utilization == b.worker_utilization
-
-    def test_unknown_runner_rejected(self):
-        with pytest.raises(ValueError):
-            run_repeated_search(
-                toy_space(), toy_runtime, label="RF", repetitions=1, runner="threads"
-            )
+        assert len(campaign.results) == 3
+        for rep, result in enumerate(campaign.results):
+            search = CBOSearch(toy_space(), toy_runtime, num_workers=4, seed=7 + 1000 * rep)
+            assert_results_identical(run_sequential(search, max_time=400.0), result)

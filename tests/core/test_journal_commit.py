@@ -44,6 +44,7 @@ from repro.core.journal import (
     open_journal_reader,
 )
 from repro.service import CampaignRegistry
+from reference.search import advance
 
 BUDGET = dict(max_time=600.0, max_evaluations=24)
 
@@ -249,13 +250,13 @@ class TestCrashResume:
         live = tmp_path / "live"
         execution = make_service_search(0).start(journal_dir=live, **BUDGET)
         for _ in range(4):
-            execution.advance()
+            advance(execution)
         sizes = {
             name: (live / name).stat().st_size
             for name in ("rows.bin", "intervals.bin")
         }
         seq = execution._journal.commit.seq
-        execution.advance()  # the commit whose writes get damaged
+        advance(execution)  # the commit whose writes get damaged
         assert execution._journal.commit.seq == seq + 1
         execution.close_journal()  # the process dies; its lease goes with it
         slot = SLOT_NAMES[(seq + 1) % 2]
@@ -282,7 +283,7 @@ class TestCrashResume:
                         resumed = make_service_search(0).resume(copy)
                     except JournalError:
                         continue
-                    while resumed.advance():
+                    while advance(resumed):
                         pass
                     resumed.close_journal()
                     assert_results_identical(baseline, resumed.result())
@@ -293,7 +294,7 @@ class TestCrashResume:
     def test_resume_of_unrecoverable_journal_raises(self, tmp_path):
         execution = make_service_search(0).start(journal_dir=tmp_path / "j", **BUDGET)
         for _ in range(3):
-            execution.advance()
+            advance(execution)
         execution.close_journal()
         (tmp_path / "j" / "rows.bin").write_bytes(b"")
         with pytest.raises(JournalError, match="rows.bin"):

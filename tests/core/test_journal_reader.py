@@ -34,6 +34,7 @@ from repro.core.journal import (
     open_journal_reader,
     set_journal_cache_limit,
 )
+from reference.search import advance
 
 
 @pytest.fixture(autouse=True)
@@ -181,7 +182,7 @@ class TestWatermark:
             checkpoint_interval=3,
         )
         for _ in range(4):
-            execution.advance()
+            advance(execution)
         checkpoint = CampaignJournal.read_checkpoint(tmp_path / "j")
         watermark = int(checkpoint["num_rows"])
         reader = JournalReader(tmp_path / "j", execution.search.space)
@@ -190,7 +191,7 @@ class TestWatermark:
         assert_history_rows_equal(
             reader.history(), execution.history.truncated(watermark)
         )
-        while execution.advance():
+        while advance(execution):
             pass
 
 

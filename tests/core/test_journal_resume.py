@@ -25,12 +25,13 @@ from repro.core.search import CBOSearch
 from repro.core.surrogate import RandomForestSurrogate
 from repro.service import ServiceEvaluator
 from repro.sim import FaultPlan
+from reference.search import advance
 
 BUDGET = dict(max_time=600.0, max_evaluations=30)
 
 
 def finish(execution):
-    while execution.advance():
+    while advance(execution):
         pass
     return execution.result()
 
@@ -43,7 +44,7 @@ def crash_after(search, ticks, journal_dir, **kwargs):
     """
     execution = search.start(journal_dir=journal_dir, **kwargs)
     for _ in range(ticks):
-        if not execution.advance():
+        if not advance(execution):
             break
     return execution
 

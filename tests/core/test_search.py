@@ -6,15 +6,30 @@ milliseconds; the full HEP workflow integration lives in
 ``tests/integration``.
 """
 
+import hashlib
 import inspect
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
+import repro.frameworks
+from fixtures import (
+    assert_results_identical,
+    make_gp_search,
+    make_refresh_search,
+    make_service_search,
+    make_service_space,
+    service_run_function,
+)
+from reference.search import run as run_sequential
+from repro.analysis.campaign import run_repeated_search
 from repro.core.history import SearchHistory
 from repro.core.journal import CampaignJournal
 from repro.core.optimizer import BayesianOptimizer
+from repro.core.overhead import MeasuredOverheadModel
 from repro.core.search import CampaignExecution, CBOSearch, VAEABOSearch
 from repro.core.space import (
     CategoricalParameter,
@@ -22,8 +37,14 @@ from repro.core.space import (
     RealParameter,
     SearchSpace,
 )
-from repro.core.surrogate import GaussianProcessSurrogate, RandomForestSurrogate
+from repro.core.surrogate import (
+    GaussianProcessSurrogate,
+    RandomForestSurrogate,
+    TreeParzenEstimator,
+)
 from repro.core.vae.tvae import VAEFleet
+from repro.frameworks import Framework
+from repro.service import CampaignRunner, SharedWorkerPool
 
 
 def toy_space():
@@ -206,3 +227,176 @@ class TestOptionSurface:
         # The journal keeps its switch: the CSV-to-journal export skips fsync.
         for method in (CampaignJournal.create, CampaignJournal.attach):
             assert inspect.signature(method).parameters["fsync"].default is True
+
+    def test_one_campaign_driver(self):
+        """The runner tick is the one in-process loop: the solo stepping
+        composites and the other campaign drivers are gone."""
+        for name in (
+            "advance",
+            "refresh_prior_if_due",
+            "ask_and_submit",
+            "prepare_submit",
+            "begin_ask",
+        ):
+            assert not hasattr(CampaignExecution, name), name
+        assert "runner" not in inspect.signature(run_repeated_search).parameters
+        assert not hasattr(CampaignRunner, "gp_predict_chunk_elements")
+        assert not hasattr(repro.frameworks, "run_framework_suite")
+        assert not hasattr(Framework, "build_search")
+
+
+# --------------------------------------------------------- runner of one
+def _source_history(space, n=60):
+    """A fixed source campaign for the transfer-learning rows of the matrix."""
+    history = SearchHistory(space)
+    rng = np.random.default_rng(11)
+    for i, config in enumerate(space.sample(n, rng)):
+        history.record(config, service_run_function(config), float(i), float(i + 1))
+    return history
+
+
+def _transfer_search(seed, space, defer):
+    return VAEABOSearch(
+        space,
+        service_run_function,
+        source_history=_source_history(space),
+        vae_epochs=10,
+        defer_transfer_fit=defer,
+        num_workers=6,
+        surrogate=RandomForestSurrogate(n_estimators=6, seed=seed),
+        num_candidates=48,
+        n_initial_points=5,
+        seed=seed,
+    )
+
+
+#: The search setups ``CBOSearch.run`` must step exactly as the sequential
+#: reference loop does.  Surrogates carry state, so each call builds anew.
+RUNNER_OF_ONE_SETUPS = {
+    "rf": lambda seed, space: make_service_search(seed, space),
+    "gp": lambda seed, space: make_gp_search(seed, space),
+    "rand": lambda seed, space: make_service_search(seed, space, surrogate="RAND"),
+    "tpe": lambda seed, space: make_service_search(
+        seed, space, surrogate=TreeParzenEstimator()
+    ),
+    "random-sampling": lambda seed, space: make_service_search(
+        seed, space, random_sampling=True
+    ),
+    "refit-3": lambda seed, space: make_service_search(seed, space, refit_interval=3),
+    "refresh": lambda seed, space: make_refresh_search(seed, space),
+    "transfer-eager": lambda seed, space: _transfer_search(seed, space, False),
+    "transfer-deferred": lambda seed, space: _transfer_search(seed, space, True),
+}
+
+
+def _journal_bytes(directory):
+    """Digest of every file under a journal directory, by relative path."""
+    digests = {}
+    for root, _, files in os.walk(directory):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                digests[os.path.relpath(path, directory)] = hashlib.sha256(
+                    handle.read()
+                ).hexdigest()
+    return digests
+
+
+def _assert_same_campaign(reference, reference_result, search, result):
+    """Results, optimizer RNG and surrogate RNG must match bit for bit."""
+    assert_results_identical(reference_result, result)
+    assert (
+        reference.optimizer.rng.bit_generator.state
+        == search.optimizer.rng.bit_generator.state
+    )
+    reference_rng = getattr(reference.optimizer.surrogate, "_rng", None)
+    rng = getattr(search.optimizer.surrogate, "_rng", None)
+    assert (reference_rng is None) == (rng is None)
+    if rng is not None:
+        assert reference_rng.bit_generator.state == rng.bit_generator.state
+
+
+class TestRunnerOfOne:
+    """``CBOSearch.run`` is a campaign runner of one; the sequential loop in
+    ``tests/reference/search.py`` is the oracle it must match."""
+
+    @pytest.mark.parametrize("initial", [False, True], ids=["asked", "given"])
+    @pytest.mark.parametrize("journaled", [False, True], ids=["plain", "journaled"])
+    @pytest.mark.parametrize("setup", sorted(RUNNER_OF_ONE_SETUPS))
+    def test_run_matches_the_sequential_loop(self, setup, journaled, initial, tmp_path):
+        space = make_service_space()
+        make = RUNNER_OF_ONE_SETUPS[setup]
+        initial_configurations = (
+            space.sample(3, np.random.default_rng(5)) if initial else None
+        )
+        runs = []
+        for name in ("reference", "runner"):
+            search = make(0, space)
+            options = dict(
+                max_time=600.0,
+                max_evaluations=20,
+                initial_configurations=initial_configurations,
+                journal_dir=tmp_path / name if journaled else None,
+            )
+            if name == "reference":
+                result = run_sequential(search, **options)
+            else:
+                result = search.run(**options)
+            runs.append((search, result))
+        _assert_same_campaign(*runs[0], *runs[1])
+        if journaled:
+            assert _journal_bytes(tmp_path / "reference") == _journal_bytes(
+                tmp_path / "runner"
+            )
+
+    def test_searches_in_turn_on_one_shared_pool(self):
+        """Two searches run one after another on one shared pool's clock."""
+        space = make_service_space()
+        runs = {}
+        for name in ("reference", "runner"):
+            pool = SharedWorkerPool(num_workers=6)
+            runs[name] = []
+            for seed in (0, 1):
+                search = make_service_search(
+                    seed, space, evaluator_factory=pool.evaluator_factory()
+                )
+                if name == "reference":
+                    result = run_sequential(search, max_time=800.0, max_evaluations=18)
+                else:
+                    result = search.run(max_time=800.0, max_evaluations=18)
+                runs[name].append((search, result))
+        for reference, runner in zip(runs["reference"], runs["runner"]):
+            _assert_same_campaign(*reference, *runner)
+
+    def test_measured_overhead_charges_each_solo_fit(self):
+        """Under ``overhead="measured"`` a runner of one fits inline, so each
+        fit's wall time is charged as tell overhead, as a solo tell is."""
+        charged = []
+
+        class SlowForest(RandomForestSurrogate):
+            def fit(self, X, y):
+                time.sleep(0.02)
+                return super().fit(X, y)
+
+        class RecordingOverhead(MeasuredOverheadModel):
+            def tell_cost(self, optimizer, num_new):
+                cost = super().tell_cost(optimizer, num_new)
+                charged.append((optimizer.num_fits, cost))
+                return cost
+
+        search = make_service_search(
+            0,
+            surrogate=SlowForest(n_estimators=4, seed=0),
+            overhead=RecordingOverhead(),
+            num_workers=2,
+            n_initial_points=3,
+        )
+        search.run(max_time=600.0, max_evaluations=10)
+        fitted = 0
+        previous = 0
+        for num_fits, cost in charged:
+            if num_fits > previous:
+                fitted += 1
+                assert cost >= 0.02, (num_fits, cost)
+            previous = num_fits
+        assert fitted >= 5

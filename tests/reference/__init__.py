@@ -13,7 +13,10 @@ not in ``src/``, because only tests run them:
 * :mod:`reference.optimizer` — an optimizer that re-encodes its whole
   history on every fit;
 * :mod:`reference.vae` — the per-model VAE training loop (per-array Adam,
-  masked sigmoid, one loss pass per categorical block).
+  masked sigmoid, one loss pass per categorical block);
+* :mod:`reference.search` — the sequential manager loop (``advance`` and
+  ``run``) over one campaign, which ``CBOSearch.run`` (a campaign runner
+  of one) must match.
 
 Import as ``from reference.<module> import ...`` (the ``tests`` directory is
 on ``sys.path`` through pytest's conftest handling).

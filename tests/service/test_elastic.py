@@ -25,6 +25,7 @@ from fixtures import (
 from repro.core.search import CBOSearch
 from repro.core.surrogate import RandomForestSurrogate
 from repro.service import CampaignSpec, ElasticCampaignRunner
+from reference.search import advance
 
 # One fixed budget per campaign kind: mixed kinds make mixed fleet groups,
 # mixed budgets make staggered leaves.
@@ -334,7 +335,7 @@ class TestElasticJournalsAndBatching:
             execution = make_service_search(seed, make_service_space()).resume(
                 directory
             )
-            while execution.advance():
+            while advance(execution):
                 pass
             assert_identical(solo_result("rf", seed), execution.result())
             execution.close_journal()
@@ -349,7 +350,7 @@ class TestElasticJournalsAndBatching:
         with pytest.raises(RuntimeError, match="injected elastic failure"):
             runner.run_until_complete()
         resumed = make_service_search(0, space).resume(tmp_path / "rf-0")
-        while resumed.advance():
+        while advance(resumed):
             pass
         assert_identical(solo_result("rf", 0), resumed.result())
         resumed.close_journal()

@@ -28,6 +28,7 @@ from fixtures import (
 from repro.core.search import CBOSearch
 from repro.core.surrogate import RandomForestSurrogate
 from repro.service.runner import CampaignRunner, CampaignSpec
+from reference.search import advance
 
 BUDGET = dict(max_time=700.0, max_evaluations=26)
 
@@ -400,7 +401,7 @@ class TestProcessShards:
         for i, spec in enumerate(make_mixed_specs(journal_root=tmp_path)):
             execution = spec.search.start(journal_dir=spec.journal_dir, **BUDGET)
             for _ in range(2 + i):
-                execution.advance()
+                advance(execution)
             execution.close_journal()
         specs = make_mixed_specs(journal_root=tmp_path)
         for spec in specs:

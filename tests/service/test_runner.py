@@ -32,6 +32,7 @@ from repro.service import (
     ElasticCampaignRunner,
     SharedWorkerPool,
 )
+from reference.search import advance
 
 
 class TestRunnerBitIdentity:
@@ -176,6 +177,41 @@ class TestRunBatcher:
         # The initial submissions come through the batcher as one pass.
         assert seen[0] == [0, 1, 2]
         assert all(all(0 <= idx < 3 for idx in batch) for batch in seen)
+
+    def test_attached_initial_batch_goes_through_the_batcher(self, tmp_path):
+        """A spec resumed from a journal with no checkpoint yet rebuilds its
+        initial batch, and the run batcher evaluates it with the fresh
+        spec's in one pass: one create-or-attach path for runner and
+        registry."""
+        space = make_space()
+        crashed = make_search(0, space).start(
+            max_time=600.0, max_evaluations=24, journal_dir=tmp_path / "c0"
+        )
+        crashed.close_journal()  # died before its first checkpoint
+        first_call = []
+
+        def batcher(requests):
+            if not first_call:
+                first_call.extend((index, len(configs)) for index, configs in requests)
+            return [[run_function(c) for c in configs] for _, configs in requests]
+
+        specs = [
+            CampaignSpec(
+                search=make_search(seed, space),
+                max_time=600.0,
+                max_evaluations=24,
+                journal_dir=tmp_path / f"c{seed}",
+                resume_from_journal=True,
+            )
+            for seed in range(2)
+        ]
+        results = CampaignRunner(specs, run_batcher=batcher).run()
+        assert first_call == [(0, 6), (1, 6)]
+        for seed, result in enumerate(results):
+            assert_identical(
+                make_search(seed, space).run(max_time=600.0, max_evaluations=24),
+                result,
+            )
 
     def test_batched_mixed_families_match_sequential(self):
         space = make_space()
@@ -531,7 +567,7 @@ class TestTransferCampaignFleet:
         space = make_space()
         search = make_refresh_search(0, space)
         execution = search.start(max_time=700.0, max_evaluations=32)
-        while execution.advance():
+        while advance(execution):
             pass
         assert execution.num_prior_refreshes > 0
         prior = execution.optimizer.prior
@@ -574,8 +610,8 @@ class TestGPFleetRunnerIdentity:
     """GP campaigns through the batched runner are bit-identical to solo runs.
 
     The GP counterpart of the RF/VAE runner identity tests: batched GPFleet
-    fits (stacked Cholesky full refits, concatenated factor extensions) and
-    fused posterior scoring must not change any campaign's results.  A
+    fits (stacked Cholesky full refits, concatenated factor extensions) must
+    not change any campaign's results.  A
     reduced size runs in tier-1; the full 8-campaign fleet is marked
     ``slow``.
     """
@@ -604,36 +640,6 @@ class TestGPFleetRunnerIdentity:
         fleet_passes = runner.num_gp_fleet_extends + runner.num_gp_fleet_full_fits
         assert fleet_passes > 0
         assert runner.num_gp_fleet_members >= 2 * fleet_passes
-        assert runner.num_gp_fleet_predicts > 0
-
-    @pytest.mark.parametrize("budget", [1, 10**9], ids=["solo", "one-sheet"])
-    def test_scoring_chunk_budget_changes_no_result(self, budget):
-        """Chunking the fused GP scoring sheet only changes wall-clock: a
-        budget of one element scores every pool solo, a huge one fuses each
-        group into one sheet, and both match the sequential runs."""
-        space = make_space()
-
-        def searches():
-            return [
-                make_gp_search(seed, space, num_workers=6, n_initial_points=5)
-                for seed in range(3)
-            ]
-
-        sequential = [s.run(max_time=600.0, max_evaluations=22) for s in searches()]
-        runner = CampaignRunner(
-            [
-                CampaignSpec(search=s, max_time=600.0, max_evaluations=22)
-                for s in searches()
-            ]
-        )
-        runner.gp_predict_chunk_elements = budget
-        batched = runner.run()
-        for a, b in zip(sequential, batched):
-            assert_identical(a, b)
-        if budget == 1:
-            assert runner.num_gp_fleet_predicts == 0
-        else:
-            assert runner.num_gp_fleet_predicts > 0
 
     def test_mixed_rf_and_gp_fleet_campaigns(self):
         """RF and GP campaigns in one runner each fuse with their own kind."""
@@ -688,11 +694,10 @@ class TestGPFleetRunnerFullSize:
         assert len(batched) == 8
         for a, b in zip(sequential, batched):
             assert_identical(a, b)
-        # At this size every fleet mode must have engaged: batched factor
-        # extensions, stacked full refits and fused posterior scoring.
+        # At this size both fleet fit modes must have engaged: batched
+        # factor extensions and stacked full refits.
         assert runner.num_gp_fleet_extends > 0
         assert runner.num_gp_fleet_full_fits > 0
-        assert runner.num_gp_fleet_predicts > 0
         fleet_passes = runner.num_gp_fleet_extends + runner.num_gp_fleet_full_fits
         assert runner.num_gp_fleet_members >= 2 * fleet_passes
 
@@ -820,7 +825,7 @@ class TestQuarantineAndRunnerJournal:
         execution = repaired.resume(tmp_path / "doomed")
         restored = len(execution.history)
         assert restored > 0
-        while execution.advance():
+        while advance(execution):
             pass
         result = execution.result()
         assert result.num_evaluations >= max(restored, 24 - 6)
@@ -911,7 +916,7 @@ class TestQuarantineAndRunnerJournal:
         # Both campaigns resume from their last checkpoints; the survivor
         # then finishes bit-identical to an uninterrupted solo run.
         resumed = make_search(0, space).resume(tmp_path / "good")
-        while resumed.advance():
+        while advance(resumed):
             pass
         assert_identical(
             make_search(0, space).run(max_time=600.0, max_evaluations=24),
@@ -967,6 +972,84 @@ class TestQuarantineAndRunnerJournal:
         assert "equal length" in str(runner.quarantined[0].error)
         assert_identical(solo[0], results[0])
         assert_identical(solo[1], results[2])
+
+    @pytest.mark.parametrize("target", ["ask", "rf-fit", "rf-score", "refresh"])
+    def test_failed_fleet_pass_retries_solo_bit_identically(self, target, monkeypatch):
+        """One injected failure in a fused pass — the fleet ask, the RF fleet
+        fit, fused RF scoring or a refresh VAEFleet fit — falls back to each
+        member's solo step, and both campaigns still finish bit-identical to
+        their solo runs: a failed pass hands back every member's model and
+        RNG streams as it found them."""
+        from repro.core.space import ColumnBatch
+        from repro.core.surrogate import random_forest
+        from repro.core.vae.layers import DenseFleet
+        from repro.service import runner as runner_module
+
+        space = make_space()
+        factory = make_refresh_search if target == "refresh" else make_search
+        solo = [
+            factory(seed, space).run(max_time=600.0, max_evaluations=24)
+            for seed in range(2)
+        ]
+        fired = {"calls": 0}
+        nth = {"ask": 3, "rf-fit": 2, "rf-score": 1, "refresh": 5}[target]
+
+        def failing(original, fused=lambda *args: True):
+            """``original`` raising once, after its ``nth`` fused call ran."""
+
+            def call(*args, **kwargs):
+                result = original(*args, **kwargs)
+                if fused(*args):
+                    fired["calls"] += 1
+                    if fired["calls"] == nth:
+                        raise MemoryError(f"injected {target} failure")
+                return result
+
+            return call
+
+        if target == "ask":
+            # The 3rd concat is the 2nd fused ask's candidate sheet, stacked
+            # after every member drew its candidates.
+            monkeypatch.setattr(
+                ColumnBatch, "concat", staticmethod(failing(ColumnBatch.concat))
+            )
+        elif target == "rf-fit":
+            build = random_forest._build_forest_fleet
+            monkeypatch.setattr(
+                random_forest,
+                "_build_forest_fleet",
+                failing(build, fused=lambda Xs, *rest: len(Xs) > 1),
+            )
+        elif target == "rf-score":
+            monkeypatch.setattr(
+                runner_module,
+                "predict_forest_fleet",
+                failing(runner_module.predict_forest_fleet),
+            )
+        else:
+            # Mid-training, in a fused pass (more than one member).
+            monkeypatch.setattr(
+                DenseFleet,
+                "backward",
+                failing(
+                    DenseFleet.backward,
+                    fused=lambda layer, grad_output: grad_output.shape[0] > 1,
+                ),
+            )
+        runner = CampaignRunner(
+            [
+                CampaignSpec(
+                    search=factory(seed, space), max_time=600.0, max_evaluations=24
+                )
+                for seed in range(2)
+            ],
+            on_campaign_error="quarantine",
+        )
+        results = runner.run()
+        assert fired["calls"] >= nth
+        assert runner.quarantined == []
+        for a, b in zip(solo, results):
+            assert_identical(a, b)
 
     def test_scoring_failure_quarantines_in_the_ask_phase(self):
         """A candidate-scoring crash inside ``finish_ask`` is recorded against
