@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation health check, run by CI.
 
-Two invariants are enforced:
+Three invariants are enforced:
 
 1. every public module under ``src/repro`` (file names not starting with an
    underscore; ``__init__.py`` counts as the package's module) carries a
@@ -9,7 +9,10 @@ Two invariants are enforced:
    of the tree is checked too since it currently holds;
 2. every relative Markdown link in the repo's documentation front door
    (``README.md``, ``docs/*.md``, ``ROADMAP.md``, ``benchmarks/README.md``)
-   resolves to an existing file or directory.
+   resolves to an existing file or directory;
+3. every reference implementation in ``tests/reference/`` (each module but
+   ``__init__.py``) is named in ``docs/architecture.md``, which is where a
+   reader learns what each one pins down.
 
 Exits non-zero with a per-violation listing on failure, so the CI step's log
 names exactly what to fix.
@@ -61,6 +64,17 @@ def broken_links() -> list:
     return failures
 
 
+def undocumented_references() -> list:
+    """``tests/reference/`` modules that ``docs/architecture.md`` never names."""
+    architecture = (REPO_ROOT / "docs" / "architecture.md").read_text()
+    return [
+        path.relative_to(REPO_ROOT)
+        for path in sorted((REPO_ROOT / "tests" / "reference").glob("*.py"))
+        if path.name != "__init__.py"
+        and f"tests/reference/{path.name}" not in architecture
+    ]
+
+
 def main() -> int:
     status = 0
     for path in missing_docstrings():
@@ -69,8 +83,14 @@ def main() -> int:
     for document, target in broken_links():
         print(f"broken link in {document}: {target}")
         status = 1
+    for path in undocumented_references():
+        print(f"reference implementation not named in docs/architecture.md: {path}")
+        status = 1
     if status == 0:
-        print("docs check passed: module docstrings present, all relative links resolve")
+        print(
+            "docs check passed: module docstrings present, all relative links "
+            "resolve, every reference implementation documented"
+        )
     return status
 
 

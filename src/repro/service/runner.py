@@ -38,8 +38,10 @@ campaign's :class:`~repro.core.search.SearchResult` is **bit-identical** to
 its run alone.  One carve-out: under the opt-in ``overhead="measured"``
 model a fused pass's wall time is shared and charged to no campaign.  A fit
 that cannot fuse this tick (its surrogate is neither RF nor GP, or no
-other active campaign has its kind) runs inline before the tell is charged,
-so a runner of one charges every fit, as ask/tell does.
+other active campaign shares its fleet key: an RF's
+:func:`~repro.core.surrogate.random_forest.fleet_compatibility_key`, a
+GP's kind) runs inline before the tell is charged, so a runner of one
+charges every fit, as ask/tell does.
 
 Because nothing about a group survives the tick, the runner is
 **elastic**: :class:`ElasticCampaignRunner` admits campaigns mid-flight
@@ -395,14 +397,14 @@ class CampaignRunner:
         active set (:func:`~repro.service.grouping.plan_tick_groups`), so
         nothing about a group survives the tick.  A due fit that cannot
         fuse this tick — its surrogate is neither RF nor GP, or no other
-        active campaign has its kind — runs inline before the tell is
-        charged, so it is charged like a solo ``tell``.  Campaigns that
-        finish release their journals right after their final checkpoint
-        and, like quarantined ones, leave the active set at the end of the
-        tick.
+        active campaign shares its fleet key (:func:`_fleet_key`) — runs
+        inline before the tell is charged, so it is charged like a solo
+        ``tell``.  Campaigns that finish release their journals right after
+        their final checkpoint and, like quarantined ones, leave the active
+        set at the end of the tick.
         """
         self.num_ticks += 1
-        kinds = Counter(_fleet_kind(execution) for execution in self._active)
+        keys = Counter(_fleet_key(execution) for execution in self._active)
         fleet_due: Dict[type, List[CampaignExecution]] = {
             kind: [] for kind in _FLEET_KINDS
         }
@@ -420,9 +422,9 @@ class CampaignRunner:
             if due is _FAILED:
                 continue
             if due:
-                kind = _fleet_kind(execution)
-                if kind is not None and kinds[kind] > 1:
-                    fleet_due[kind].append(execution)
+                key = _fleet_key(execution)
+                if key is not None and keys[key] > 1:
+                    fleet_due[key[0]].append(execution)
                 elif (
                     self._step(execution, "fit", lambda e=execution: self._fit_solo(e))
                     is _FAILED
@@ -894,11 +896,22 @@ class CampaignRunner:
 _FLEET_KINDS = (RandomForestSurrogate, GaussianProcessSurrogate)
 
 
-def _fleet_kind(execution: CampaignExecution) -> Optional[type]:
-    """The campaign's surrogate kind if it has a fleet fit, else ``None``."""
-    for kind in _FLEET_KINDS:
-        if isinstance(execution.optimizer.surrogate, kind):
-            return kind
+def _fleet_key(execution: CampaignExecution) -> Optional[tuple]:
+    """What a due fit must share with another active campaign to fuse.
+
+    ``None`` when the surrogate has no fleet fit; otherwise a tuple led by
+    the surrogate kind.  An RF fit fuses only with forests of its
+    :func:`~repro.core.surrogate.random_forest.fleet_compatibility_key`,
+    fixed by the hyperparameters and the encoded width (known before the
+    first ingest).  A GP's fleet key depends on per-tick sizes, so GP
+    campaigns count by kind.
+    """
+    surrogate = execution.optimizer.surrogate
+    if isinstance(surrogate, RandomForestSurrogate):
+        width = execution.optimizer.training_data()[0].shape[1]
+        return (RandomForestSurrogate, *fleet_compatibility_key(surrogate, width))
+    if isinstance(surrogate, GaussianProcessSurrogate):
+        return (GaussianProcessSurrogate,)
     return None
 
 

@@ -4,8 +4,9 @@ The library replaced each of these with a faster path that must give the
 same results (bit for bit, or within a stated tolerance).  They live here,
 not in ``src/``, because only tests run them:
 
-* :mod:`reference.random_forest` — the depth-first regression tree and a
-  recursive forest fit;
+* :mod:`reference.random_forest` — the depth-first regression tree, a
+  recursive forest fit, and the level-wise builder as it was before rank
+  keys (one float ``lexsort`` per candidate-feature slot);
 * :mod:`reference.history` — the row-major search history;
 * :mod:`reference.space` — the per-element search-space codecs;
 * :mod:`reference.gaussian_process` — the frozen-hyperparameter full GP

@@ -8,16 +8,25 @@ criterion, the distinct-value/min-leaf validity rule, midpoint thresholds
 and the degenerate-tie guard; only the order of the RNG draws differs.
 Without randomness both face identical decisions and must grow identical
 trees, which is what the equivalence tests check.
+
+:func:`build_forest_fleet` is the level-wise builder as it was before it
+sorted integer rank keys: one float ``np.lexsort`` per candidate-feature
+slot per level, each slot scored on its own.  The library's builder must
+reproduce it bit for bit — node arrays and every job's generator state —
+which ``tests/core/test_random_forest_fleet.py`` checks.
 """
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.surrogate.random_forest import RandomForestSurrogate, _ArrayTree
 
-__all__ = ["DecisionTreeRegressor", "fit_recursive"]
+__all__ = ["DecisionTreeRegressor", "build_forest_fleet", "fit_recursive"]
+
+#: Minimum spread of y below which a node is treated as constant (a leaf).
+_MIN_SPREAD = 1e-12
 
 
 class DecisionTreeRegressor:
@@ -235,3 +244,371 @@ def fit_recursive(
     forest._trees = trees
     forest.fitted = True
     return forest
+
+
+def build_forest_fleet(
+    Xs: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+    bootstrap_rows_per_job: Sequence[Sequence[np.ndarray]],
+    rngs: Sequence[np.random.Generator],
+    max_depth: int,
+    min_samples_split: int,
+    min_samples_leaf: int,
+    n_split_features: int,
+) -> List[List[_ArrayTree]]:
+    """Fit the forests of several independent *jobs* in one level-wise pass.
+
+    Each job is one ``(X, y, bootstrap_rows, rng)`` quadruple — one forest
+    over one training set, e.g. one campaign's surrogate in a multi-campaign
+    batch.  The frontier holds every open node of every tree of every job;
+    each node's samples are stored contiguously in one concatenated sample
+    array.  Per level, one segmented lexsort + cumulative-sum pass per
+    candidate-feature slot scores every possible split of every node, so the
+    per-node Python/NumPy call overhead of a recursive builder (the dominant
+    cost: thousands of tiny array operations) collapses into ``O(k)`` array
+    passes per level — and, across jobs, the per-*level* overhead is paid once
+    for the whole fleet instead of once per forest.
+
+    Every forest is **bit-identical** to fitting its job alone: all
+    cross-segment operations are either exact per element (gathers, compares,
+    stable sorts) or segment-local (``reduceat``), random feature subsets are
+    drawn from each job's own generator over exactly its own frontier block,
+    and the running-sum arrays are cumulated per job (with job-aware base
+    subtraction) so no floating-point state leaks across jobs.  The test
+    suite pins this equality down to the node arrays.
+
+    The split semantics are those of a depth-first CART builder:
+    variance-reduction (SSE) scores over a random feature subset,
+    splits only between distinct consecutive sorted values with at least
+    ``min_samples_leaf`` samples per side, midpoint thresholds, and the same
+    degenerate-tie guard (a feature whose threshold would swallow tied values
+    into an unbalanced child is rejected without resetting the running best
+    score).  Only the *order* of RNG draws differs from a recursive builder
+    (breadth-first instead of depth-first, feature subsets via batched
+    permutations), so individual trees are not bit-identical to recursively
+    built ones, but follow the same distribution (the test suite checks both
+    against a depth-first reference tree).
+    """
+    num_jobs = len(Xs)
+    if not (len(ys) == len(bootstrap_rows_per_job) == len(rngs) == num_jobs):
+        raise ValueError("fleet jobs must have equal-length X/y/bootstrap/rng lists")
+    d = Xs[0].shape[1]
+    if any(X.shape[1] != d for X in Xs):
+        raise ValueError("fleet jobs must share one feature dimensionality")
+    k = n_split_features
+    min_leaf = min_samples_leaf
+
+    # Concatenate the per-job training sets; frontier rows index into X_all.
+    row_off = np.zeros(num_jobs, dtype=np.intp)
+    if num_jobs > 1:
+        np.cumsum(np.asarray([X.shape[0] for X in Xs[:-1]], dtype=np.intp), out=row_off[1:])
+    X_all = np.vstack(Xs) if num_jobs > 1 else Xs[0]
+    y_all = np.concatenate(ys) if num_jobs > 1 else ys[0]
+
+    # ---------------------------------------------------------- frontier init
+    # Trees (and therefore the frontier) are laid out job-major; every level
+    # below preserves that grouping, so each job occupies one contiguous block
+    # of nodes and samples.  Nodes are not stored in mutable per-tree
+    # containers: each level *emits* one record block (tree id, value, split
+    # feature/threshold, child ids) for its whole frontier, and the per-tree
+    # arrays are carved out of the concatenated records at the end — local
+    # node ids are breadth-first allocation ranks, exactly as the previous
+    # per-node storage produced.
+    storage_job: List[int] = []
+    rows_parts: List[np.ndarray] = []
+    sizes_list: List[int] = []
+    for j, boots in enumerate(bootstrap_rows_per_job):
+        for r in boots:
+            rows_parts.append(r + row_off[j] if row_off[j] else r)
+            sizes_list.append(r.shape[0])
+            storage_job.append(j)
+    num_trees = len(sizes_list)
+    rows = np.concatenate(rows_parts)
+    yv = y_all[rows]
+    sizes = np.asarray(sizes_list, dtype=np.intp)
+    stor_of = np.arange(num_trees, dtype=np.intp)
+    storage_job_arr = np.asarray(storage_job, dtype=np.intp)
+    node_counts = np.ones(num_trees, dtype=np.intp)  # every tree has its root
+
+    rec_stor: List[np.ndarray] = []
+    rec_value: List[np.ndarray] = []
+    rec_feature: List[np.ndarray] = []
+    rec_threshold: List[np.ndarray] = []
+    rec_left: List[np.ndarray] = []
+    rec_right: List[np.ndarray] = []
+
+    def emit(stor, values, feature=None, threshold=None, left=None, right=None):
+        n = stor.size
+        rec_stor.append(stor)
+        rec_value.append(values)
+        rec_feature.append(
+            np.full(n, -1, dtype=np.intp) if feature is None else feature
+        )
+        rec_threshold.append(np.zeros(n) if threshold is None else threshold)
+        rec_left.append(np.full(n, -1, dtype=np.intp) if left is None else left)
+        rec_right.append(np.full(n, -1, dtype=np.intp) if right is None else right)
+
+    depth = 0
+    while sizes.size:
+        m = sizes.size
+        starts = np.zeros(m, dtype=np.intp)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        ends = starts + sizes
+        seg = np.repeat(np.arange(m, dtype=np.intp), sizes)
+
+        # Node values (mean of y over the node's samples).
+        node_sums = np.add.reduceat(yv, starts)
+        node_values = node_sums / sizes
+
+        if depth >= max_depth:
+            emit(stor_of, node_values)
+            break
+        spread = np.maximum.reduceat(yv, starts) - np.minimum.reduceat(yv, starts)
+        splittable = (sizes >= min_samples_split) & (spread >= _MIN_SPREAD)
+        if not np.any(splittable):
+            emit(stor_of, node_values)
+            break
+
+        # Compact the frontier to the splittable nodes.
+        keep = splittable[seg]
+        rows2, yv2 = rows[keep], yv[keep]
+        sizes2 = sizes[splittable]
+        stor2 = stor_of[splittable]
+        m2 = sizes2.size
+        starts2 = np.zeros(m2, dtype=np.intp)
+        np.cumsum(sizes2[:-1], out=starts2[1:])
+        ends2 = starts2 + sizes2
+        seg2 = np.repeat(np.arange(m2, dtype=np.intp), sizes2)
+
+        # Job block boundaries on the node axis and the sample axis.  A job
+        # whose frontier is exhausted simply has an empty block (and, exactly
+        # like a solo fit that broke out of its loop, draws no randomness).
+        job2 = storage_job_arr[stor2]
+        jcounts = np.bincount(job2, minlength=num_jobs)
+        jnode_hi = np.cumsum(jcounts)
+        jnode_lo = jnode_hi - jcounts
+        seg_job_lo = np.repeat(starts2[np.minimum(jnode_lo, m2 - 1)], jcounts)
+
+        # Random feature subset per node: batched uniform k-subsets, drawn
+        # from each job's own generator over its own frontier block so every
+        # job consumes its RNG exactly as it would alone; the (row-local)
+        # rank selection runs fused over the stacked draws.
+        if num_jobs == 1:
+            draws = rngs[0].random((m2, d))
+        else:
+            draws = np.vstack(
+                [
+                    rngs[j].random((jcounts[j], d))
+                    for j in range(num_jobs)
+                    if jcounts[j]
+                ]
+            )
+        F = np.argsort(draws, axis=1)[:, :k]
+
+        # Per-sample split-position bookkeeping, shared by all feature slots.
+        pos_in_seg = np.arange(seg2.size, dtype=np.intp) - starts2[seg2]
+        counts_left = (pos_in_seg + 1).astype(float)
+        counts_right = sizes2[seg2] - counts_left
+        counts_right_safe = np.maximum(counts_right, 1.0)
+        count_ok = (counts_left >= min_leaf) & (counts_right >= min_leaf)
+
+        scores = np.full((m2, k), np.inf)
+        thrs = np.zeros((m2, k))
+        vnexts = np.zeros((m2, k))
+        vals_by_slot: List[np.ndarray] = []
+        for slot in range(k):
+            vals = X_all[rows2, F[seg2, slot]]
+            vals_by_slot.append(vals)
+            if num_jobs == 1 or vals.size < 16384:
+                order = np.lexsort((vals, seg2))
+            else:
+                # Large frontiers: sorting each job's block alone does
+                # strictly less comparison work than one fused sort (the log
+                # factor shrinks) and yields the *same* permutation — segment
+                # ids are job-grouped, so the fused stable sort never
+                # interleaves jobs.  Small frontiers keep the single fused
+                # call (per-job call overhead would dominate); either branch
+                # is bit-identical.
+                order = np.empty(vals.size, dtype=np.intp)
+                for j in range(num_jobs):
+                    if jcounts[j] == 0:
+                        continue
+                    lo = starts2[jnode_lo[j]]
+                    hi = ends2[jnode_hi[j] - 1]
+                    order[lo:hi] = lo + np.lexsort((vals[lo:hi], seg2[lo:hi]))
+            vs = vals[order]
+            ys = yv2[order]
+            # Running sums are cumulated per job block (one slice per job)
+            # and the per-segment bases subtract only within-job prefixes, so
+            # each job's scores carry exactly the floating-point state a solo
+            # fit would produce.  Stacking ys and ys² lets one row-wise
+            # cumsum produce both running sums (rows accumulate
+            # independently and sequentially, so each row is bit-identical
+            # to its own 1-D cumsum).
+            if num_jobs == 1:
+                c1 = np.cumsum(ys)
+                c2 = np.cumsum(ys * ys)
+            else:
+                stacked = np.empty((2, ys.size))
+                stacked[0] = ys
+                np.multiply(ys, ys, out=stacked[1])
+                csums = np.empty_like(stacked)
+                for j in range(num_jobs):
+                    if jcounts[j] == 0:
+                        continue
+                    lo = starts2[jnode_lo[j]]
+                    hi = ends2[jnode_hi[j] - 1]
+                    np.cumsum(stacked[:, lo:hi], axis=1, out=csums[:, lo:hi])
+                c1 = csums[0]
+                c2 = csums[1]
+            base1 = np.where(starts2 > seg_job_lo, c1[starts2 - 1], 0.0)
+            base2 = np.where(starts2 > seg_job_lo, c2[starts2 - 1], 0.0)
+            tot1 = c1[ends2 - 1] - base1
+            tot2 = c2[ends2 - 1] - base2
+            sum_left = c1 - base1[seg2]
+            sum2_left = c2 - base2[seg2]
+            sum_right = tot1[seg2] - sum_left
+            sum2_right = tot2[seg2] - sum2_left
+            distinct = np.empty(vs.size, dtype=bool)
+            distinct[:-1] = vs[1:] > vs[:-1]
+            distinct[-1] = False
+            valid = count_ok & distinct
+            sse = (sum2_left - sum_left**2 / counts_left) + (
+                sum2_right - sum_right**2 / counts_right_safe
+            )
+            score = np.where(valid, sse, np.inf)
+            # Per-node minimum and its first (lowest-position) occurrence.
+            minval = np.minimum.reduceat(score, starts2)
+            at_min = np.flatnonzero(score == minval[seg2])
+            seg_min = seg2[at_min]
+            first = np.empty(seg_min.size, dtype=bool)
+            first[0] = True
+            first[1:] = seg_min[1:] != seg_min[:-1]
+            best_pos = at_min[first]
+            next_pos = np.minimum(best_pos + 1, vs.size - 1)
+            scores[:, slot] = minval
+            thrs[:, slot] = 0.5 * (vs[best_pos] + vs[next_pos])
+            vnexts[:, slot] = vs[next_pos]
+
+        # Fast path: the globally best feature slot per node is accepted when
+        # its threshold provably separates the chosen position (no tie
+        # swallow-up), which mirrors the sequential selection outcome.
+        node_idx = np.arange(m2)
+        jstar = np.argmin(scores, axis=1)
+        sstar = scores[node_idx, jstar]
+        tstar = thrs[node_idx, jstar]
+        has_split = np.isfinite(sstar)
+        quick = has_split & (tstar < vnexts[node_idx, jstar])
+        chosen_feature = np.full(m2, -1, dtype=np.intp)
+        chosen_thr = np.zeros(m2)
+        chosen_feature[quick] = F[node_idx, jstar][quick]
+        chosen_thr[quick] = tstar[quick]
+        # Slow path (rare float-adjacency ties): replicate the reference
+        # builder's sequential scan, including its running-best-score quirk.
+        for i in np.flatnonzero(has_split & ~quick):
+            best_score = np.inf
+            lo, hi = starts2[i], ends2[i]
+            n_i = hi - lo
+            for j in range(k):
+                s_ij = scores[i, j]
+                if not (s_ij < best_score):
+                    continue
+                best_score = s_ij
+                t_ij = thrs[i, j]
+                cnt = int(np.count_nonzero(vals_by_slot[j][lo:hi] <= t_ij))
+                if min_leaf <= cnt <= n_i - min_leaf:
+                    chosen_feature[i] = F[i, j]
+                    chosen_thr[i] = t_ij
+
+        split_nodes = chosen_feature >= 0
+        if not np.any(split_nodes):
+            emit(stor_of, node_values)
+            break
+
+        # Allocate child node ids: two consecutive breadth-first local ids per
+        # split node, in frontier order per tree (the frontier keeps each
+        # tree's nodes contiguous, so a rank-within-tree subtraction assigns
+        # exactly the ids sequential per-node allocation produced).
+        stor_children = np.repeat(stor2[split_nodes], 2)
+        n_children = stor_children.size
+        child_idx = np.arange(n_children, dtype=np.intp)
+        first_of_tree = np.empty(n_children, dtype=bool)
+        first_of_tree[0] = True
+        first_of_tree[1:] = stor_children[1:] != stor_children[:-1]
+        tree_start = np.maximum.accumulate(np.where(first_of_tree, child_idx, 0))
+        child_local = node_counts[stor_children] + (child_idx - tree_start)
+        node_counts += np.bincount(stor_children, minlength=num_trees)
+
+        # Emit this level's records: split info for split nodes, leaves for
+        # the rest of the frontier.
+        feature_block = np.full(m, -1, dtype=np.intp)
+        thr_block = np.zeros(m)
+        left_block = np.full(m, -1, dtype=np.intp)
+        right_block = np.full(m, -1, dtype=np.intp)
+        pos_m = np.flatnonzero(splittable)[split_nodes]
+        feature_block[pos_m] = chosen_feature[split_nodes]
+        thr_block[pos_m] = chosen_thr[split_nodes]
+        left_block[pos_m] = child_local[0::2]
+        right_block[pos_m] = child_local[1::2]
+        emit(stor_of, node_values, feature_block, thr_block, left_block, right_block)
+
+        # Partition the samples of every split node into its two children
+        # with one stable segmented sort (left block first, order preserved).
+        feat_per_sample = chosen_feature[seg2]
+        keep2 = feat_per_sample >= 0
+        rows3, yv3 = rows2[keep2], yv2[keep2]
+        seg_kept = seg2[keep2]
+        go_left = X_all[rows3, feat_per_sample[keep2]] <= chosen_thr[seg2][keep2]
+        remap = np.full(m2, -1, dtype=np.intp)
+        q = int(np.count_nonzero(split_nodes))
+        remap[split_nodes] = np.arange(q, dtype=np.intp)
+        seg_new = remap[seg_kept]
+        order_children = np.lexsort((~go_left, seg_new))
+        rows_next = rows3[order_children]
+        yv_next = yv3[order_children]
+        sizes_split = sizes2[split_nodes]
+        starts_split = np.zeros(q, dtype=np.intp)
+        np.cumsum(sizes_split[:-1], out=starts_split[1:])
+        left_counts = np.add.reduceat(go_left.astype(np.intp), starts_split)
+        sizes_next = np.empty(2 * q, dtype=np.intp)
+        sizes_next[0::2] = left_counts
+        sizes_next[1::2] = sizes_split - left_counts
+
+        rows, yv = rows_next, yv_next
+        sizes, stor_of = sizes_next, stor_children
+        depth += 1
+
+    # -------------------------------------------------------------- freeze
+    # Concatenate the level blocks and carve out each tree's node arrays.
+    # Within one tree, records were emitted in breadth-first local-id order,
+    # so a stable grouping by tree id yields arrays indexed by local id.
+    stor_all = np.concatenate(rec_stor)
+    order = np.argsort(stor_all, kind="stable")
+    value_all = np.concatenate(rec_value)[order]
+    feature_all = np.concatenate(rec_feature)[order]
+    threshold_all = np.concatenate(rec_threshold)[order]
+    left_all = np.concatenate(rec_left)[order]
+    right_all = np.concatenate(rec_right)[order]
+    tree_ends = np.cumsum(np.bincount(stor_all, minlength=num_trees))
+
+    frozen: List[_ArrayTree] = []
+    lo = 0
+    for t in range(num_trees):
+        hi = int(tree_ends[t])
+        frozen.append(
+            _ArrayTree(
+                feature=feature_all[lo:hi],
+                threshold=threshold_all[lo:hi],
+                left=left_all[lo:hi],
+                right=right_all[lo:hi],
+                value=value_all[lo:hi],
+                max_depth=max_depth,
+            )
+        )
+        lo = hi
+    forests: List[List[_ArrayTree]] = []
+    cursor = 0
+    for boots in bootstrap_rows_per_job:
+        forests.append(frozen[cursor : cursor + len(boots)])
+        cursor += len(boots)
+    return forests

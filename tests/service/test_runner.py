@@ -9,6 +9,7 @@ sequential ``CBOSearch.run`` calls with the same seeds.
 
 import inspect
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fixtures import (
     service_run_function as run_function,
 )
 from repro.core.history import SearchHistory
+from repro.core.overhead import MeasuredOverheadModel
 from repro.core.search import CBOSearch, VAEABOSearch
 from repro.core.space import IntegerParameter, RealParameter, SearchSpace
 from repro.core.surrogate import RandomForestSurrogate
@@ -604,6 +606,51 @@ class TestFleetFitErrorPath:
         reference.fit(X, y)
         for ta, tb in zip(good._trees, reference._trees):
             assert np.array_equal(ta.threshold, tb.threshold)
+
+
+class TestMeasuredOverheadUnfusableFits:
+    def test_fits_that_can_never_fuse_are_charged_to_their_tells(self):
+        """RF campaigns with different fleet keys fit inline, before the tell
+        is charged, so ``overhead="measured"`` charges each fit's wall time
+        (two RF campaigns alone would otherwise pass as fusable by kind)."""
+        charged = []
+
+        class SlowForest(RandomForestSurrogate):
+            def fit(self, X, y):
+                time.sleep(0.02)
+                return super().fit(X, y)
+
+        class RecordingOverhead(MeasuredOverheadModel):
+            def tell_cost(self, optimizer, num_new):
+                cost = super().tell_cost(optimizer, num_new)
+                charged.append((id(optimizer), optimizer.num_fits, cost))
+                return cost
+
+        specs = [
+            CampaignSpec(
+                search=make_search(
+                    seed,
+                    surrogate=SlowForest(n_estimators=4, max_depth=depth, seed=seed),
+                    overhead=RecordingOverhead(),
+                    num_workers=2,
+                    n_initial_points=3,
+                ),
+                max_time=600.0,
+                max_evaluations=12,
+            )
+            for seed, depth in ((0, 6), (1, 8))
+        ]
+        runner = CampaignRunner(specs)
+        runner.run()
+        previous = {}
+        fitted = 0
+        for optimizer, num_fits, cost in charged:
+            if num_fits > previous.get(optimizer, 0):
+                fitted += 1
+                assert cost >= 0.02, (num_fits, cost)
+            previous[optimizer] = num_fits
+        assert fitted >= 10
+        assert runner.num_fleet_fits == 0
 
 
 class TestGPFleetRunnerIdentity:
