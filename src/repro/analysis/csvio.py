@@ -12,26 +12,19 @@ for analysis without re-running anything.
 Two storage formats share the same load entry points:
 
 * **CSV** (``format="csv"``, the default and the interchange escape hatch) —
-  loading is served by a **parsed-history cache** keyed by the file's path,
-  modification time and size: the typed columnar parse
-  (:meth:`~repro.core.history.SearchHistory.from_csv`) runs once per file
-  even when several analysis entry points (:func:`load_campaign`,
-  :func:`load_histories`, repeated figure builds) read the same CSV, and
-  every caller receives its own independent
-  :meth:`~repro.core.history.SearchHistory.copy` of the cached columns.  A
-  rewritten file (new mtime/size) re-parses; :func:`clear_history_cache`
-  drops the cache explicitly.  The cache is bounded and truly
-  least-recently-*used*: every hit refreshes its entry, so a bulk sweep that
-  revisits a working set larger than the cap evicts the files it is done
-  with, not the ones it is about to read again
-  (:func:`set_history_cache_limit` adjusts the cap).
+  every load runs the typed columnar parse
+  (:meth:`~repro.core.history.SearchHistory.from_csv`) afresh, so each
+  caller owns the history it gets back.  Nothing in the library reloads a
+  CSV within one process, so nothing is cached.
 * **journal** (``format="journal"``) — one
   :mod:`repro.core.journal` sidecar directory per repetition.  Loading
   memory-maps the binary columns at their checkpoint watermark
   (:class:`~repro.core.journal.JournalReader`) instead of parsing text: a
   cold process serves ``fig3_table``/metric sweeps straight off disk pages,
   which is what makes analysis over thousands of stored campaigns cheap
-  (see :class:`~repro.analysis.store.CampaignStore`).
+  (see :class:`~repro.analysis.store.CampaignStore`).  The journal reader
+  cache (:func:`~repro.core.journal.open_journal_reader`) is the one
+  analysis cache.
 
 :func:`load_campaign` and :func:`load_histories` auto-detect the format:
 a directory that *is* a campaign journal, a manifest whose entries name
@@ -42,107 +35,17 @@ subdirectories all take the memory-mapped path; everything else parses CSV.
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Union
 
 from repro.core.history import SearchHistory
 from repro.core.journal import CampaignJournal, open_journal_reader
-from repro.core.objective import Objective
 from repro.core.space import SearchSpace
 from repro.analysis.campaign import CampaignResult, result_from_history
 
-__all__ = [
-    "save_campaign",
-    "load_campaign",
-    "load_histories",
-    "clear_history_cache",
-    "set_history_cache_limit",
-]
+__all__ = ["save_campaign", "load_campaign", "load_histories"]
 
 MANIFEST_NAME = "campaign.json"
-
-#: Parsed-history cache: (resolved path, mtime_ns, size) → [(space, objective,
-#: parsed history), ...], in least-recently-used order (oldest first).  The
-#: short value list (almost always length 1) guards against the same file
-#: being parsed against different spaces.
-_HISTORY_CACHE: "OrderedDict[Tuple[str, int, int], List[Tuple[SearchSpace, Objective, SearchHistory]]]" = OrderedDict()
-
-#: Cache bound: beyond this many distinct files the least-recently-used
-#: entries are evicted, so bulk sweeps over hundreds of campaign directories
-#: still reuse parses within a directory pass without retaining every history
-#: ever loaded for the life of the process.
-_HISTORY_CACHE_MAX_FILES = 256
-
-#: Guards every mutation of ``_HISTORY_CACHE``.  Re-entrant because eviction
-#: runs inside ``_load_history_cached`` which already holds it.  Without it,
-#: concurrent loads (threaded analysis sweeps) can corrupt the
-#: ``OrderedDict`` mid-reorder.
-_HISTORY_CACHE_LOCK = threading.RLock()
-
-
-def clear_history_cache() -> None:
-    """Drop every cached parsed history (tests, or bulk directory rewrites)."""
-    with _HISTORY_CACHE_LOCK:
-        _HISTORY_CACHE.clear()
-
-
-def set_history_cache_limit(max_files: int) -> int:
-    """Set the parsed-history cache bound; returns the previous bound.
-
-    Shrinking evicts least-recently-used entries immediately; ``0`` disables
-    caching (every load re-parses).
-    """
-    global _HISTORY_CACHE_MAX_FILES
-    if max_files < 0:
-        raise ValueError("max_files must be >= 0")
-    with _HISTORY_CACHE_LOCK:
-        previous = _HISTORY_CACHE_MAX_FILES
-        _HISTORY_CACHE_MAX_FILES = int(max_files)
-        _evict_history_cache()
-    return previous
-
-
-def _evict_history_cache() -> None:
-    with _HISTORY_CACHE_LOCK:
-        while len(_HISTORY_CACHE) > _HISTORY_CACHE_MAX_FILES:
-            _HISTORY_CACHE.popitem(last=False)
-
-
-def _load_history_cached(
-    path: Path, space: SearchSpace, objective: Optional[Objective] = None
-) -> SearchHistory:
-    """Load one history CSV through the parsed-column cache (thread-safe).
-
-    Returns an independent copy of the cached parse, so callers can extend
-    the history without corrupting later loads.  Hits move the entry to the
-    most-recently-used end, so eviction order follows *use*, not insertion.
-    The whole lookup/parse/insert is one critical section: parsing outside
-    the lock would let two threads parse the same file concurrently — the
-    exact work the cache exists to save.
-    """
-    stat = path.stat()
-    resolved = str(path.resolve())
-    key = (resolved, stat.st_mtime_ns, stat.st_size)
-    wanted = objective or Objective()
-    with _HISTORY_CACHE_LOCK:
-        entries = _HISTORY_CACHE.get(key)
-        if entries is None:
-            # A rewritten file invalidates its old entry; drop it so the cache
-            # does not accumulate one stale parse per overwrite.
-            for stale in [k for k in _HISTORY_CACHE if k[0] == resolved]:
-                del _HISTORY_CACHE[stale]
-            entries = _HISTORY_CACHE[key] = []
-        else:
-            _HISTORY_CACHE.move_to_end(key)
-        for cached_space, cached_objective, history in entries:
-            if cached_space == space and cached_objective == wanted:
-                return history.copy()
-        history = SearchHistory.from_csv(path, space, objective=objective)
-        entries.append((space, wanted, history))
-        _evict_history_cache()
-        return history.copy()
 
 
 def save_campaign(
@@ -240,7 +143,7 @@ def load_histories(
 ) -> List[SearchHistory]:
     """Load every per-repetition history from ``directory`` (format-detected).
 
-    CSV entries parse through the parsed-history cache; journal entries are
+    CSV entries are parsed on every call; journal entries are
     served as read-only zero-copy views through the memory-mapped reader
     cache (:func:`repro.core.journal.open_journal_reader`) — call
     ``history.copy()`` on those if you need to mutate one.
@@ -271,7 +174,7 @@ def _load_entry_history(
 ) -> SearchHistory:
     if "journal" in entry:
         return open_journal_reader(directory / entry["journal"], space).history()
-    return _load_history_cached(directory / entry["file"], space)
+    return SearchHistory.from_csv(directory / entry["file"], space)
 
 
 def load_campaign(directory: Union[str, Path], space: SearchSpace) -> CampaignResult:
@@ -314,7 +217,7 @@ def load_campaign(directory: Union[str, Path], space: SearchSpace) -> CampaignRe
             reader = open_journal_reader(directory / entry["journal"], space)
             history, busy_intervals = reader.history(), reader.intervals()
         else:
-            history = _load_history_cached(directory / entry["file"], space)
+            history = SearchHistory.from_csv(directory / entry["file"], space)
         campaign.results.append(
             result_from_history(
                 history,
@@ -363,11 +266,3 @@ def _campaign_from_journal_dirs(
         )
     return campaign
 
-
-def _read_manifest(directory: Path) -> Dict:
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise FileNotFoundError(
-            f"{manifest_path} not found — is {directory} a saved campaign directory?"
-        )
-    return json.loads(manifest_path.read_text())

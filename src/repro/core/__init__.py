@@ -13,8 +13,9 @@ Algorithm 1) — together with every building block it needs:
 * :mod:`repro.core.acquisition` / :mod:`repro.core.liar` — confidence-bound
   acquisition and the constant-liar multi-point strategy.
 * :mod:`repro.core.optimizer` — the ask/tell Bayesian optimizer.
-* :mod:`repro.core.evaluator` — virtual-clock asynchronous evaluator pool
-  (manager/worker architecture).
+* :mod:`repro.core.evaluator` — the virtual-clock worker pool and its
+  evaluator clients (manager/worker architecture); every campaign runs on
+  one, private by default.
 * :mod:`repro.core.search` — the asynchronous search loop (`CBOSearch`,
   `VAEABOSearch`).
 * :mod:`repro.core.vae` — the tabular variational autoencoder (NumPy MLPs with
@@ -43,14 +44,13 @@ from repro.core.priors import (
 from repro.core.objective import Objective, runtime_objective
 from repro.core.history import Evaluation, SearchHistory
 from repro.core.optimizer import BayesianOptimizer, make_surrogate
-from repro.core.evaluator import AsyncVirtualEvaluator, WorkerState
+from repro.core.evaluator import WorkerState
 from repro.core.overhead import AnalyticOverheadModel, MeasuredOverheadModel
 from repro.core.search import CBOSearch, SearchResult, VAEABOSearch
 from repro.core.transfer import TransferLearningPrior, fit_transfer_prior
 
 __all__ = [
     "AnalyticOverheadModel",
-    "AsyncVirtualEvaluator",
     "BayesianOptimizer",
     "CategoricalParameter",
     "CategoricalPrior",

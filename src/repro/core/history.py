@@ -618,8 +618,6 @@ class SearchHistory:
         """An independent snapshot of this history (buffers copied).
 
         Appending to either history afterwards leaves the other untouched.
-        Used by the analysis layer's parsed-CSV cache to hand every caller
-        its own history without re-parsing the file.
         """
         return self.truncated(self._n)
 
@@ -710,7 +708,7 @@ class SearchHistory:
         text = buffer.getvalue()
         if path is not None:
             # Crash-safe write: a process killed mid-write must not leave a
-            # torn CSV for the mtime/size-keyed parsed-history cache to trust.
+            # torn CSV for a later load to parse.
             atomic_write_text(path, text)
         return text
 

@@ -1,10 +1,10 @@
 """Crash-safe filesystem primitives shared by every durable writer.
 
 A process killed half-way through a plain ``write_text`` leaves a torn file
-behind, and the analysis layer's mtime/size-keyed parsed-CSV cache would then
-treat the torn bytes as authoritative.  Every on-disk artefact that must
-survive a crash — history CSVs, the campaign journal's manifest and
-checkpoint records — therefore goes through the same two primitives:
+behind, and a later load would then treat the torn bytes as authoritative.
+Every on-disk artefact that must survive a crash — history CSVs, the
+campaign journal's manifest and checkpoint records — therefore goes through
+the same two primitives:
 
 * :func:`atomic_write_text` / :func:`atomic_write_bytes` — write to a
   temporary file in the *same directory* (so the final rename never crosses a

@@ -68,7 +68,7 @@ readers through an LRU-bounded cache keyed by the commit's identity (journal
 id, slot sequence and record CRC), so a cold analysis sweep over thousands of stored
 campaigns neither re-reads row data nor accumulates an unbounded number of
 live mappings (:func:`set_journal_cache_limit` / :func:`clear_journal_cache`
-mirror the parsed-CSV cache controls in :mod:`repro.analysis.csvio`).
+control it).  It is the one analysis cache: CSV loads parse each time.
 """
 
 from __future__ import annotations
@@ -983,9 +983,8 @@ def clear_journal_cache() -> None:
 def set_journal_cache_limit(max_readers: int) -> int:
     """Set the journal reader cache bound; returns the previous bound.
 
-    Mirrors :func:`repro.analysis.csvio.set_history_cache_limit`: shrinking
-    evicts least-recently-used readers immediately, ``0`` disables caching
-    (every open maps afresh).
+    Shrinking evicts least-recently-used readers immediately; ``0``
+    disables caching (every open maps afresh).
     """
     global _READER_CACHE_MAX
     if max_readers < 0:

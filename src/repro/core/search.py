@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.evaluator import AsyncVirtualEvaluator, DEFAULT_FAILURE_DURATION
+from repro.core.evaluator import DEFAULT_FAILURE_DURATION, ServiceEvaluator
 from repro.core.history import SearchHistory
 from repro.core.journal import CampaignJournal, JournalError, JournalReader
 from repro.core.objective import Objective
@@ -134,10 +134,11 @@ class CBOSearch:
         Objective transform (defaults to ``-log(runtime)``).
     evaluator_factory:
         Optional callable ``(run_function, num_workers, failure_duration) →
-        evaluator`` replacing the private
-        :class:`~repro.core.evaluator.AsyncVirtualEvaluator` — e.g. a
-        :class:`~repro.service.ServiceEvaluator` bound to a shared worker
-        pool.  The evaluator must implement the same
+        evaluator`` replacing the default, a
+        :class:`~repro.core.evaluator.ServiceEvaluator` on a private
+        :class:`~repro.core.evaluator.SharedWorkerPool` of ``num_workers`` —
+        e.g. ``pool.evaluator_factory()`` to join a pool shared with other
+        campaigns.  The evaluator must implement the same
         submit/collect/wait_any protocol.
     prior_refresh_interval:
         The continuous-retuning scenario: every this-many completed
@@ -435,7 +436,7 @@ class CampaignExecution:
                 search.run_function, search.num_workers, search.failure_duration
             )
         else:
-            self.evaluator = AsyncVirtualEvaluator(
+            self.evaluator = ServiceEvaluator(
                 search.run_function,
                 num_workers=search.num_workers,
                 failure_duration=search.failure_duration,
@@ -857,7 +858,10 @@ class CampaignExecution:
         with its in-flight evaluations intact; continuing the returned
         execution is bit-identical to a run that never crashed.  A journal
         that crashed before its first checkpoint restarts from scratch
-        (nothing durable was committed — the restart is deterministic).
+        (nothing durable was committed — the restart is deterministic).  A
+        checkpoint whose evaluator state this campaign's evaluator cannot
+        load (one written through another ``evaluator_factory``) raises
+        :class:`~repro.core.journal.JournalError` naming ``journal_dir``.
         """
         meta = CampaignJournal.read_meta(journal_dir)
         CampaignJournal.validate_meta(
@@ -910,6 +914,14 @@ class CampaignExecution:
             finally:
                 reader.close()
             execution._replay(journal.commit.record)
+            try:
+                execution.evaluator.load_state_dict(journal.commit.record["evaluator"])
+            except (KeyError, TypeError, ValueError) as error:
+                raise JournalError(
+                    f"cannot resume {journal_dir}: its checkpointed evaluator "
+                    "state does not fit this campaign's evaluator (written by "
+                    f"another evaluator? {type(error).__name__}: {error})"
+                ) from error
         except BaseException:
             journal.close()
             raise
@@ -917,7 +929,7 @@ class CampaignExecution:
         return execution
 
     def _replay(self, checkpoint: dict) -> None:
-        """Rebuild optimizer, prior and evaluator state from a checkpoint.
+        """Rebuild optimizer and prior state from a checkpoint.
 
         The optimizer re-ingests the journaled history in the chunks the
         recorded fit boundaries dictate.  Partial-fit surrogates (the GP)
@@ -929,6 +941,7 @@ class CampaignExecution:
         refreshes are re-trained against the history prefixes they
         originally saw (fresh deterministic VAE seeds make the replay exact),
         and the optimizer RNG plus all campaign counters are restored last.
+        The caller restores the evaluator's state afterwards.
         """
         optimizer = self.optimizer
         fit_rows = [int(rows) for rows in checkpoint["fit_rows"]]
@@ -965,7 +978,6 @@ class CampaignExecution:
         self.num_prior_refreshes = int(checkpoint["num_prior_refreshes"])
         self._num_completed = int(checkpoint["num_completed"])
         self.finished = bool(checkpoint["finished"])
-        self.evaluator.load_state_dict(checkpoint["evaluator"])
 
     def _replay_ingest(self, start: int, stop: int) -> None:
         """Re-ingest journaled history rows ``[start, stop)`` into the optimizer."""

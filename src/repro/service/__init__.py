@@ -3,13 +3,12 @@
 This package opens the fleet scenario of the roadmap — many concurrent
 autotuning campaigns against shared evaluation capacity:
 
-* :class:`~repro.service.evaluator.SharedWorkerPool` /
-  :class:`~repro.service.evaluator.ServiceEvaluator` — a queue-based
-  evaluation backend speaking the same ``submit``/``collect``/``wait_any``
-  protocol as the private
-  :class:`~repro.core.evaluator.AsyncVirtualEvaluator`, so campaigns can
-  target a shared service fleet via ``CBOSearch(evaluator_factory=...)``,
-  with optional per-tenant worker-slot caps (``tenant_slots``);
+* :class:`~repro.core.evaluator.SharedWorkerPool` /
+  :class:`~repro.core.evaluator.ServiceEvaluator`, re-exported here — the
+  queue-based worker pool every campaign evaluates on.  Each campaign gets
+  a private pool by default; campaigns share one through
+  ``CBOSearch(evaluator_factory=pool.evaluator_factory())``, with optional
+  per-tenant worker-slot caps (``tenant_slots``);
 * :class:`~repro.service.runner.CampaignRunner` — N campaigns advanced in
   lock-step batch ticks over one event loop, with the due surrogate refits
   of each tick fused into bit-identical fleet passes;
@@ -26,7 +25,7 @@ autotuning campaigns against shared evaluation capacity:
   in-process and as stdlib JSON-over-HTTP.
 """
 
-from repro.service.evaluator import ServiceEvaluator, SharedWorkerPool
+from repro.core.evaluator import ServiceEvaluator, SharedWorkerPool
 from repro.service.frontend import HTTPStudyClient, StudyClient, StudyFrontend
 from repro.service.grouping import TickGroup, plan_tick_groups
 from repro.service.registry import (

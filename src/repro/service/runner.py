@@ -46,7 +46,8 @@ charges every fit, as ask/tell does.
 Because nothing about a group survives the tick, the runner is
 **elastic**: :class:`ElasticCampaignRunner` admits campaigns mid-flight
 under admission control and lets finished or quarantined campaigns leave.
-Campaigns may also share a :class:`~repro.service.SharedWorkerPool`
+Each campaign evaluates on its own private
+:class:`~repro.core.evaluator.SharedWorkerPool` unless campaigns share one
 through ``CBOSearch(evaluator_factory=pool.evaluator_factory())``; they
 then compete for the same workers on one clock.
 

@@ -21,8 +21,8 @@ models:
 * :class:`~repro.sim.resources.Container` — continuous-level containers.
 
 It also hosts the deterministic fault-injection harness
-(:class:`~repro.sim.faults.FaultPlan`) used to stress the evaluation
-backends with worker crashes, hangs, stragglers and lost results.
+(:class:`~repro.sim.faults.FaultPlan`) used to stress the evaluator's
+worker pool with worker crashes, hangs, stragglers and lost results.
 
 Example
 -------

@@ -1,11 +1,11 @@
-"""Deterministic fault injection for the virtual evaluation backends.
+"""Deterministic fault injection for the virtual evaluator's worker pool.
 
 The paper's campaigns run for an hour on 128 Theta nodes; at that scale
 evaluations routinely fail, straggle, hang past the 600 s kill limit, or are
-lost outright when a node dies.  The fault-free virtual evaluators would never
-exercise the service layer's defences against any of that, so this module
-provides the missing adversary: a seeded :class:`FaultPlan` that decides, per
-evaluation, whether and how it misbehaves.
+lost outright when a node dies.  A fault-free virtual pool would never
+exercise its defences against any of that, so this module provides the
+missing adversary: a seeded :class:`FaultPlan` that decides, per evaluation,
+whether and how it misbehaves.
 
 Determinism is the defining property.  Every evaluation carries a
 monotonically increasing per-evaluator sequence number (``seq``), and the
@@ -32,10 +32,10 @@ measurement-failure overlay):
 * ``crash`` — the worker dies mid-evaluation (at ``crash_fraction`` of the
   duration): the evaluation is lost and the worker never accepts work again.
 
-The :class:`~repro.service.SharedWorkerPool` resubmits lost/crashed work with
-capped exponential backoff; the private
-:class:`~repro.core.evaluator.AsyncVirtualEvaluator` simply loses it — the
-degraded-but-correct behaviour the Hypothesis protocol suite pins.
+The :class:`~repro.core.evaluator.SharedWorkerPool` every campaign evaluates
+on resubmits lost/crashed work with capped exponential backoff and reports
+NaN once the retries are exhausted; the Hypothesis protocol suite pins that
+no fault schedule breaks its books.
 """
 
 from __future__ import annotations

@@ -1,18 +1,11 @@
-"""Tests for campaign-level CSV persistence (save/load round trips, cache)."""
+"""Tests for campaign-level CSV persistence (save/load round trips)."""
 
 import numpy as np
 import pytest
 
-from repro.core.history import SearchHistory
 from repro.core.space import IntegerParameter, RealParameter, SearchSpace
 from repro.analysis.campaign import run_repeated_search
-from repro.analysis import csvio
-from repro.analysis.csvio import (
-    clear_history_cache,
-    load_campaign,
-    load_histories,
-    save_campaign,
-)
+from repro.analysis.csvio import load_campaign, load_histories, save_campaign
 
 
 def toy_space():
@@ -76,68 +69,28 @@ class TestSaveLoad:
         assert len(samples) == 10
 
 
-class TestParsedHistoryCache:
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        clear_history_cache()
-        yield
-        clear_history_cache()
+class TestRepeatedLoads:
+    """Every CSV load parses the file afresh."""
 
-    def test_typed_parse_runs_once_per_file(self, campaign, tmp_path, monkeypatch):
-        directory = save_campaign(campaign, tmp_path / "campaign")
-        parses = []
-        original = SearchHistory.from_csv.__func__
-
-        def counting(cls, source, space, objective=None):
-            parses.append(str(source))
-            return original(cls, source, space, objective)
-
-        monkeypatch.setattr(SearchHistory, "from_csv", classmethod(counting))
-        first = load_histories(directory, toy_space())
-        assert len(parses) == len(first)
-        # load_campaign reads the very same CSVs: everything is served from
-        # the cache, no re-parse.
-        loaded = load_campaign(directory, toy_space())
-        assert len(parses) == len(first)
-        for a, b in zip(first, loaded.results):
-            assert a.to_csv() == b.history.to_csv()
-
-    def test_cached_loads_are_independent_copies(self, campaign, tmp_path):
+    def test_loads_are_independent_copies(self, campaign, tmp_path):
         directory = save_campaign(campaign, tmp_path / "campaign")
         first = load_histories(directory, toy_space())[0]
         first.record({"x": 0.5, "k": 3}, 12.0, 1.0, 2.0)
         second = load_histories(directory, toy_space())[0]
         assert len(second) == len(first) - 1
 
-    def test_rewritten_file_is_reparsed(self, campaign, tmp_path):
-        import os
-
+    def test_rewritten_file_is_reread(self, campaign, tmp_path):
         directory = save_campaign(campaign, tmp_path / "campaign")
         name = sorted(directory.glob("*.csv"))[0]
         before = load_histories(directory, toy_space())[0]
-        # Truncate the CSV to the header plus one row and force a new mtime.
+        # Truncate the CSV to the header plus one row.
         lines = name.read_text().splitlines()
         name.write_text("\n".join(lines[:2]) + "\n")
-        os.utime(name, ns=(1, 1))
         after = load_histories(directory, toy_space())[0]
         assert len(after) == 1
         assert len(before) > 1
 
-
-class TestCacheThreadSafety:
-    """Regression: the parse cache raced when parallel tick shards loaded
-    campaign CSVs concurrently — double parses corrupted the LRU order and
-    an eviction mid-``move_to_end`` raised ``KeyError`` from a reader."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        clear_history_cache()
-        previous = csvio.set_history_cache_limit(4)
-        yield
-        csvio.set_history_cache_limit(previous)
-        clear_history_cache()
-
-    def test_threaded_loads_under_eviction_pressure(self, campaign, tmp_path):
+    def test_threaded_loads(self, campaign, tmp_path):
         import threading
 
         directories = [
@@ -157,8 +110,6 @@ class TestCacheThreadSafety:
                     index = (worker + round_) % 3
                     histories = load_histories(directories[index], toy_space())
                     assert [h.to_csv() for h in histories] == reference[index]
-                    if worker == 0 and round_ % 7 == 6:
-                        clear_history_cache()
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -170,74 +121,3 @@ class TestCacheThreadSafety:
         for t in threads:
             t.join()
         assert errors == []
-
-
-class TestCacheBoundIsLRU:
-    """The parsed-history cache is bounded and evicts by recency of *use*."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        clear_history_cache()
-        previous = csvio.set_history_cache_limit(256)
-        yield
-        csvio.set_history_cache_limit(previous)
-        clear_history_cache()
-
-    @staticmethod
-    def write_csvs(directory, n):
-        space = toy_space()
-        paths = []
-        for i in range(n):
-            history = SearchHistory(space)
-            history.record({"x": 0.25, "k": 2 + i}, 10.0 + i, 0.0, 1.0)
-            path = directory / f"h{i}.csv"
-            history.to_csv(path)
-            paths.append(path)
-        return paths
-
-    def test_cache_never_exceeds_its_bound(self, tmp_path):
-        csvio.set_history_cache_limit(3)
-        for path in self.write_csvs(tmp_path, 6):
-            csvio._load_history_cached(path, toy_space())
-        assert len(csvio._HISTORY_CACHE) == 3
-
-    def test_hits_refresh_recency(self, tmp_path, monkeypatch):
-        paths = self.write_csvs(tmp_path, 4)
-        csvio.set_history_cache_limit(3)
-        parses = []
-        real = SearchHistory.from_csv.__func__
-
-        def counting(cls, source, space, objective=None):
-            parses.append(str(source))
-            return real(cls, source, space, objective=objective)
-
-        monkeypatch.setattr(SearchHistory, "from_csv", classmethod(counting))
-        csvio._load_history_cached(paths[0], toy_space())
-        csvio._load_history_cached(paths[1], toy_space())
-        csvio._load_history_cached(paths[2], toy_space())
-        # Touch the oldest entry: it becomes most recently used ...
-        csvio._load_history_cached(paths[0], toy_space())
-        assert len(parses) == 3
-        # ... so loading a fourth file evicts paths[1], not paths[0].
-        csvio._load_history_cached(paths[3], toy_space())
-        csvio._load_history_cached(paths[0], toy_space())  # still cached
-        assert len(parses) == 4
-        csvio._load_history_cached(paths[1], toy_space())  # evicted: re-parse
-        assert len(parses) == 5
-
-    def test_shrinking_the_limit_evicts_immediately(self, tmp_path):
-        for path in self.write_csvs(tmp_path, 5):
-            csvio._load_history_cached(path, toy_space())
-        assert len(csvio._HISTORY_CACHE) == 5
-        csvio.set_history_cache_limit(2)
-        assert len(csvio._HISTORY_CACHE) == 2
-
-    def test_zero_disables_caching(self, tmp_path):
-        csvio.set_history_cache_limit(0)
-        (path,) = self.write_csvs(tmp_path, 1)
-        csvio._load_history_cached(path, toy_space())
-        assert len(csvio._HISTORY_CACHE) == 0
-
-    def test_limit_validation(self):
-        with pytest.raises(ValueError):
-            csvio.set_history_cache_limit(-1)

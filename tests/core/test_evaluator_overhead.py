@@ -1,11 +1,11 @@
-"""Tests for the virtual-clock evaluator and the overhead models."""
+"""Tests for the default virtual-clock evaluator and the overhead models."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.evaluator import AsyncVirtualEvaluator
+from repro.core.evaluator import ServiceEvaluator
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.overhead import (
     AnalyticOverheadModel,
@@ -26,16 +26,34 @@ def runtime_of(config):
     return 10.0 * (0.5 + config["x"])
 
 
-class TestAsyncVirtualEvaluator:
-    def test_submit_bounded_by_idle_workers(self):
-        ev = AsyncVirtualEvaluator(runtime_of, num_workers=3)
-        configs = [{"x": 0.1, "k": 2}] * 5
-        assert ev.submit(configs) == 3
+class TestDefaultEvaluator:
+    """The evaluator every campaign without an ``evaluator_factory`` gets: a
+    :class:`ServiceEvaluator` on a private pool."""
+
+    def test_submissions_beyond_idle_workers_queue(self):
+        ev = ServiceEvaluator(runtime_of, num_workers=3)
+        xs = [0.1, 0.5, 0.3, 0.2, 0.4]  # durations 6, 10, 8, 7, 9
+        assert ev.submit([{"x": x, "k": 2} for x in xs]) == 5
         assert ev.num_pending == 3
+        assert ev.num_queued == 2
         assert ev.num_idle == 0
+        done = []
+        while ev.num_pending:
+            _, completed = ev.wait_any(max_time=1000.0)
+            done.extend(completed)
+        # Each queued request starts at the completion that frees a worker:
+        # x=0.2 when x=0.1 finishes at 6, x=0.4 when x=0.3 finishes at 8.
+        by_x = {c.configuration["x"]: c for c in done}
+        assert by_x[0.2].submitted == by_x[0.1].completed
+        assert by_x[0.2].worker == by_x[0.1].worker
+        assert by_x[0.4].submitted == by_x[0.3].completed
+        assert by_x[0.4].worker == by_x[0.3].worker
+        assert by_x[0.1].completed == pytest.approx(6.0)
+        assert by_x[0.3].completed == pytest.approx(8.0)
+        assert [c.configuration["x"] for c in done] == [0.1, 0.3, 0.5, 0.2, 0.4]
 
     def test_results_arrive_in_runtime_order(self):
-        ev = AsyncVirtualEvaluator(runtime_of, num_workers=3)
+        ev = ServiceEvaluator(runtime_of, num_workers=3)
         ev.submit([{"x": 0.9, "k": 2}, {"x": 0.1, "k": 2}, {"x": 0.5, "k": 2}])
         now, completed = ev.wait_any(max_time=1000.0)
         assert len(completed) == 1
@@ -43,7 +61,7 @@ class TestAsyncVirtualEvaluator:
         assert now == pytest.approx(10.0 * 0.6)
 
     def test_collect_returns_all_completed_up_to_now(self):
-        ev = AsyncVirtualEvaluator(runtime_of, num_workers=3)
+        ev = ServiceEvaluator(runtime_of, num_workers=3)
         ev.submit([{"x": 0.1, "k": 2}, {"x": 0.2, "k": 2}, {"x": 0.9, "k": 2}])
         ev.advance_to(8.0)
         done = ev.collect()
@@ -51,14 +69,14 @@ class TestAsyncVirtualEvaluator:
         assert ev.num_pending == 1
 
     def test_failed_evaluations_occupy_failure_duration(self):
-        ev = AsyncVirtualEvaluator(runtime_of, num_workers=1, failure_duration=600.0)
+        ev = ServiceEvaluator(runtime_of, num_workers=1, failure_duration=600.0)
         ev.submit([{"x": 0.5, "k": 1}])
         now, completed = ev.wait_any(max_time=1e9)
         assert now == pytest.approx(600.0)
         assert math.isnan(completed[0].runtime)
 
     def test_custom_duration_function(self):
-        ev = AsyncVirtualEvaluator(
+        ev = ServiceEvaluator(
             runtime_of,
             num_workers=1,
             duration_function=lambda config, runtime: 42.0,
@@ -69,27 +87,27 @@ class TestAsyncVirtualEvaluator:
         assert completed[0].runtime == pytest.approx(10.0)
 
     def test_wait_any_respects_max_time(self):
-        ev = AsyncVirtualEvaluator(runtime_of, num_workers=1)
+        ev = ServiceEvaluator(runtime_of, num_workers=1)
         ev.submit([{"x": 0.9, "k": 2}])  # completes at 14
         now, completed = ev.wait_any(max_time=5.0)
         assert now == pytest.approx(5.0)
         assert completed == []
 
     def test_worker_reuse_after_completion(self):
-        ev = AsyncVirtualEvaluator(runtime_of, num_workers=1)
+        ev = ServiceEvaluator(runtime_of, num_workers=1)
         ev.submit([{"x": 0.1, "k": 2}])
         ev.wait_any(max_time=100.0)
         assert ev.num_idle == 1
         assert ev.submit([{"x": 0.2, "k": 2}]) == 1
 
     def test_time_cannot_move_backwards(self):
-        ev = AsyncVirtualEvaluator(runtime_of, num_workers=1)
+        ev = ServiceEvaluator(runtime_of, num_workers=1)
         ev.advance_to(10.0)
         with pytest.raises(ValueError):
             ev.advance_to(5.0)
 
     def test_utilization_full_when_always_busy(self):
-        ev = AsyncVirtualEvaluator(lambda c: 10.0, num_workers=2)
+        ev = ServiceEvaluator(lambda c: 10.0, num_workers=2)
         horizon = 100.0
         t = 0.0
         ev.submit([{"x": 0}, {"x": 1}])
@@ -101,22 +119,22 @@ class TestAsyncVirtualEvaluator:
         assert ev.utilization(horizon) == pytest.approx(1.0, abs=1e-6)
 
     def test_utilization_half_when_half_idle(self):
-        ev = AsyncVirtualEvaluator(lambda c: 50.0, num_workers=1)
+        ev = ServiceEvaluator(lambda c: 50.0, num_workers=1)
         ev.submit([{"x": 0}])
         ev.wait_any(max_time=100.0)
         # worker busy 50 s of a 100 s horizon, then left idle
         assert ev.utilization(100.0) == pytest.approx(0.5)
 
     def test_utilization_clips_overrunning_evaluations(self):
-        ev = AsyncVirtualEvaluator(lambda c: 1000.0, num_workers=1)
+        ev = ServiceEvaluator(lambda c: 1000.0, num_workers=1)
         ev.submit([{"x": 0}])
         assert ev.utilization(100.0) == pytest.approx(1.0)
 
     def test_invalid_constructor_arguments(self):
         with pytest.raises(ValueError):
-            AsyncVirtualEvaluator(runtime_of, num_workers=0)
+            ServiceEvaluator(runtime_of, num_workers=0)
         with pytest.raises(ValueError):
-            AsyncVirtualEvaluator(runtime_of, num_workers=1, failure_duration=0.0)
+            ServiceEvaluator(runtime_of, num_workers=1, failure_duration=0.0)
 
 
 class TestOverheadModels:

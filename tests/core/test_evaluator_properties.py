@@ -1,18 +1,21 @@
-"""Property-based tests of the asynchronous evaluation protocol.
+"""The default evaluator against its oracle, protocol step by campaign.
 
-The invariants are checked for the private
-:class:`~repro.core.evaluator.AsyncVirtualEvaluator` **and** for the
-queue-based :class:`~repro.service.ServiceEvaluator` on a private pool — the
-same properties against both backends pin the protocol equivalence the
-``evaluator_factory`` seam relies on:
+Every campaign without an ``evaluator_factory`` evaluates on a
+:class:`~repro.core.evaluator.ServiceEvaluator` over a private
+:class:`~repro.core.evaluator.SharedWorkerPool`.  The evaluator it replaced,
+``AsyncVirtualEvaluator`` in ``tests/reference/evaluator.py``, is the
+oracle.  The invariants are checked against both:
 
 * ``collect``/``wait_any`` return evaluations ordered by completion time, and
   completion times never decrease across successive collections;
 * ``utilization`` stays within ``[0, 1]``;
 * ``num_pending + num_idle == num_workers`` (each worker runs at most one
   evaluation);
-* driven by the same randomly generated submission script, both backends
-  produce identical completion sequences and utilisation.
+* driven by the same randomly generated submission script, both produce
+  identical completion sequences and utilisation;
+* a whole campaign — RF, GP and prior-refresh fixtures, plain and
+  journaled — is bit-identical on either: history, busy intervals,
+  utilisation and every RNG stream.
 """
 
 import math
@@ -20,8 +23,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.evaluator import AsyncVirtualEvaluator
-from repro.service import ServiceEvaluator
+from fixtures import (
+    assert_results_identical,
+    make_gp_search,
+    make_refresh_search,
+    make_service_search,
+)
+from reference.evaluator import AsyncVirtualEvaluator, oracle_factory
+from repro.core.evaluator import ServiceEvaluator, SharedWorkerPool
 
 NUM_WORKERS = 5
 
@@ -175,8 +184,6 @@ class TestServiceQueueing:
         assert evaluator.num_pending == 2
 
     def test_shared_pool_clients_share_clock_and_workers(self):
-        from repro.service import SharedWorkerPool
-
         pool = SharedWorkerPool(num_workers=3)
         a = ServiceEvaluator(lambda c: 5.0, pool=pool)
         b = ServiceEvaluator(lambda c: 7.0, pool=pool)
@@ -192,3 +199,46 @@ class TestServiceQueueing:
         # The queued request started at t=5 when a worker freed.
         assert [ev.configuration["c"] for ev in done_b2] == [3]
         assert done_b2[0].submitted == 5.0 and done_b2[0].completed == 12.0
+
+
+# ------------------------------------------------------- campaign identity
+CAMPAIGNS = {
+    "rf": make_service_search,
+    "gp": make_gp_search,
+    "refresh": make_refresh_search,
+}
+
+
+class TestCampaignIdentity:
+    """A campaign on the default evaluator matches the same campaign on the
+    oracle bit for bit.  The search loop never submits more than
+    ``num_idle`` configurations, so the one protocol difference (the pool
+    queues what the oracle would drop) is never reached."""
+
+    @pytest.mark.parametrize("journaled", [False, True], ids=["plain", "journaled"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+    def test_default_evaluator_matches_the_oracle(
+        self, campaign, seed, journaled, tmp_path
+    ):
+        runs = {}
+        for name, factory in (("default", None), ("oracle", oracle_factory)):
+            search = CAMPAIGNS[campaign](seed, evaluator_factory=factory)
+            result = search.run(
+                max_time=900.0,
+                max_evaluations=80,
+                journal_dir=tmp_path / name if journaled else None,
+            )
+            runs[name] = (search, result)
+        (default, ours), (oracle, theirs) = runs["default"], runs["oracle"]
+        # History, busy intervals, utilisation and incumbent:
+        assert_results_identical(theirs, ours)
+        assert (
+            oracle.optimizer.rng.bit_generator.state
+            == default.optimizer.rng.bit_generator.state
+        )
+        oracle_rng = getattr(oracle.optimizer.surrogate, "_rng", None)
+        default_rng = getattr(default.optimizer.surrogate, "_rng", None)
+        assert (oracle_rng is None) == (default_rng is None)
+        if default_rng is not None:
+            assert oracle_rng.bit_generator.state == default_rng.bit_generator.state

@@ -17,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import make_service_search as make_search
 from repro.core.evaluator import (
-    AsyncVirtualEvaluator,
     EvaluatorStalledError,
+    ServiceEvaluator,
+    SharedWorkerPool,
     resolve_duration,
     resolve_outcome,
 )
-from repro.service import ServiceEvaluator, SharedWorkerPool
 from repro.sim import FaultDecision, FaultPlan
 
 NUM_WORKERS = 5
@@ -84,14 +84,6 @@ ALL_HANG = FaultPlan(seed=0, hang_rate=1.0)
 
 
 class TestStallValve:
-    def test_async_evaluator_raises_when_everything_hangs(self):
-        evaluator = AsyncVirtualEvaluator(
-            lambda c: 10.0, num_workers=2, fault_plan=ALL_HANG
-        )
-        evaluator.submit([{"i": 0}, {"i": 1}])
-        with pytest.raises(EvaluatorStalledError):
-            evaluator.wait_any(math.inf)
-
     def test_service_evaluator_raises_when_everything_hangs(self):
         evaluator = ServiceEvaluator(
             lambda c: 10.0, num_workers=2, fault_plan=ALL_HANG
@@ -175,36 +167,25 @@ submissions = st.lists(
     st.integers(min_value=0, max_value=NUM_WORKERS), min_size=2, max_size=10
 )
 
-FAULT_BACKENDS = {
-    "async": lambda run, plan: AsyncVirtualEvaluator(
-        run, num_workers=NUM_WORKERS, fault_plan=plan, deadline=600.0
-    ),
-    "service": lambda run, plan: ServiceEvaluator(
-        run, num_workers=NUM_WORKERS, fault_plan=plan, deadline=600.0
-    ),
-}
-
-
 def workers_accounted_for(evaluator):
     """Busy + idle + dead workers always partition the pool."""
-    if isinstance(evaluator, ServiceEvaluator):
-        pool = evaluator.pool
-        return pool.num_pending + pool.num_idle + pool.num_dead == pool.num_workers
-    return (
-        evaluator.num_pending + evaluator.num_idle + evaluator.num_dead
-        == evaluator.num_workers
-    )
+    pool = evaluator.pool
+    return pool.num_pending + pool.num_idle + pool.num_dead == pool.num_workers
 
 
-@pytest.mark.parametrize("backend", sorted(FAULT_BACKENDS))
 class TestFaultScheduleInvariants:
     @given(plan=fault_plans, script=submissions)
     @settings(max_examples=30, deadline=None)
-    def test_no_fault_schedule_violates_the_protocol(self, backend, plan, script):
+    def test_no_fault_schedule_violates_the_protocol(self, plan, script):
         """Under any seeded fault schedule (with the deadline valve on), the
         evaluator keeps its books: completion times stay monotone, workers
         are always accounted for, and the drive loop always drains."""
-        evaluator = FAULT_BACKENDS[backend](lambda c: 25.0 + 5.0 * c["k"], plan)
+        evaluator = ServiceEvaluator(
+            lambda c: 25.0 + 5.0 * c["k"],
+            num_workers=NUM_WORKERS,
+            fault_plan=plan,
+            deadline=600.0,
+        )
         last = -math.inf
         assert workers_accounted_for(evaluator)
         for i, num_configs in enumerate(script):
@@ -231,7 +212,7 @@ class TestFaultScheduleInvariants:
                 assert math.isfinite(t) and t >= last
                 last = t
         guard = 0
-        while evaluator.num_pending or getattr(evaluator, "num_queued", 0):
+        while evaluator.num_pending or evaluator.num_queued:
             try:
                 evaluator.wait_any(math.inf)
             except EvaluatorStalledError:

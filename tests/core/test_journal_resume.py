@@ -25,6 +25,7 @@ from repro.core.search import CBOSearch
 from repro.core.surrogate import RandomForestSurrogate
 from repro.service import ServiceEvaluator
 from repro.sim import FaultPlan
+from reference.evaluator import oracle_factory
 from reference.search import advance
 
 BUDGET = dict(max_time=600.0, max_evaluations=30)
@@ -218,6 +219,20 @@ class TestResumeValidation:
         (tmp_path / "j").mkdir()
         with pytest.raises(JournalError):
             make_search(0).resume(tmp_path / "j")
+
+    def test_resume_rejects_another_evaluators_state(self, tmp_path):
+        """A checkpoint written through another evaluator fails to resume
+        with a typed error naming the journal, not a ``KeyError``, and the
+        failed resume releases the writer lease."""
+        journal_dir = tmp_path / "j"
+        crash_after(
+            make_search(0, evaluator_factory=oracle_factory), 3, journal_dir, **BUDGET
+        ).close_journal()
+        with pytest.raises(JournalError) as error:
+            make_search(0).resume(journal_dir)
+        assert str(journal_dir) in str(error.value)
+        resumed = make_search(0, evaluator_factory=oracle_factory).resume(journal_dir)
+        resumed.close_journal()
 
 
 class TestJournalRecord:

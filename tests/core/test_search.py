@@ -7,6 +7,7 @@ milliseconds; the full HEP workflow integration lives in
 """
 
 import hashlib
+import importlib.util
 import inspect
 import math
 import os
@@ -15,6 +16,8 @@ import time
 import numpy as np
 import pytest
 
+import repro.analysis.csvio
+import repro.core.evaluator
 import repro.frameworks
 from fixtures import (
     assert_results_identical,
@@ -243,6 +246,16 @@ class TestOptionSurface:
         assert not hasattr(CampaignRunner, "gp_predict_chunk_elements")
         assert not hasattr(repro.frameworks, "run_framework_suite")
         assert not hasattr(Framework, "build_search")
+
+    def test_one_evaluator(self):
+        """Every campaign evaluates on a ``SharedWorkerPool`` (the old
+        private evaluator is the oracle in ``tests/reference/evaluator.py``),
+        and the journal reader's cache is the one analysis cache."""
+        assert not hasattr(repro.core, "AsyncVirtualEvaluator")
+        assert not hasattr(repro.core.evaluator, "AsyncVirtualEvaluator")
+        assert not hasattr(repro.analysis.csvio, "clear_history_cache")
+        assert not hasattr(repro.analysis.csvio, "set_history_cache_limit")
+        assert importlib.util.find_spec("repro.service.evaluator") is None
 
 
 # --------------------------------------------------------- runner of one

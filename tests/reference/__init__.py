@@ -17,7 +17,10 @@ not in ``src/``, because only tests run them:
   masked sigmoid, one loss pass per categorical block);
 * :mod:`reference.search` — the sequential manager loop (``advance`` and
   ``run``) over one campaign, which ``CBOSearch.run`` (a campaign runner
-  of one) must match.
+  of one) must match;
+* :mod:`reference.evaluator` — ``AsyncVirtualEvaluator``, the private
+  virtual-clock evaluator that drops submissions beyond its idle workers,
+  which a campaign on the default private ``SharedWorkerPool`` must match.
 
 Import as ``from reference.<module> import ...`` (the ``tests`` directory is
 on ``sys.path`` through pytest's conftest handling).

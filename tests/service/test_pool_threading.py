@@ -22,7 +22,7 @@ import threading
 import numpy as np
 
 from fixtures import make_service_space, service_run_function
-from repro.service.evaluator import ServiceEvaluator, SharedWorkerPool
+from repro.core.evaluator import ServiceEvaluator, SharedWorkerPool
 
 
 def drain(evaluator, outstanding):
