@@ -347,10 +347,6 @@ class CampaignJournal:
         durability for speed — the journal stays *consistent* (the
         checkpoint still only references rows it believes are on disk) but a
         power loss may roll further back.
-    checkpoint_interval:
-        Checkpoint every this-many manager ticks (1 = every tick).  Ticks
-        between checkpoints are lost on a crash and transparently re-executed
-        on resume — the replay is deterministic, so the result is unchanged.
     """
 
     def __init__(
@@ -358,14 +354,10 @@ class CampaignJournal:
         directory: Union[str, Path],
         space: SearchSpace,
         fsync: bool = True,
-        checkpoint_interval: int = 1,
     ):
-        if checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
         self.directory = Path(directory)
         self.space = space
         self.fsync = bool(fsync)
-        self.checkpoint_interval = int(checkpoint_interval)
         self._codecs = [_ParamCodec(p) for p in space.parameters]
         self._row_dtype = _row_dtype(self._codecs)
         self._handles: Dict[str, object] = {}
@@ -393,7 +385,6 @@ class CampaignJournal:
         directory: Union[str, Path],
         space: SearchSpace,
         fsync: bool = True,
-        checkpoint_interval: int = 1,
     ) -> "CampaignJournal":
         """Open a fresh journal, truncating any previous files in the way.
 
@@ -403,9 +394,7 @@ class CampaignJournal:
         files' directory entries become durable with :meth:`write_meta`,
         whose directory fsync follows them.
         """
-        journal = cls(
-            directory, space, fsync=fsync, checkpoint_interval=checkpoint_interval
-        )
+        journal = cls(directory, space, fsync=fsync)
         journal.directory.mkdir(parents=True, exist_ok=True)
         journal._open_handles(create=True)
         try:
@@ -431,7 +420,6 @@ class CampaignJournal:
         directory: Union[str, Path],
         space: SearchSpace,
         fsync: bool = True,
-        checkpoint_interval: int = 1,
     ) -> "CampaignJournal":
         """Reopen a journal at its last checkpoint (for a resumed campaign).
 
@@ -441,9 +429,7 @@ class CampaignJournal:
         checkpoint record always agree.  The commit attached at is
         :attr:`commit`.
         """
-        journal = cls(
-            directory, space, fsync=fsync, checkpoint_interval=checkpoint_interval
-        )
+        journal = cls(directory, space, fsync=fsync)
         journal._open_handles(create=False)
         try:
             commit = _read_commit(journal.directory)

@@ -283,7 +283,6 @@ class CBOSearch:
         initial_configurations: Optional[Sequence[Configuration]] = None,
         defer_initial_submit: bool = False,
         journal_dir: Optional[object] = None,
-        checkpoint_interval: int = 1,
     ) -> "CampaignExecution":
         """Begin a search and return its stepping :class:`CampaignExecution`.
 
@@ -302,7 +301,6 @@ class CBOSearch:
             initial_configurations=initial_configurations,
             defer_initial_submit=defer_initial_submit,
             journal_dir=journal_dir,
-            checkpoint_interval=checkpoint_interval,
         )
 
     def resume(self, journal_dir) -> "CampaignExecution":
@@ -322,7 +320,6 @@ class CBOSearch:
         max_evaluations: Optional[int] = None,
         initial_configurations: Optional[Sequence[Configuration]] = None,
         defer_initial_submit: bool = False,
-        checkpoint_interval: int = 1,
     ) -> "CampaignExecution":
         """Create-or-attach on a journal directory (the registry's semantics).
 
@@ -336,10 +333,7 @@ class CBOSearch:
         """
         if CampaignJournal.exists(journal_dir):
             return CampaignExecution.resume(
-                self,
-                journal_dir,
-                checkpoint_interval=checkpoint_interval,
-                defer_initial_submit=defer_initial_submit,
+                self, journal_dir, defer_initial_submit=defer_initial_submit
             )
         return self.start(
             max_time=max_time,
@@ -347,7 +341,6 @@ class CBOSearch:
             initial_configurations=initial_configurations,
             defer_initial_submit=defer_initial_submit,
             journal_dir=journal_dir,
-            checkpoint_interval=checkpoint_interval,
         )
 
 
@@ -418,7 +411,6 @@ class CampaignExecution:
         initial_configurations: Optional[Sequence[Configuration]] = None,
         defer_initial_submit: bool = False,
         journal_dir: Optional[object] = None,
-        checkpoint_interval: int = 1,
         _resume: bool = False,
     ):
         if max_time <= 0:
@@ -456,13 +448,8 @@ class CampaignExecution:
         self.num_prior_refreshes = 0
         #: Crash-safe campaign journal (None when journaling is disabled).
         self._journal: Optional[CampaignJournal] = None
-        self._ticks_since_checkpoint = 0
         if journal_dir is not None:
-            self._journal = CampaignJournal.create(
-                journal_dir,
-                search.space,
-                checkpoint_interval=checkpoint_interval,
-            )
+            self._journal = CampaignJournal.create(journal_dir, search.space)
             self._journal.write_meta(
                 {
                     "seed": search.seed,
@@ -773,7 +760,7 @@ class CampaignExecution:
                 self.complete_ask(n)
                 self.finish_ask()
         if self._pending_batch is None:
-            self.maybe_checkpoint(force=True)
+            self.maybe_checkpoint()
             return None
         return self._pending_batch
 
@@ -790,23 +777,14 @@ class CampaignExecution:
         self.maybe_checkpoint()
 
     # ---------------------------------------------------------------- journal
-    def maybe_checkpoint(self, force: bool = False) -> bool:
-        """Journal new rows/intervals and commit a checkpoint when one is due.
+    def maybe_checkpoint(self) -> bool:
+        """Journal new rows/intervals and commit a checkpoint.
 
         Called at the end of every runner tick and ask/tell report; a no-op
-        without a journal.  ``force`` commits regardless of the journal's
-        ``checkpoint_interval`` (used for the final tick, so ``finished`` is
-        durably recorded).  Returns whether a checkpoint was committed.
+        without a journal.  Returns whether a checkpoint was committed.
         """
         journal = self._journal
         if journal is None:
-            return False
-        self._ticks_since_checkpoint += 1
-        if (
-            not force
-            and not self.finished
-            and self._ticks_since_checkpoint < journal.checkpoint_interval
-        ):
             return False
         journal.append_rows(self.history)
         journal.append_intervals(self.intervals)
@@ -820,7 +798,6 @@ class CampaignExecution:
                 "evaluator": self.evaluator.state_dict(),
             }
         )
-        self._ticks_since_checkpoint = 0
         return True
 
     def close_journal(self) -> None:
@@ -839,7 +816,6 @@ class CampaignExecution:
         cls,
         search: "CBOSearch",
         journal_dir,
-        checkpoint_interval: int = 1,
         defer_initial_submit: bool = False,
     ) -> "CampaignExecution":
         """Reconstruct a crashed journaled campaign from its sidecar directory.
@@ -886,7 +862,6 @@ class CampaignExecution:
                 max_evaluations=max_evaluations,
                 defer_initial_submit=defer_initial_submit,
                 journal_dir=journal_dir,
-                checkpoint_interval=checkpoint_interval,
             )
         execution = cls(
             search,
@@ -896,11 +871,7 @@ class CampaignExecution:
         )
         # Attach first: the lease keeps any other writer out, and the rows
         # are read at exactly the commit the writer rolled back to.
-        journal = CampaignJournal.attach(
-            journal_dir,
-            search.space,
-            checkpoint_interval=checkpoint_interval,
-        )
+        journal = CampaignJournal.attach(journal_dir, search.space)
         try:
             reader = JournalReader(
                 journal_dir,

@@ -9,16 +9,17 @@ autotuning campaigns against shared evaluation capacity:
   a private pool by default; campaigns share one through
   ``CBOSearch(evaluator_factory=pool.evaluator_factory())``, with optional
   per-tenant worker-slot caps (``tenant_slots``);
-* :class:`~repro.service.runner.CampaignRunner` — N campaigns advanced in
-  lock-step batch ticks over one event loop, with the due surrogate refits
-  of each tick fused into bit-identical fleet passes;
-* :class:`~repro.service.runner.ElasticCampaignRunner` — the elastic form:
-  campaigns join mid-flight under admission control (``max_inflight``,
-  per-tenant bounds) and leave when finished or quarantined, with the
-  fusion groups re-planned every tick
-  (:func:`~repro.service.grouping.plan_tick_groups`);
+* :class:`~repro.service.runner.CampaignRunner` — the one runner: N
+  campaigns advanced in lock-step batch ticks over one event loop, with
+  each tick's due work fused into bit-identical fleet passes.  Campaigns
+  join mid-flight through ``admit`` under admission control
+  (``max_inflight``, per-tenant bounds) and leave when finished or
+  quarantined; the fusion groups are re-planned every tick
+  (:func:`~repro.service.grouping.plan_tick_groups`).
+  ``ElasticCampaignRunner`` is another name for it;
 * :class:`~repro.service.registry.CampaignRegistry` — named studies with
-  Optuna-style create-or-attach semantics over the journal store;
+  Optuna-style create-or-attach semantics over the journal store, its
+  managed studies on one quarantining runner;
 * :class:`~repro.service.frontend.StudyClient` /
   :class:`~repro.service.frontend.StudyFrontend` /
   :class:`~repro.service.frontend.HTTPStudyClient` — the ask/tell surface,

@@ -18,13 +18,13 @@ those share the same grouping rule:
   arrival order inside each group, so the fused passes are deterministic
   for a given active set.
 
-The rule used to live inline in four runner methods; with the elastic runner
-re-forming groups from a *changing* active set every tick, it is extracted
-here as :func:`plan_tick_groups` so the fixed and the elastic runner share
-one implementation with its own unit tests
-(``tests/service/test_grouping.py``).  A tick plans its groups over its
-whole active set; with ``CampaignRunner(processes=N)`` each child process
-plans over its own shard of campaigns.
+The runner re-forms its groups from a *changing* active set every tick —
+campaigns are admitted and leave between ticks — so the rule lives here as
+:func:`plan_tick_groups`, one implementation with its own unit tests
+(``tests/service/test_grouping.py``) that every fleet pass of the tick
+calls.  A tick plans its groups over its whole active set; with
+``CampaignRunner(processes=N)`` each child process plans over its own
+shard of campaigns.
 """
 
 from __future__ import annotations

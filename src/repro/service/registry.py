@@ -20,10 +20,12 @@ Studies come in two modes:
     on these methods.
 
 ``managed``
-    The campaign is admitted to the registry's
-    :class:`~repro.service.runner.ElasticCampaignRunner` and advanced by
-    the service's own tick loop (the study's template must then carry a
-    real run function); clients only observe status.
+    The campaign is admitted to the registry's one
+    :class:`~repro.service.runner.CampaignRunner` (:attr:`CampaignRegistry.runner`)
+    and advanced by its ticks (the study's template must then carry a real
+    run function); clients only observe status.  The runner quarantines a
+    failing study, so one tenant's broken run function cannot stall the
+    others; :meth:`CampaignRegistry.status` reports the phase and error.
 
 Because search objects are not wire-serialisable, the registry is
 configured with named **templates** — ``{name: factory(seed=..., **params)
@@ -44,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.journal import CampaignJournal, JournalReader
 from repro.core.search import CampaignExecution, CBOSearch
 from repro.core.space import Configuration
-from repro.service.runner import CampaignSpec, ElasticCampaignRunner
+from repro.service.runner import CampaignRunner, CampaignSpec
 
 __all__ = [
     "CampaignRegistry",
@@ -84,8 +86,8 @@ class StudyRecord:
     """Registry-side state of one named study.
 
     ``execution`` is the live campaign for ``ask_tell`` studies; for
-    ``managed`` studies it lives inside the elastic runner and is looked up
-    through ``runner_index``.  ``attached`` records whether the study was
+    ``managed`` studies it lives inside the registry's runner and is looked
+    up through ``runner_index``.  ``attached`` records whether the study was
     resumed from an existing journal rather than created fresh.
     """
 
@@ -119,13 +121,14 @@ class CampaignRegistry:
         Optional journal root directory; when given, every study journals
         under ``root/<name>`` and create-or-attach extends across process
         restarts.  ``None`` keeps studies purely in memory.
-    runner:
-        Optional :class:`~repro.service.runner.ElasticCampaignRunner` for
-        ``managed`` studies.  ``None`` (default) builds one lazily on the
-        first managed create.
     clock:
         Wall-clock source for ``created_at``/``last_seen`` bookkeeping
         (``time.monotonic`` by default; injectable for tests).
+
+    ``managed`` studies run on :attr:`runner`, a
+    :class:`~repro.service.runner.CampaignRunner` in quarantine mode built
+    with the registry; whoever hosts the registry advances them by calling
+    ``registry.runner.tick()``.
 
     All public methods are thread-safe (one registry lock — campaign
     executions are not reentrant, so calls serialise), which is what the
@@ -136,12 +139,11 @@ class CampaignRegistry:
         self,
         templates: Dict[str, Callable[..., CBOSearch]],
         root: Optional[object] = None,
-        runner: Optional[ElasticCampaignRunner] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.templates = dict(templates)
         self.root = None if root is None else Path(root)
-        self.runner = runner
+        self.runner = CampaignRunner(on_campaign_error="quarantine")
         self._studies: Dict[str, StudyRecord] = {}
         self._lock = threading.RLock()
         self._clock = clock
@@ -166,10 +168,8 @@ class CampaignRegistry:
     def _execution_of(self, record: StudyRecord) -> Optional[CampaignExecution]:
         if record.execution is not None:
             return record.execution
-        if record.runner_index is not None and self.runner is not None:
-            executions = self.runner._executions
-            if record.runner_index < len(executions):
-                return executions[record.runner_index]
+        if record.runner_index is not None:
+            return self.runner._executions[record.runner_index]
         return None
 
     # ------------------------------------------------------------------ create
@@ -241,8 +241,6 @@ class CampaignRegistry:
                 params=dict(params or {}),
             )
             if mode == "managed":
-                if self.runner is None:
-                    self.runner = ElasticCampaignRunner()
                 record.runner_index = self.runner.admit(
                     CampaignSpec(
                         search=search,
@@ -329,7 +327,12 @@ class CampaignRegistry:
 
     # ------------------------------------------------------------------ status
     def status(self, name: str) -> Dict:
-        """JSON-ready status snapshot of one study."""
+        """JSON-ready status snapshot of one study.
+
+        ``quarantined`` is ``{"phase", "error"}`` for a managed study the
+        runner isolated after an error (a journaled one keeps its last
+        checkpoint), and None otherwise.
+        """
         with self._lock:
             return self._status(self.get(name))
 
@@ -389,7 +392,7 @@ class CampaignRegistry:
     def evict(self, name: str) -> bool:
         """Drop a journaled ask/tell study from memory (it stays on disk).
 
-        A final forced checkpoint commits everything reported so far, the
+        A final checkpoint commits everything reported so far, the
         journal closes (releasing its writer lease), and the record is
         forgotten; the next :meth:`create_study` under the same name resumes
         from the journal bit-identically (an unreported suggested batch is
@@ -405,7 +408,7 @@ class CampaignRegistry:
                 return False
             execution = record.execution
             if execution is not None:
-                execution.maybe_checkpoint(force=True)
+                execution.maybe_checkpoint()
                 execution.close_journal()
             del self._studies[name]
             return True
@@ -440,7 +443,16 @@ class CampaignRegistry:
             "num_evaluations": 0,
             "virtual_now": None,
             "best_runtime": None,
+            "quarantined": None,
         }
+        if record.runner_index is not None:
+            for quarantined in self.runner.quarantined:
+                if quarantined.index == record.runner_index:
+                    error = quarantined.error
+                    payload["quarantined"] = {
+                        "phase": quarantined.phase,
+                        "error": f"{type(error).__name__}: {error}",
+                    }
         if execution is not None:
             payload["finished"] = bool(execution.finished)
             payload["num_evaluations"] = len(execution.history)

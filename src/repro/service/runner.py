@@ -1,10 +1,12 @@
-"""Multi-campaign runners: batch ticks over one event loop, fixed or elastic.
+"""The campaign runner: batch ticks over one event loop.
 
 The paper's evaluation runs many asynchronous BO campaigns (setups ×
 methods × repetitions).  :class:`CampaignRunner` advances N campaigns in
 lock-step *batch ticks* over their virtual-time evaluators, and its tick is
 the one loop that runs an in-process campaign: ``CBOSearch.run`` is a
-runner of one.  A tick is Algorithm 1's manager loop, once per campaign:
+runner of one, and the campaign registry drives one for its managed
+studies.  A tick first starts the campaigns due for admission, then runs
+Algorithm 1's manager loop once per active campaign:
 
 1. **collect** — every active campaign advances to its own next completion
    event and records the finished evaluations, then ingests them and is
@@ -44,18 +46,21 @@ GP's kind) runs inline before the tell is charged, so a runner of one
 charges every fit, as ask/tell does.
 
 Because nothing about a group survives the tick, the runner is
-**elastic**: :class:`ElasticCampaignRunner` admits campaigns mid-flight
-under admission control and lets finished or quarantined campaigns leave.
-Each campaign evaluates on its own private
-:class:`~repro.core.evaluator.SharedWorkerPool` unless campaigns share one
-through ``CBOSearch(evaluator_factory=pool.evaluator_factory())``; they
-then compete for the same workers on one clock.
+**elastic**: :meth:`CampaignRunner.admit` adds a campaign at any time, due
+at once or at a declared tick, admission control bounds how many run at
+once, and finished or quarantined campaigns leave.  Each campaign
+evaluates on its own private :class:`~repro.core.evaluator.SharedWorkerPool`
+unless campaigns share one through
+``CBOSearch(evaluator_factory=pool.evaluator_factory())``; they then
+compete for the same workers on one clock.
 
 **Multi-core execution** runs whole campaigns in worker processes:
 ``CampaignRunner(specs, processes=N)`` deals the specs into N contiguous
 shards, and a forked child runs each shard through its own in-process
 runner.  Fusion groups form only within a shard; every campaign stays
-bit-identical to its in-process run (see docs/architecture.md §15).
+bit-identical to its in-process run (see docs/architecture.md §15).  A
+shard cannot see the others' in-flight campaigns, so ``processes > 1``
+takes no admission limit and no arrival tick.
 """
 
 from __future__ import annotations
@@ -102,8 +107,9 @@ class CampaignSpec:
     ``journal_dir`` already holds a journal the campaign resumes from its
     last checkpoint (bit-identically — the registry's create-or-attach
     semantics), and only starts fresh when the directory is empty.
-    ``tenant`` labels the campaign's owner for the elastic runner's
-    admission control and the shared pool's per-tenant slot accounting.
+    ``tenant`` labels the campaign's owner for the runner's per-tenant
+    admission control (``max_inflight_per_tenant``) only.  A shared pool
+    takes its tenant label from ``pool.evaluator_factory(tenant=...)``.
     """
 
     search: CBOSearch
@@ -146,20 +152,38 @@ _FAILED = object()
 
 
 class CampaignRunner:
-    """Run several independent campaigns concurrently over batch ticks.
+    """Run campaigns concurrently over batch ticks, admitting them as they come.
 
-    Every tick fuses what it can: due RF and GP refits, due prior-refresh
-    and deferred transfer-prior VAE fits, the asks and the RF candidate
-    scoring run as fleet passes under one fused-or-solo rule (see the
-    module docstring).  Each fleet pass is bit-identical per member, so
-    every campaign matches its run alone; ``CBOSearch.run`` is a runner of
-    one, and the identity tests compare both against the sequential loop
-    in ``tests/reference/search.py``.
+    Each tick fuses the campaigns' due fits, prior refreshes, asks and RF
+    scoring into fleet passes that are bit-identical per member (see the
+    module docstring), so every campaign matches its run alone.  Campaigns
+    **join** through :meth:`admit` — the constructor's specs at tick 0,
+    later ones at once or at a declared future tick (the burst scenario's
+    arrival schedule) — and **leave** when they finish or are quarantined.
+    :meth:`tick` admits the due arrivals, then advances the active set by
+    one batch tick; :meth:`run` ticks until no campaign is active or
+    waiting, and a long-lived service (the campaign registry's runner)
+    calls :meth:`tick` itself between admissions.
 
     Parameters
     ----------
     specs:
-        The campaigns to run (order is preserved in the results).
+        Campaigns admitted at tick 0 (result indices follow admission
+        order).  May be empty: campaigns can all come through :meth:`admit`.
+    max_inflight:
+        Upper bound on concurrently active campaigns.  Arrivals beyond it
+        wait in a FIFO admission queue and enter as slots free up — every
+        admitted campaign eventually runs (no starvation: the queue is
+        drained strictly in order for campaigns blocked on the global
+        limit).
+    max_inflight_per_tenant:
+        Per-tenant bound on concurrently active campaigns, by
+        :attr:`CampaignSpec.tenant`.  A tenant at its bound does not block
+        *other* tenants' queued arrivals — later entries overtake it, which
+        is the per-tenant fairness guarantee (one tenant's burst cannot
+        monopolise the runner).  Within one tenant, FIFO order is kept.
+        Fairness over *evaluation* capacity is the shared pool's job: see
+        ``SharedWorkerPool(tenant_slots=...)``.
     run_batcher:
         Optional service-style evaluation batcher: a callable receiving the
         tick's submissions as ``[(spec_index, configurations), ...]`` and
@@ -186,45 +210,51 @@ class CampaignRunner:
     processes:
         Number of worker processes :meth:`run` spreads the campaigns over.
         ``1`` (default) ticks every campaign in this process.  With N the
-        specs are dealt into N contiguous shards of whole campaigns, each
-        run to completion by a sequential runner in a forked child
-        (per-tick process hops cannot round-trip live optimizer/evaluator
-        state bit-identically).  Every spec must then be journaled: the
-        parent rebuilds each result from the child's journal through the
-        :class:`~repro.core.journal.JournalReader` mmap views rather than
-        pickling histories over the pipe.
+        waiting specs are dealt into N contiguous shards of whole
+        campaigns, each run to completion by a sequential runner in a
+        forked child (per-tick process hops cannot round-trip live
+        optimizer/evaluator state bit-identically).  Every spec must then
+        be journaled: the parent rebuilds each result from the child's
+        journal through the :class:`~repro.core.journal.JournalReader` mmap
+        views rather than pickling histories over the pipe.  A shard cannot
+        see the other shards' in-flight campaigns, so ``processes > 1``
+        with an admission limit, or an ``arrival_tick``, raises
+        ``ValueError``.
     """
 
     def __init__(
         self,
-        specs: Sequence[CampaignSpec],
+        specs: Sequence[CampaignSpec] = (),
+        max_inflight: Optional[int] = None,
+        max_inflight_per_tenant: Optional[int] = None,
         run_batcher: Optional[Callable] = None,
         on_campaign_error: str = "raise",
         processes: int = 1,
     ):
-        if not specs:
-            raise ValueError("need at least one campaign")
         if processes < 1:
             raise ValueError("processes must be >= 1")
-        self._configure(run_batcher, on_campaign_error)
-        self.processes = int(processes)
-        self.specs = list(specs)
-
-    def _configure(
-        self, run_batcher: Optional[Callable], on_campaign_error: str
-    ) -> None:
-        """Shared option validation and live-state initialisation."""
+        if max_inflight is not None and max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
+        if max_inflight_per_tenant is not None and max_inflight_per_tenant < 1:
+            raise ValueError("max_inflight_per_tenant must be >= 1")
+        if processes > 1 and (max_inflight or max_inflight_per_tenant):
+            raise ValueError(
+                "processes > 1 takes no admission limit: a forked shard "
+                "cannot see the other shards' in-flight campaigns"
+            )
         if on_campaign_error not in ("raise", "quarantine"):
             raise ValueError(
                 f"unknown on_campaign_error {on_campaign_error!r} "
                 "(expected 'raise' or 'quarantine')"
             )
-        self.specs: List[CampaignSpec] = []
+        self.max_inflight = max_inflight
+        self.max_inflight_per_tenant = max_inflight_per_tenant
         self.run_batcher = run_batcher
         self.on_campaign_error = on_campaign_error
-        #: Per-spec results of a multi-process run (None otherwise).
-        self._process_results: Optional[List[Optional[SearchResult]]] = None
-        #: Campaigns isolated by quarantine mode during the last :meth:`run`.
+        self.processes = int(processes)
+        #: Every admitted spec, by result index.
+        self.specs: List[CampaignSpec] = []
+        #: Campaigns isolated by quarantine mode.
         self.quarantined: List[QuarantinedCampaign] = []
         self._index_of: Dict[int, int] = {}
         self._dropped_ids: set = set()
@@ -232,10 +262,15 @@ class CampaignRunner:
         self._executions: List[Optional[CampaignExecution]] = []
         #: Executions currently advancing in batch ticks.
         self._active: List[CampaignExecution] = []
-        self._reset_counters()
-
-    def _reset_counters(self) -> None:
-        #: Number of batch ticks executed by the last :meth:`run`.
+        #: Spec indices awaiting admission, in arrival order.
+        self._admission_queue: Deque[int] = deque()
+        #: Spec index → earliest tick at which it may be admitted.
+        self._arrival_tick: Dict[int, int] = {}
+        #: Spec indices admitted so far, in admission order.
+        self.admitted_order: List[int] = []
+        #: Results a multi-process run rebuilt from the shards' journals.
+        self._shard_results: Dict[int, SearchResult] = {}
+        #: Number of batch ticks executed.
         self.num_ticks = 0
         #: Number of fleet fits and of surrogates fitted through them.
         self.num_fleet_fits = 0
@@ -261,6 +296,8 @@ class CampaignRunner:
         #: Solo surrogate fits, unfused or retried after a failed fleet
         #: pass — with the fleet counters this yields the fusion hit rate.
         self.num_solo_fits = 0
+        for spec in specs:
+            self.admit(spec)
 
     def close(self) -> None:
         """Release the journals of the campaigns still active (idempotent).
@@ -275,38 +312,109 @@ class CampaignRunner:
         for execution in self._active:
             execution.close_journal()
 
+    # -------------------------------------------------------------- admission
+    def admit(self, spec: CampaignSpec, arrival_tick: Optional[int] = None) -> int:
+        """Register a campaign for admission; returns its result index.
+
+        ``arrival_tick`` holds the campaign out of admission until the
+        runner has executed that many ticks (modelling an arrival curve —
+        ``None`` means it is admissible at the next tick).
+        """
+        if arrival_tick is not None and self.processes > 1:
+            raise ValueError(
+                "processes > 1 takes no arrival_tick: a shard runs its "
+                "campaigns from its own first tick"
+            )
+        index = len(self.specs)
+        self.specs.append(spec)
+        self._executions.append(None)
+        self._admission_queue.append(index)
+        self._arrival_tick[index] = (
+            self.num_ticks if arrival_tick is None else int(arrival_tick)
+        )
+        return index
+
+    @property
+    def num_inflight(self) -> int:
+        """Number of campaigns currently advancing in batch ticks."""
+        return len(self._active)
+
+    @property
+    def num_waiting(self) -> int:
+        """Number of admitted-but-not-yet-started campaigns."""
+        return len(self._admission_queue)
+
+    def _admit_due(self) -> None:
+        """Move queued arrivals into the active set under admission control.
+
+        FIFO with per-tenant overtaking: an entry blocked only by its own
+        tenant's bound lets later entries of other tenants pass; an entry
+        blocked by the global ``max_inflight`` blocks everyone behind it
+        (the global limit applies equally, so overtaking could starve the
+        head).
+        """
+        if not self._admission_queue:
+            return
+        inflight = len(self._active)
+        per_tenant = Counter(
+            self.specs[self._index_of[id(execution)]].tenant for execution in self._active
+        )
+        admitted: List[int] = []
+        remaining: Deque[int] = deque()
+        globally_blocked = False
+        while self._admission_queue:
+            index = self._admission_queue.popleft()
+            if globally_blocked or self._arrival_tick[index] > self.num_ticks:
+                remaining.append(index)
+                continue
+            if self.max_inflight is not None and inflight >= self.max_inflight:
+                remaining.append(index)
+                globally_blocked = True
+                continue
+            tenant = self.specs[index].tenant
+            if (
+                self.max_inflight_per_tenant is not None
+                and per_tenant[tenant] >= self.max_inflight_per_tenant
+            ):
+                remaining.append(index)
+                continue
+            admitted.append(index)
+            inflight += 1
+            per_tenant[tenant] += 1
+        self._admission_queue = remaining
+        if admitted:
+            before = len(self.quarantined)
+            self._start_specs(admitted)
+            failed = {q.index for q in self.quarantined[before:]}
+            self.admitted_order.extend(i for i in admitted if i not in failed)
+            if failed:
+                self.admitted_order.extend(sorted(failed))
+
     # ------------------------------------------------------------------- run
-    def run(self) -> List[SearchResult]:
-        """Execute all campaigns; per-spec results in spec order."""
-        if self.processes > 1:
-            return self._run_process_shards()
+    def run(self) -> List[Optional[SearchResult]]:
+        """Tick until no campaign is active or waiting; per-spec results.
+
+        Future-tick arrivals keep the loop alive: empty ticks advance the
+        tick counter until they fall due.  The runner never restarts a
+        campaign, so a second call returns the same results without
+        stepping again.  Results are in spec order, None only for specs
+        whose start was quarantined.
+        """
         try:
-            self._begin()
-            while self._active:
+            if self.processes > 1:
+                self._run_process_shards()
+            while self._active or self._admission_queue:
                 self.tick()
-            return self.results()
         finally:
             self.close()
+        return self.results()
 
     def results(self) -> List[Optional[SearchResult]]:
         """Per-spec results in spec order (None for never-started specs)."""
-        if self._process_results is not None:
-            return list(self._process_results)
         return [
-            None if execution is None else execution.result()
-            for execution in self._executions
+            self._shard_results.get(index) if execution is None else execution.result()
+            for index, execution in enumerate(self._executions)
         ]
-
-    def _begin(self) -> None:
-        """Start every spec's execution and reset the run-scoped state."""
-        self.quarantined = []
-        self._dropped_ids = set()
-        self._index_of = {}
-        self._executions = []
-        self._active = []
-        self._process_results = None
-        self._reset_counters()
-        self._start_specs(range(len(self.specs)))
 
     def _start_specs(self, indices: Sequence[int]) -> None:
         """Start (or resume) the given specs and submit their initial batches.
@@ -325,8 +433,6 @@ class CampaignRunner:
         started: List[CampaignExecution] = []
         for index in indices:
             spec = self.specs[index]
-            while len(self._executions) <= index:
-                self._executions.append(None)
             attach = spec.resume_from_journal and spec.journal_dir is not None
             start = spec.search.start_or_resume if attach else spec.search.start
             try:
@@ -391,12 +497,12 @@ class CampaignRunner:
 
     # ------------------------------------------------------------------ tick
     def tick(self) -> None:
-        """Advance every active campaign by one batch tick.
+        """Admit due arrivals, then advance the active set by one batch tick.
 
-        The pipeline is collect → tell/fit → prior refresh → ask → score →
-        submit → checkpoint.  Fleet-fusion groups are planned fresh from the
-        active set (:func:`~repro.service.grouping.plan_tick_groups`), so
-        nothing about a group survives the tick.  A due fit that cannot
+        The pipeline is admit → collect → tell/fit → prior refresh → ask →
+        score → submit → checkpoint.  Fleet-fusion groups are planned fresh
+        from the active set (:func:`~repro.service.grouping.plan_tick_groups`),
+        so nothing about a group survives the tick.  A due fit that cannot
         fuse this tick — its surrogate is neither RF nor GP, or no other
         active campaign shares its fleet key (:func:`_fleet_key`) — runs
         inline before the tell is charged, so it is charged like a solo
@@ -404,6 +510,7 @@ class CampaignRunner:
         their final checkpoint and, like quarantined ones, leave the active
         set at the end of the tick.
         """
+        self._admit_due()
         self.num_ticks += 1
         keys = Counter(_fleet_key(execution) for execution in self._active)
         fleet_due: Dict[type, List[CampaignExecution]] = {
@@ -500,9 +607,7 @@ class CampaignRunner:
     def _finish(self, execution: CampaignExecution) -> None:
         """Commit a finished campaign's final checkpoint, then release its
         journal (a quarantined checkpoint has released it already)."""
-        self._step(
-            execution, "checkpoint", lambda: execution.maybe_checkpoint(force=True)
-        )
+        self._step(execution, "checkpoint", execution.maybe_checkpoint)
         execution.close_journal()
 
     # ----------------------------------------------------------- error policy
@@ -523,7 +628,7 @@ class CampaignRunner:
         try:
             # Best effort: a journaled campaign stays resumable from its last
             # consistent state even when the quarantine-time checkpoint fails.
-            execution.maybe_checkpoint(force=True)
+            execution.maybe_checkpoint()
         except Exception:
             pass
         # The runner never steps it again: release the journal's writer
@@ -782,8 +887,8 @@ class CampaignRunner:
         return scored
 
     # --------------------------------------------------------- process shards
-    def _run_process_shards(self) -> List[SearchResult]:
-        """Run the campaigns as one forked worker process per spec shard.
+    def _run_process_shards(self) -> None:
+        """Run the waiting campaigns as one forked worker process per shard.
 
         Each child runs a sequential :class:`CampaignRunner` over its shard
         of whole campaigns and only scalars cross the result pipe: every
@@ -793,11 +898,14 @@ class CampaignRunner:
         mmap views — histories return zero-copy, never pickled.  Counters
         are summed and quarantine records merged in shard order;
         ``num_ticks`` is the maximum over shards (the parallel tick depth).
+        The specs leave the admission queue, so :meth:`run` has nothing
+        left to tick.
         """
         import multiprocessing
 
-        for index, spec in enumerate(self.specs):
-            if spec.journal_dir is None:
+        waiting = list(self._admission_queue)
+        for index in waiting:
+            if self.specs[index].journal_dir is None:
                 raise ValueError(
                     "processes > 1 requires journaled campaigns "
                     f"(spec {index} has no journal_dir): results return "
@@ -807,19 +915,14 @@ class CampaignRunner:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             raise RuntimeError("processes > 1 requires the fork start method") from None
-        self.quarantined = []
-        self._dropped_ids = set()
-        self._index_of = {}
-        self._executions = [None] * len(self.specs)
-        self._active = []
-        self._reset_counters()
-        # Contiguous deal: spec i goes to shard i*k//n, so shard sizes differ
-        # by at most one and spec order is kept within each shard.
-        count = len(self.specs)
+        self._admission_queue.clear()
+        # Contiguous deal: the i-th spec goes to shard i*k//n, so shard sizes
+        # differ by at most one and spec order is kept within each shard.
+        count = len(waiting)
         num_shards = min(self.processes, count)
         shards: List[List[int]] = [[] for _ in range(num_shards)]
-        for index in range(count):
-            shards[index * num_shards // count].append(index)
+        for position, index in enumerate(waiting):
+            shards[position * num_shards // count].append(index)
         workers: List[Tuple[List[int], object, object]] = []
         for shard in shards:
             receiver, sender = context.Pipe(duplex=False)
@@ -829,7 +932,7 @@ class CampaignRunner:
             process.start()
             sender.close()
             workers.append((shard, receiver, process))
-        results: List[Optional[SearchResult]] = [None] * len(self.specs)
+        results: Dict[int, SearchResult] = {}
         failures: List[str] = []
         payloads: List[Tuple[List[int], Optional[Dict]]] = []
         for shard, receiver, process in workers:
@@ -858,15 +961,13 @@ class CampaignRunner:
                     )
                 )
             for index, summary in zip(shard, payload["results"]):
-                if summary is None:
-                    continue
-                results[index] = self._result_from_journal(index, summary)
+                if summary is not None:
+                    results[index] = self._result_from_journal(index, summary)
         if failures:
             raise RuntimeError(
                 "process shards failed: " + "; ".join(failures)
             )
-        self._process_results = results
-        return list(results)
+        self._shard_results.update(results)
 
     def _result_from_journal(self, index: int, summary: Dict) -> SearchResult:
         """Rebuild one child campaign's result from its journal (zero-copy).
@@ -882,15 +983,21 @@ class CampaignRunner:
         history = reader.history()
         return SearchResult(
             history=history,
-            best_configuration=summary["best_configuration"],
-            best_runtime=summary["best_runtime"],
-            best_objective=summary["best_objective"],
             num_evaluations=len(history),
-            worker_utilization=summary["worker_utilization"],
-            search_time=summary["search_time"],
-            num_workers=summary["num_workers"],
             busy_intervals=reader.intervals(),
+            **summary,
         )
+
+
+#: The result fields a shard child sends; the rest come from the journal.
+_SUMMARY_FIELDS = (
+    "best_configuration",
+    "best_runtime",
+    "best_objective",
+    "worker_utilization",
+    "search_time",
+    "num_workers",
+)
 
 
 #: Surrogate kinds with a fleet fit.
@@ -1007,33 +1114,20 @@ def _run_spec_shard(runner: CampaignRunner, indices: List[int], sender) -> None:
             run_batcher=run_batcher,
             on_campaign_error=runner.on_campaign_error,
         )
-        child.run()
-        summaries = []
-        for result in child.results():
-            if result is None:
-                summaries.append(None)
-                continue
-            summaries.append(
-                {
-                    "best_configuration": result.best_configuration,
-                    "best_runtime": result.best_runtime,
-                    "best_objective": result.best_objective,
-                    "worker_utilization": result.worker_utilization,
-                    "search_time": result.search_time,
-                    "num_workers": result.num_workers,
-                }
-            )
-        counter_names = [
-            name
-            for name in vars(child)
-            if name.startswith("num_") and name != "num_ticks"
+        summaries = [
+            None
+            if result is None
+            else {name: getattr(result, name) for name in _SUMMARY_FIELDS}
+            for result in child.run()
         ]
         sender.send(
             {
                 "error": None,
                 "num_ticks": child.num_ticks,
                 "counters": {
-                    name: getattr(child, name) for name in counter_names
+                    name: value
+                    for name, value in vars(child).items()
+                    if name.startswith("num_") and name != "num_ticks"
                 },
                 "quarantined": [
                     (indices[q.index], q.label, q.phase, repr(q.error))
@@ -1051,177 +1145,6 @@ def _run_spec_shard(runner: CampaignRunner, indices: List[int], sender) -> None:
         sender.close()
 
 
-class ElasticCampaignRunner(CampaignRunner):
-    """A :class:`CampaignRunner` whose fleet changes while it runs.
-
-    Campaigns **join** through :meth:`admit` — immediately, or at a declared
-    future tick (the burst scenario's arrival schedule) — and **leave** when
-    they finish or are quarantined; the fleet-fusion groups re-form from the
-    surviving active set every tick, so membership changes never perturb any
-    member's results.  Each campaign with private workers remains
-    bit-identical to its isolated sequential run regardless of when it
-    joined or left.
-
-    Admission control gates how many admitted campaigns are actually
-    in-flight:
-
-    ``max_inflight``
-        Upper bound on concurrently active campaigns.  Arrivals beyond it
-        wait in a FIFO admission queue and enter as slots free up — every
-        admitted campaign eventually runs (no starvation: the queue is
-        drained strictly in order for campaigns blocked on the global
-        limit).
-    ``max_inflight_per_tenant``
-        Per-tenant bound on concurrently active campaigns.  A tenant at its
-        bound does not block *other* tenants' queued arrivals — later
-        entries overtake it, which is the per-tenant fairness guarantee (one
-        tenant's burst cannot monopolise the runner).  Within one tenant,
-        FIFO order is preserved.
-
-    Per-tenant fairness over *evaluation* capacity is the shared pool's job:
-    see ``SharedWorkerPool(tenant_slots=...)``.
-
-    Drive the runner either with :meth:`run_until_complete` (ticks until the
-    admission queue and the active set are empty) or by calling
-    :meth:`tick` yourself between admissions (how the campaign registry
-    embeds it in a long-lived service).
-    """
-
-    def __init__(
-        self,
-        max_inflight: Optional[int] = None,
-        max_inflight_per_tenant: Optional[int] = None,
-        run_batcher: Optional[Callable] = None,
-        on_campaign_error: str = "raise",
-    ):
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if max_inflight_per_tenant is not None and max_inflight_per_tenant < 1:
-            raise ValueError("max_inflight_per_tenant must be >= 1")
-        self._configure(run_batcher, on_campaign_error)
-        self.max_inflight = max_inflight
-        self.max_inflight_per_tenant = max_inflight_per_tenant
-        #: Spec indices awaiting admission, in arrival order.
-        self._admission_queue: Deque[int] = deque()
-        #: Spec index → earliest tick at which it may be admitted.
-        self._arrival_tick: Dict[int, int] = {}
-        #: Spec indices admitted so far, in admission order.
-        self.admitted_order: List[int] = []
-
-    # -------------------------------------------------------------- admission
-    def admit(
-        self,
-        spec: CampaignSpec,
-        tenant: Optional[str] = None,
-        arrival_tick: Optional[int] = None,
-    ) -> int:
-        """Register a campaign for admission; returns its result index.
-
-        ``tenant`` overrides the spec's tenant label; ``arrival_tick`` holds
-        the campaign out of admission until the runner has executed that
-        many ticks (modelling an arrival curve — ``None`` means it is
-        admissible immediately).
-        """
-        index = len(self.specs)
-        if tenant is not None:
-            spec.tenant = tenant
-        self.specs.append(spec)
-        while len(self._executions) <= index:
-            self._executions.append(None)
-        self._admission_queue.append(index)
-        self._arrival_tick[index] = (
-            self.num_ticks if arrival_tick is None else int(arrival_tick)
-        )
-        return index
-
-    @property
-    def num_inflight(self) -> int:
-        """Number of campaigns currently advancing in batch ticks."""
-        return len(self._active)
-
-    @property
-    def num_waiting(self) -> int:
-        """Number of admitted-but-not-yet-started campaigns."""
-        return len(self._admission_queue)
-
-    def _tenant_inflight(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for execution in self._active:
-            tenant = self.specs[self._index_of[id(execution)]].tenant
-            counts[tenant] = counts.get(tenant, 0) + 1
-        return counts
-
-    def _admit_due(self) -> None:
-        """Move queued arrivals into the active set under admission control.
-
-        FIFO with per-tenant overtaking: an entry blocked only by its own
-        tenant's bound lets later entries of other tenants pass; an entry
-        blocked by the global ``max_inflight`` blocks everyone behind it
-        (the global limit applies equally, so overtaking could starve the
-        head).
-        """
-        if not self._admission_queue:
-            return
-        inflight = len(self._active)
-        per_tenant = self._tenant_inflight()
-        admitted: List[int] = []
-        remaining: Deque[int] = deque()
-        globally_blocked = False
-        while self._admission_queue:
-            index = self._admission_queue.popleft()
-            if globally_blocked or self._arrival_tick[index] > self.num_ticks:
-                remaining.append(index)
-                continue
-            if self.max_inflight is not None and inflight >= self.max_inflight:
-                remaining.append(index)
-                globally_blocked = True
-                continue
-            tenant = self.specs[index].tenant
-            if (
-                self.max_inflight_per_tenant is not None
-                and per_tenant.get(tenant, 0) >= self.max_inflight_per_tenant
-            ):
-                remaining.append(index)
-                continue
-            admitted.append(index)
-            inflight += 1
-            per_tenant[tenant] = per_tenant.get(tenant, 0) + 1
-        self._admission_queue = remaining
-        if admitted:
-            before = len(self.quarantined)
-            self._start_specs(admitted)
-            failed = {q.index for q in self.quarantined[before:]}
-            self.admitted_order.extend(i for i in admitted if i not in failed)
-            if failed:
-                self.admitted_order.extend(sorted(failed))
-
-    # ------------------------------------------------------------------ drive
-    def tick(self) -> None:
-        """Admit due arrivals, then advance the active set by one batch tick."""
-        self._admit_due()
-        super().tick()
-
-    def run_until_complete(self) -> List[Optional[SearchResult]]:
-        """Tick until the admission queue and the active set are both empty.
-
-        Future-tick arrivals keep the loop alive: empty ticks advance the
-        tick counter until they fall due.  Returns per-spec results in spec
-        order (None only for specs whose start was quarantined).
-        """
-        try:
-            while self._active or self._admission_queue:
-                self.tick()
-        finally:
-            self.close()
-        return self.results()
-
-    def run(self) -> List[SearchResult]:
-        """Alias of :meth:`run_until_complete` (the elastic runner never
-        restarts its specs — admission state is carried, not reset)."""
-        return self.run_until_complete()
-
-    def _begin(self) -> None:  # pragma: no cover - guard against misuse
-        raise RuntimeError(
-            "ElasticCampaignRunner does not restart from its spec list; "
-            "admit campaigns and call tick()/run_until_complete()"
-        )
+#: The runner's name before admission control moved into
+#: :class:`CampaignRunner`; kept for callers that import it.
+ElasticCampaignRunner = CampaignRunner

@@ -179,7 +179,6 @@ class TestWatermark:
             max_time=600.0,
             max_evaluations=24,
             journal_dir=tmp_path / "j",
-            checkpoint_interval=3,
         )
         for _ in range(4):
             advance(execution)

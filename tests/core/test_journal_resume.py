@@ -76,15 +76,6 @@ class TestJournalOverheadFreePath:
         assert checkpoint["finished"] is True
         assert checkpoint["num_rows"] == len(journaled.history)
 
-    def test_sparse_checkpoint_interval_matches(self, tmp_path):
-        baseline = make_search(0).run(**BUDGET)
-        execution = make_search(0).start(
-            journal_dir=tmp_path / "j", checkpoint_interval=3, **BUDGET
-        )
-        assert_identical(baseline, finish(execution))
-        # The final tick force-commits even off-cadence.
-        assert CampaignJournal.read_checkpoint(tmp_path / "j")["finished"] is True
-
 
 class TestResumeBitIdentity:
     @pytest.mark.parametrize("kill_tick", [1, 3, 7, 12])

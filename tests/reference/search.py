@@ -20,7 +20,7 @@ def advance(execution: CampaignExecution) -> bool:
     → checkpoint; the final call commits the closing checkpoint.
     """
     if execution.collect() is None:
-        execution.maybe_checkpoint(force=True)
+        execution.maybe_checkpoint()
         return False
     execution.tell_collected()
     refresh = execution.prepare_prior_refresh()

@@ -1,6 +1,6 @@
 """Burst regression: 50 short-lived campaigns under admission control.
 
-The service-scale smoke the elastic runner must absorb: a burst of many
+The service-scale smoke the campaign runner must absorb: a burst of many
 small tenant-labelled campaigns arriving in waves against a shared worker
 pool.  Pinned here: every campaign is eventually admitted exactly once and
 runs to completion (no starvation) bit-identical to its solo run, with fused
@@ -21,8 +21,8 @@ from fixtures import (
 from repro.core.search import CBOSearch
 from repro.core.surrogate import RandomForestSurrogate
 from repro.service import (
+    CampaignRunner,
     CampaignSpec,
-    ElasticCampaignRunner,
     SharedWorkerPool,
 )
 
@@ -72,7 +72,7 @@ def run_burst(runner, specs, arrival_of):
 class TestBurstAdmission:
     def test_fifty_campaign_burst_completes_without_starvation(self):
         space = make_service_space()
-        runner = ElasticCampaignRunner(max_inflight=MAX_INFLIGHT)
+        runner = CampaignRunner(max_inflight=MAX_INFLIGHT)
         specs = [make_burst_spec(i, space) for i in range(NUM_CAMPAIGNS)]
         # Five waves of ten, two ticks apart.
         results, peak = run_burst(runner, specs, arrival_of=lambda i: 2 * (i // 10))
@@ -101,7 +101,7 @@ class TestBurstAdmission:
 
     def test_admission_is_fifo_within_each_tenant(self):
         space = make_service_space()
-        runner = ElasticCampaignRunner(
+        runner = CampaignRunner(
             max_inflight=MAX_INFLIGHT, max_inflight_per_tenant=2
         )
         specs = [make_burst_spec(i, space) for i in range(24)]
@@ -118,7 +118,7 @@ class TestBurstAdmission:
 
     def test_per_tenant_inflight_cap_bounds_each_tenants_share(self):
         space = make_service_space()
-        runner = ElasticCampaignRunner(
+        runner = CampaignRunner(
             max_inflight=6, max_inflight_per_tenant=2
         )
         specs = [make_burst_spec(i, space) for i in range(18)]
@@ -140,7 +140,7 @@ class TestTenantSlotShares:
         pool = SharedWorkerPool(
             num_workers=12, tenant_slots={t: 4 for t in TENANTS}
         )
-        runner = ElasticCampaignRunner(max_inflight=MAX_INFLIGHT)
+        runner = CampaignRunner(max_inflight=MAX_INFLIGHT)
         specs = [
             make_burst_spec(i, space, pool=pool, max_time=100_000.0)
             for i in range(NUM_CAMPAIGNS)
@@ -163,7 +163,7 @@ class TestTenantSlotShares:
     def test_uncapped_tenants_share_the_whole_pool(self):
         space = make_service_space()
         pool = SharedWorkerPool(num_workers=6, tenant_slots={"alice": 2})
-        runner = ElasticCampaignRunner()
+        runner = CampaignRunner()
         specs = [
             make_burst_spec(i, space, pool=pool, max_time=100_000.0)
             for i in range(6)

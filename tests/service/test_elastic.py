@@ -1,6 +1,6 @@
 """Elastic-fleet bit-identity: joining/leaving must not perturb anyone.
 
-The elasticity contract of :class:`~repro.service.ElasticCampaignRunner`:
+The elasticity contract of :class:`~repro.service.CampaignRunner`:
 whatever the join schedule (arrival ticks), leave pattern (budgets, hence
 finish times) and quarantine events, every campaign's
 :class:`~repro.core.search.SearchHistory` is bitwise equal to the same
@@ -24,7 +24,7 @@ from fixtures import (
 )
 from repro.core.search import CBOSearch
 from repro.core.surrogate import RandomForestSurrogate
-from repro.service import CampaignSpec, ElasticCampaignRunner
+from repro.service import CampaignRunner, CampaignSpec
 from reference.search import advance
 
 # One fixed budget per campaign kind: mixed kinds make mixed fleet groups,
@@ -50,7 +50,7 @@ def solo_result(kind, seed):
     return _SOLO_CACHE[key]
 
 
-def make_spec(kind, seed, space, doomed=False):
+def make_spec(kind, seed, space, doomed=False, tenant="default"):
     factory, max_time, max_evaluations = KINDS[kind]
     if doomed:
         search = make_doomed_search(seed, space)
@@ -61,6 +61,7 @@ def make_spec(kind, seed, space, doomed=False):
         max_time=max_time,
         max_evaluations=max_evaluations,
         label=f"{kind}-{seed}",
+        tenant=tenant,
     )
 
 
@@ -101,14 +102,14 @@ class TestElasticBitIdentity:
     @given(schedule=schedules)
     def test_any_join_leave_quarantine_schedule_is_bit_identical(self, schedule):
         space = make_service_space()
-        runner = ElasticCampaignRunner(on_campaign_error="quarantine")
+        runner = CampaignRunner(on_campaign_error="quarantine")
         for seed, (kind, arrival, doomed) in enumerate(schedule):
             index = runner.admit(
                 make_spec(kind, seed, space, doomed=doomed),
                 arrival_tick=arrival,
             )
             assert index == seed
-        results = runner.run_until_complete()
+        results = runner.run()
         assert len(results) == len(schedule)
         quarantined = {q.index for q in runner.quarantined}
         for seed, (kind, _, doomed) in enumerate(schedule):
@@ -124,11 +125,11 @@ class TestElasticBitIdentity:
     def test_mid_flight_join_reforms_fleet_groups(self):
         """A same-kind campaign joining later still fuses with the cohort."""
         space = make_service_space()
-        runner = ElasticCampaignRunner()
+        runner = CampaignRunner()
         runner.admit(make_spec("rf", 0, space))
         runner.admit(make_spec("rf", 1, space))
         runner.admit(make_spec("rf", 2, space), arrival_tick=4)
-        results = runner.run_until_complete()
+        results = runner.run()
         for seed in range(3):
             assert_identical(solo_result("rf", seed), results[seed])
         # The late joiner fused with the incumbents once admitted.
@@ -138,12 +139,12 @@ class TestElasticBitIdentity:
     def test_admission_while_ticking(self):
         """admit() between tick() calls — the registry's driving pattern."""
         space = make_service_space()
-        runner = ElasticCampaignRunner()
+        runner = CampaignRunner()
         runner.admit(make_spec("rf", 0, space))
         for _ in range(6):
             runner.tick()
         runner.admit(make_spec("rf", 1, space))
-        results = runner.run_until_complete()
+        results = runner.run()
         assert_identical(solo_result("rf", 0), results[0])
         assert_identical(solo_result("rf", 1), results[1])
 
@@ -165,7 +166,7 @@ class TestElasticBitIdentity:
         self, schedule, max_inflight
     ):
         space = make_service_space()
-        runner = ElasticCampaignRunner(
+        runner = CampaignRunner(
             max_inflight=max_inflight, on_campaign_error="quarantine"
         )
         for seed, (kind, arrival, doomed) in enumerate(schedule):
@@ -173,7 +174,7 @@ class TestElasticBitIdentity:
                 make_spec(kind, seed, space, doomed=doomed),
                 arrival_tick=arrival,
             )
-        results = runner.run_until_complete()
+        results = runner.run()
         quarantined = {q.index for q in runner.quarantined}
         for seed, (kind, _, doomed) in enumerate(schedule):
             if doomed:
@@ -185,10 +186,10 @@ class TestElasticBitIdentity:
 class TestAdmissionControl:
     def test_max_inflight_serialises_and_preserves_identity(self):
         space = make_service_space()
-        runner = ElasticCampaignRunner(max_inflight=1)
+        runner = CampaignRunner(max_inflight=1)
         for seed in range(3):
             runner.admit(make_spec("rf", seed, space))
-        results = runner.run_until_complete()
+        results = runner.run()
         assert runner.admitted_order == [0, 1, 2]
         for seed in range(3):
             assert_identical(solo_result("rf", seed), results[seed])
@@ -197,7 +198,7 @@ class TestAdmissionControl:
 
     def test_num_inflight_respects_the_cap(self):
         space = make_service_space()
-        runner = ElasticCampaignRunner(max_inflight=2)
+        runner = CampaignRunner(max_inflight=2)
         for seed in range(4):
             runner.admit(make_spec("rf", seed, space))
         peak = 0
@@ -208,53 +209,50 @@ class TestAdmissionControl:
 
     def test_per_tenant_cap_lets_other_tenants_overtake(self):
         space = make_service_space()
-        runner = ElasticCampaignRunner(max_inflight_per_tenant=1)
-        runner.admit(make_spec("rf", 0, space), tenant="alice")
-        runner.admit(make_spec("rf", 1, space), tenant="alice")
-        runner.admit(make_spec("rf", 2, space), tenant="bob")
+        runner = CampaignRunner(max_inflight_per_tenant=1)
+        runner.admit(make_spec("rf", 0, space, tenant="alice"))
+        runner.admit(make_spec("rf", 1, space, tenant="alice"))
+        runner.admit(make_spec("rf", 2, space, tenant="bob"))
         runner.tick()
         # Alice's second campaign is held back by her tenant bound; Bob's
         # passes it in the queue (per-tenant fairness at admission).
         assert runner.admitted_order == [0, 2]
         assert runner.num_waiting == 1
-        results = runner.run_until_complete()
+        results = runner.run()
         assert runner.admitted_order == [0, 2, 1]
         for seed in range(3):
             assert_identical(solo_result("rf", seed), results[seed])
 
     def test_global_block_preserves_fifo(self):
         space = make_service_space()
-        runner = ElasticCampaignRunner(max_inflight=1)
-        runner.admit(make_spec("rf", 0, space), tenant="alice")
-        runner.admit(make_spec("rf", 1, space), tenant="alice")
-        runner.admit(make_spec("rf", 2, space), tenant="bob")
+        runner = CampaignRunner(max_inflight=1)
+        runner.admit(make_spec("rf", 0, space, tenant="alice"))
+        runner.admit(make_spec("rf", 1, space, tenant="alice"))
+        runner.admit(make_spec("rf", 2, space, tenant="bob"))
         runner.tick()
         # The global limit blocks everyone equally — bob must not overtake,
         # or a queue of alices could starve her indefinitely.
         assert runner.admitted_order == [0]
-        results = runner.run_until_complete()
+        results = runner.run()
         assert runner.admitted_order == [0, 1, 2]
         assert all(r is not None for r in results)
 
     def test_quarantined_departure_frees_an_admission_slot(self):
         space = make_service_space()
-        runner = ElasticCampaignRunner(
+        runner = CampaignRunner(
             max_inflight=1, on_campaign_error="quarantine"
         )
         runner.admit(make_spec("rf", 0, space, doomed=True))
         runner.admit(make_spec("rf", 1, space))
-        results = runner.run_until_complete()
+        results = runner.run()
         assert [q.index for q in runner.quarantined] == [0]
         assert_identical(solo_result("rf", 1), results[1])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_inflight"):
-            ElasticCampaignRunner(max_inflight=0)
+            CampaignRunner(max_inflight=0)
         with pytest.raises(ValueError, match="max_inflight_per_tenant"):
-            ElasticCampaignRunner(max_inflight_per_tenant=0)
-        runner = ElasticCampaignRunner()
-        with pytest.raises(RuntimeError, match="admit"):
-            runner._begin()
+            CampaignRunner(max_inflight_per_tenant=0)
 
 
 class TestElasticJournalsAndBatching:
@@ -269,7 +267,7 @@ class TestElasticJournalsAndBatching:
         return spec
 
     def test_finished_campaign_is_resumable_while_the_runner_ticks(self, tmp_path):
-        runner = ElasticCampaignRunner()
+        runner = CampaignRunner()
         runner.admit(self.journaled("rf", 0, tmp_path, max_evaluations=8))
         runner.admit(self.journaled("rf", 1, tmp_path))
         while runner.num_inflight != 1:
@@ -281,12 +279,12 @@ class TestElasticJournalsAndBatching:
         assert execution.finished
         assert len(execution.history) == len(runner.results()[0].history)
         execution.close_journal()
-        results = runner.run_until_complete()
+        results = runner.run()
         assert_identical(solo_result("rf", 1), results[1])
 
     def test_quarantined_campaign_is_resumable_while_the_runner_ticks(self, tmp_path):
         space = make_service_space()
-        runner = ElasticCampaignRunner(on_campaign_error="quarantine")
+        runner = CampaignRunner(on_campaign_error="quarantine")
         doomed = make_spec("rf", 0, space, doomed=True)
         doomed.journal_dir = tmp_path / "doomed"
         runner.admit(doomed)
@@ -306,11 +304,11 @@ class TestElasticJournalsAndBatching:
         ).resume(tmp_path / "doomed")
         assert len(repaired.history) == len(runner.results()[0].history)
         repaired.close_journal()
-        results = runner.run_until_complete()
+        results = runner.run()
         assert_identical(solo_result("refresh", 1), results[1])
 
     def test_close_releases_active_journals_without_committing(self, tmp_path):
-        runner = ElasticCampaignRunner()
+        runner = CampaignRunner()
         for seed in range(2):
             runner.admit(self.journaled("rf", seed, tmp_path))
         for _ in range(4):
@@ -342,13 +340,13 @@ class TestElasticJournalsAndBatching:
 
     def test_raise_mode_releases_the_survivors_journals(self, tmp_path):
         space = make_service_space()
-        runner = ElasticCampaignRunner()
+        runner = CampaignRunner()
         runner.admit(self.journaled("rf", 0, tmp_path))
         doomed = make_spec("rf", 1, space, doomed=True)
         doomed.journal_dir = tmp_path / "doomed"
         runner.admit(doomed, arrival_tick=1)
         with pytest.raises(RuntimeError, match="injected elastic failure"):
-            runner.run_until_complete()
+            runner.run()
         resumed = make_service_search(0, space).resume(tmp_path / "rf-0")
         while advance(resumed):
             pass
@@ -372,13 +370,13 @@ class TestElasticJournalsAndBatching:
                         runtimes[position] = runtimes[position][:-1]
             return runtimes
 
-        runner = ElasticCampaignRunner(
+        runner = CampaignRunner(
             run_batcher=batcher, on_campaign_error="quarantine"
         )
         runner.admit(make_spec("rf", 0, space))
         runner.admit(make_spec("gp", 1, space))
         runner.admit(make_spec("rf", 2, space), arrival_tick=2)
-        results = runner.run_until_complete()
+        results = runner.run()
         assert [(q.index, q.phase) for q in runner.quarantined] == [(2, "submit")]
         assert "equal length" in str(runner.quarantined[0].error)
         assert calls["late"] == 1

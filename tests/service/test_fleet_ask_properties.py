@@ -35,7 +35,7 @@ from repro.core.space import (
     SearchSpace,
 )
 from repro.core.surrogate import RandomForestSurrogate
-from repro.service import CampaignRunner, CampaignSpec, ElasticCampaignRunner
+from repro.service import CampaignRunner, CampaignSpec
 
 # Mirrors tests/service/test_elastic.py: one fixed budget per campaign kind
 # so mixed cohorts produce mixed fleet groups and staggered leaves.
@@ -158,13 +158,13 @@ class TestFleetAskProperties:
     def test_elastic_schedules_batched_is_bit_identical(self, schedule):
         """Join/leave schedules over mixed RF/GP/refresh cohorts."""
         space = make_service_space()
-        runner = ElasticCampaignRunner()
+        runner = CampaignRunner()
         specs = []
         for seed, (kind, arrival) in enumerate(schedule):
             spec = make_spec(kind, seed, space)
             specs.append(spec)
             runner.admit(spec, arrival_tick=arrival)
-        results = runner.run_until_complete()
+        results = runner.run()
         for seed, ((kind, _), spec) in enumerate(zip(schedule, specs)):
             solo, solo_rng = solo_run(kind, seed)
             assert_identical(solo, results[seed])
@@ -178,7 +178,7 @@ class TestFleetAskProperties:
         doomed_of = {
             seed: bool(doom_mask & (1 << seed)) for seed in range(len(schedule))
         }
-        runner = ElasticCampaignRunner(on_campaign_error="quarantine")
+        runner = CampaignRunner(on_campaign_error="quarantine")
         for seed, (kind, arrival) in enumerate(schedule):
             if doomed_of[seed]:
                 spec = CampaignSpec(
@@ -189,7 +189,7 @@ class TestFleetAskProperties:
             else:
                 spec = make_spec(kind, seed, space)
             runner.admit(spec, arrival_tick=arrival)
-        results = runner.run_until_complete()
+        results = runner.run()
         quarantined = {q.index for q in runner.quarantined}
         for seed, (kind, _) in enumerate(schedule):
             if doomed_of[seed]:

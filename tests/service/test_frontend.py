@@ -17,12 +17,14 @@ import pytest
 from fixtures import (
     assert_results_identical,
     make_service_search,
+    make_service_space,
     service_run_function,
 )
 from repro.core.journal import JournalBusyError
+from repro.core.search import CBOSearch
+from repro.core.surrogate import RandomForestSurrogate
 from repro.service import (
     CampaignRegistry,
-    ElasticCampaignRunner,
     HTTPStudyClient,
     ProtocolError,
     RegistryError,
@@ -188,15 +190,15 @@ class TestStudyClient:
 class TestBatchedAskService:
     """The registry/frontend protocol must survive fleet-ask grouping.
 
-    Managed studies admitted by the registry run through the elastic
-    runner's batched ask; ask/tell studies re-derive suggestions after a
+    Managed studies admitted by the registry run through its runner's
+    batched ask; ask/tell studies re-derive suggestions after a
     crash.  Neither protocol promise may depend on the fleet ask.
     """
 
     def test_stale_studies_over_a_batched_managed_cohort(self):
         now = {"t": 0.0}
-        runner = ElasticCampaignRunner()
-        registry = make_registry(runner=runner, clock=lambda: now["t"])
+        registry = make_registry(clock=lambda: now["t"])
+        runner = registry.runner
         registry.create_study("a", mode="managed", **BUDGET)
         registry.create_study("b", mode="managed", seed=1, **BUDGET)
         for _ in range(4):
@@ -207,7 +209,7 @@ class TestBatchedAskService:
         assert registry.stale_studies(max_age=50.0) == ["a", "b"]
         registry.heartbeat("a")
         assert registry.stale_studies(max_age=50.0) == ["b"]
-        runner.run_until_complete()
+        runner.run()
         # Equal template spaces are built per study, so grouping had to
         # unify separately-constructed (equal, non-identical) spaces.
         assert runner.num_ask_fleet_passes > 0
@@ -215,10 +217,10 @@ class TestBatchedAskService:
         assert registry.status("b")["finished"]
 
     def test_finished_managed_study_releases_its_journal(self, tmp_path):
-        """Regression: the embedded elastic runner kept every finished
-        managed study's journal lease while other studies still ran."""
-        runner = ElasticCampaignRunner()
-        registry = make_registry(root=tmp_path, runner=runner)
+        """Regression: the registry's runner kept every finished managed
+        study's journal lease while other studies still ran."""
+        registry = make_registry(root=tmp_path)
+        runner = registry.runner
         registry.create_study("short", mode="managed", max_time=600.0, max_evaluations=8)
         registry.create_study("long", mode="managed", seed=1, **BUDGET)
         while not registry.status("short")["finished"]:
@@ -228,7 +230,7 @@ class TestBatchedAskService:
         assert execution.finished
         assert len(execution.history) == registry.status("short")["num_evaluations"]
         execution.close_journal()
-        runner.run_until_complete()
+        runner.run()
         assert_results_identical(solo_result(1), registry.result("long"))
 
     def test_suggest_after_crash_rederives_the_same_batch(self, tmp_path):
@@ -265,6 +267,55 @@ class TestBatchedAskService:
             assert_results_identical(
                 solo_result(3), server.registry.result("tune-1")
             )
+
+
+def make_doomed_search(seed=0, limit=9):
+    """A service campaign whose run function fails after ``limit`` calls."""
+    calls = {"n": 0}
+
+    def run(config):
+        calls["n"] += 1
+        if calls["n"] > limit:
+            raise RuntimeError("injected study failure")
+        return service_run_function(config)
+
+    return CBOSearch(
+        make_service_space(),
+        run,
+        num_workers=6,
+        surrogate=RandomForestSurrogate(n_estimators=6, seed=seed),
+        num_candidates=48,
+        n_initial_points=5,
+        seed=seed,
+    )
+
+
+class TestRegistryQuarantine:
+    def test_failing_managed_study_leaves_the_others_untouched(self):
+        """One tenant's broken run function quarantines only its own study:
+        the registry's runner keeps ticking, the healthy study finishes
+        bit-identical to its solo run, and the failing one reports where it
+        failed."""
+        registry = CampaignRegistry(dict(TEMPLATES, doomed=make_doomed_search))
+        registry.create_study(
+            "doomed", template="doomed", mode="managed", tenant="bob", **BUDGET
+        )
+        registry.create_study(
+            "healthy", template="service", mode="managed", seed=1, **BUDGET
+        )
+        runner = registry.runner
+        while runner.num_inflight or runner.num_waiting:
+            runner.tick()
+        assert_results_identical(solo_result(1), registry.result("healthy"))
+        healthy = registry.status("healthy")
+        assert healthy["finished"] and healthy["quarantined"] is None
+        doomed = json.loads(json.dumps(registry.status("doomed")))
+        assert doomed["quarantined"] == {
+            "phase": "submit",
+            "error": "RuntimeError: injected study failure",
+        }
+        assert not doomed["finished"]
+        assert 0 < doomed["num_evaluations"] < BUDGET["max_evaluations"]
 
 
 class TestHTTPFrontend:

@@ -2,7 +2,7 @@
 
 :func:`repro.service.grouping.plan_tick_groups` is the single implementation
 behind the runner's RF-fit, GP-fit, VAE-refresh and candidate-scoring
-grouping (fixed and elastic runner alike), so its contract is
+grouping, however the active set changes between ticks, so its contract is
 pinned here once: partition completeness, first-appearance ordering, member
 order preservation, the ``min_fused`` threshold and the distinct-identity
 requirement.

@@ -165,6 +165,18 @@ class TestProcessShards:
         with pytest.raises(ValueError, match="processes"):
             CampaignRunner(make_mixed_specs(n=1), processes=0)
 
+    def test_shards_take_no_admission_control(self, tmp_path):
+        """A forked shard cannot see the other shards' in-flight campaigns,
+        so admission limits and arrival ticks have no meaning across it."""
+        specs = make_mixed_specs(n=2, journal_root=tmp_path)
+        for limit in ({"max_inflight": 1}, {"max_inflight_per_tenant": 1}):
+            with pytest.raises(ValueError, match="admission limit"):
+                CampaignRunner(specs, processes=2, **limit)
+        runner = CampaignRunner(processes=2)
+        with pytest.raises(ValueError, match="arrival_tick"):
+            runner.admit(specs[0], arrival_tick=2)
+        assert runner.specs == []
+
     def test_quarantine_inside_a_child_matches_in_process(self, tmp_path):
         """Spec 3 is the second campaign of the second shard: the child
         numbers it 1, and the parent must report it as 3."""

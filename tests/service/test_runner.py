@@ -23,12 +23,14 @@ from fixtures import (
     service_run_function as run_function,
 )
 from repro.core.history import SearchHistory
+from repro.core.journal import CampaignJournal
 from repro.core.overhead import MeasuredOverheadModel
-from repro.core.search import CBOSearch, VAEABOSearch
+from repro.core.search import CampaignExecution, CBOSearch, VAEABOSearch
 from repro.core.space import IntegerParameter, RealParameter, SearchSpace
 from repro.core.surrogate import RandomForestSurrogate
 from repro.core.transfer import TransferLearningPrior
 from repro.service import (
+    CampaignRegistry,
     CampaignRunner,
     CampaignSpec,
     ElasticCampaignRunner,
@@ -128,32 +130,70 @@ class TestRunnerBitIdentity:
         for a, b in zip(sequential, batched):
             assert_identical(a, b)
 
-    def test_empty_specs_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignRunner([])
+    def test_empty_runner_runs_no_tick(self):
+        """The registry's case: a runner with nothing admitted is valid."""
+        runner = CampaignRunner()
+        assert runner.run() == []
+        assert runner.num_ticks == 0
+
+    def test_second_run_returns_the_first_results(self, tmp_path):
+        """run() never restarts a campaign: a second call steps nothing and
+        leaves the journal as the first run committed it."""
+        budget = dict(max_time=600.0, max_evaluations=18)
+        journal = tmp_path / "j"
+        runner = CampaignRunner(
+            [CampaignSpec(search=make_search(0), journal_dir=journal, **budget)]
+        )
+        first = runner.run()
+        ticks = runner.num_ticks
+        committed = {path.name: path.read_bytes() for path in journal.iterdir()}
+        second = runner.run()
+        assert runner.num_ticks == ticks
+        assert {path.name: path.read_bytes() for path in journal.iterdir()} == committed
+        assert_identical(first[0], second[0])
+        assert_identical(make_search(0).run(**budget), second[0])
 
 
 class TestRunnerOptionSurface:
-    """The runners' keyword options, pinned: the fused tick pipeline is the
-    only in-process path, so there is nothing else to switch."""
+    """The one runner's options, pinned: the fused tick pipeline is the only
+    in-process path, so there is nothing else to switch."""
 
     def test_campaign_runner_options(self):
         parameters = inspect.signature(CampaignRunner).parameters
         assert {name: p.default for name, p in parameters.items()} == {
-            "specs": inspect.Parameter.empty,
-            "run_batcher": None,
-            "on_campaign_error": "raise",
-            "processes": 1,
-        }
-
-    def test_elastic_runner_options(self):
-        parameters = inspect.signature(ElasticCampaignRunner).parameters
-        assert {name: p.default for name, p in parameters.items()} == {
+            "specs": (),
             "max_inflight": None,
             "max_inflight_per_tenant": None,
             "run_batcher": None,
             "on_campaign_error": "raise",
+            "processes": 1,
         }
+        admit = inspect.signature(CampaignRunner.admit).parameters
+        assert list(admit) == ["self", "spec", "arrival_tick"]
+        assert admit["arrival_tick"].default is None
+
+    def test_one_runner_class(self):
+        assert ElasticCampaignRunner is CampaignRunner
+        # The tick is defined on the class itself, where tracers wrap it.
+        assert "tick" in vars(CampaignRunner)
+        for name in ("run_until_complete", "_begin", "_configure"):
+            assert not hasattr(CampaignRunner, name)
+        assert "runner" not in inspect.signature(CampaignRegistry).parameters
+
+    def test_checkpoint_cadence_options_are_gone(self):
+        """Every tick and every report commits: no interval, no force."""
+        for function in (
+            CBOSearch.start,
+            CBOSearch.start_or_resume,
+            CampaignExecution.__init__,
+            CampaignExecution.resume,
+            CampaignJournal.__init__,
+            CampaignJournal.create,
+            CampaignJournal.attach,
+        ):
+            assert "checkpoint_interval" not in inspect.signature(function).parameters
+        parameters = inspect.signature(CampaignExecution.maybe_checkpoint).parameters
+        assert list(parameters) == ["self"]
 
 
 class TestRunBatcher:
