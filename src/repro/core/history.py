@@ -599,7 +599,11 @@ class SearchHistory:
         return self._columns_at(finite[order[:k]])
 
     def _columns_at(self, idx: np.ndarray) -> ColumnBatch:
-        """Fancy-index the parameter columns at ``idx`` (row-tolerant)."""
+        """Fancy-index the parameter columns at ``idx`` (row-tolerant).
+
+        The value columns become a sheet here: discrete values are looked up
+        once, into domain indices.
+        """
         if self._incomplete_rows:
             names = self.space.parameter_names
             complete = [
@@ -608,7 +612,7 @@ class SearchHistory:
                 if all(name in config for name in names)
             ]
             return ColumnBatch.from_configurations(self.space, complete)
-        return ColumnBatch(
+        return ColumnBatch.from_value_columns(
             self.space,
             {name: buf[:self._n][idx] for name, buf in self._param_bufs.items()},
         )

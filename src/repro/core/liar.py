@@ -27,7 +27,7 @@ benchmark.
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class ConstantLiar:
         surrogate: Surrogate,
         acquisition: UCBAcquisition,
         candidates_encoded: np.ndarray,
-        candidates_unit: np.ndarray,
+        candidates_unit: Union[np.ndarray, Callable[[], np.ndarray]],
         train_X: np.ndarray,
         train_y: np.ndarray,
         predictions: Optional[Tuple[np.ndarray, np.ndarray]] = None,
@@ -83,7 +83,9 @@ class ConstantLiar:
             Candidate matrix in the surrogate's encoding.
         candidates_unit:
             Candidate matrix in the unit hypercube (used for the kernel
-            penalty distances).
+            penalty distances), or a zero-argument callable returning it.
+            Only a kernel-penalty selection of more than one candidate
+            reads it.
         train_X, train_y:
             Current training data (needed by the ``refit`` strategy).
         predictions:
@@ -147,13 +149,17 @@ class ConstantLiar:
         surrogate: Surrogate,
         acquisition: UCBAcquisition,
         candidates_encoded: np.ndarray,
-        candidates_unit: np.ndarray,
+        candidates_unit: Union[np.ndarray, Callable[[], np.ndarray]],
         predictions: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> List[int]:
         mean, std = (
             predictions if predictions is not None else surrogate.predict(candidates_encoded)
         )
         scores = acquisition(mean, std)
+        if n == 1:
+            return [int(np.argmax(scores))]
+        if callable(candidates_unit):
+            candidates_unit = candidates_unit()
         # Magnitude of the penalty: collapsing the confidence bonus plus
         # pulling the mean toward the worst observation is, at the selected
         # point itself, roughly the candidate's full score range.
@@ -163,12 +169,13 @@ class ConstantLiar:
         selected: List[int] = []
         available = np.ones(candidates_encoded.shape[0], dtype=bool)
         working = scores.copy()
-        for _ in range(n):
+        while True:
             masked = np.where(available, working, -np.inf)
             pick = int(np.argmax(masked))
             selected.append(pick)
+            if len(selected) == n:
+                return selected
             available[pick] = False
             # Discourage candidates near the pick, proportionally to proximity.
             d2 = np.sum((candidates_unit - candidates_unit[pick]) ** 2, axis=1)
             working = working - span * np.exp(-0.5 * d2 / length2)
-        return selected

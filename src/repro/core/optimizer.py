@@ -11,19 +11,21 @@ Algorithm 1's optimization loop:
   returns prior samples (the initialisation phase).
 * :meth:`tell` — record completed evaluations and refit the surrogate.
 
-The hot path is columnar: candidates are sampled as per-parameter NumPy
-columns (:meth:`~repro.core.space.SearchSpace.sample_columns`), encoded
-column-wise, and only the configurations actually proposed are materialised
-as dicts.  The evaluated history is kept as an *incremental* encoded cache —
-``tell`` appends encoded rows and objective values into growing buffers, so
-neither ``tell`` nor ``ask`` ever re-encodes the full history (re-encoding
-all ``n`` observations on every interaction would make the Python-side
-overhead grow linearly per iteration).  Duplicate detection uses
-raw-value key rows (:meth:`~repro.core.space.SearchSpace.key_array`) hashed
-once per configuration instead of per-candidate ``repr`` tuples.  Surrogates
-that advertise :attr:`~repro.core.surrogate.base.Surrogate.supports_partial_fit`
-(the GP's rank-1 Cholesky extension) are handed only the rows appended since
-the last fit instead of the whole training matrix.
+The hot path is columnar: candidates are sampled as a sheet of per-parameter
+NumPy columns (:meth:`~repro.core.space.SearchSpace.sample_columns`), with
+categorical and ordinal parameters as domain indices, encoded one column
+family at a time, and only the configurations actually proposed are
+materialised as dicts.  The evaluated history is kept as an *incremental*
+encoded cache — ``tell`` appends encoded rows and objective values into
+growing buffers, so neither ``tell`` nor ``ask`` ever re-encodes the full
+history (re-encoding all ``n`` observations on every interaction would make
+the Python-side overhead grow linearly per iteration).  Duplicate detection
+uses raw-value key rows (:meth:`~repro.core.space.SearchSpace.key_array`)
+hashed once per configuration instead of per-candidate ``repr`` tuples.
+Surrogates that advertise
+:attr:`~repro.core.surrogate.base.Surrogate.supports_partial_fit` (the GP's
+rank-1 Cholesky extension) are handed only the rows appended since the last
+fit instead of the whole training matrix.
 
 Each ask scores its candidate pool with one surrogate ``predict``.  Fusion
 across campaigns happens one layer up: :func:`prepare_ask_fleet` stacks the
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -86,11 +88,22 @@ class PreparedAsk:
 
     n: int
     proposals: Optional[List[Configuration]] = None
-    fresh: Optional[ConfigsLike] = None
+    fresh: Optional[ColumnBatch] = None
     fresh_configs: Optional[List[Configuration]] = None
     encoded: Optional[np.ndarray] = None
-    unit: Optional[np.ndarray] = None
     wants_scores: bool = False
+    _unit: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    @property
+    def unit(self) -> Optional[np.ndarray]:
+        """The fresh pool in the unit hypercube, encoded on first read.
+
+        Only the kernel-penalty liar reads it, and only when it picks more
+        than one candidate.
+        """
+        if self._unit is None and self.fresh is not None:
+            self._unit = self.fresh.space.to_unit_array(self.fresh)
+        return self._unit
 
 
 def make_surrogate(kind: Union[str, Surrogate], seed: int = 0) -> Surrogate:
@@ -378,17 +391,14 @@ class BayesianOptimizer:
             # fall back to a materialised (row-major) fresh set.
             fresh_configs = candidates.take(fresh_idx).to_configurations()
             fresh_configs.extend(self._sample_unique(n - len(fresh_configs)))
-            fresh: ConfigsLike = ColumnBatch.from_configurations(self.space, fresh_configs)
+            fresh = ColumnBatch.from_configurations(self.space, fresh_configs)
         else:
             fresh = candidates.take(fresh_idx)
-        encoded = self._encode(fresh)
-        unit = self.space.to_unit_array(fresh)
         return PreparedAsk(
             n=n,
             fresh=fresh,
             fresh_configs=fresh_configs,
-            encoded=encoded,
-            unit=unit,
+            encoded=self._encode(fresh),
             wants_scores=self.liar.strategy != "refit",
         )
 
@@ -413,7 +423,7 @@ class BayesianOptimizer:
             surrogate=self.surrogate,
             acquisition=self.acquisition,
             candidates_encoded=prepared.encoded,
-            candidates_unit=prepared.unit,
+            candidates_unit=lambda: prepared.unit,
             train_X=train_X,
             train_y=train_y,
             predictions=None if mean is None else (mean, std),
@@ -438,13 +448,11 @@ class BayesianOptimizer:
         attempts = 0
         while len(proposals) < n and attempts < 20:
             batch = self.space.sample_columns(max(n, 8), self.rng, prior=self.prior)
-            keys = self._key_bytes(batch)
-            configs = batch.to_configurations()
-            for config, key in zip(configs, keys):
-                if len(proposals) >= n:
-                    break
-                if key not in self._evaluated_keys:
-                    proposals.append(config)
+            unseen = [
+                i for i, key in enumerate(self._key_bytes(batch))
+                if key not in self._evaluated_keys
+            ]
+            proposals.extend(batch.take(unseen[: n - len(proposals)]).to_configurations())
             attempts += 1
         while len(proposals) < n:
             # Duplicate fallback: the attempt budget is spent (near-exhausted
@@ -473,23 +481,6 @@ class BayesianOptimizer:
         ]
 
 
-def _share_stacked_indices(
-    stacked: ColumnBatch, members: Sequence[ColumnBatch]
-) -> None:
-    """Slice the stacked batch's memoised discrete indices into its members.
-
-    Domain indices are exact integers, so a slice of the stacked index column
-    equals the member-computed column bitwise; seeding the member caches lets
-    ``take``/re-encoding reuse the fleet pass instead of recomputing.
-    """
-    offset = 0
-    for member in members:
-        stop = offset + len(member)
-        for name, arr in stacked._indices.items():
-            member._indices.setdefault(name, arr[offset:stop])
-        offset = stop
-
-
 def prepare_ask_fleet(
     requests: Sequence[Tuple[BayesianOptimizer, int]],
 ) -> List[PreparedAsk]:
@@ -509,16 +500,13 @@ def prepare_ask_fleet(
       (:func:`~repro.core.priors.sample_columns_fleet`), and the
       ``_sample_unique`` draws of the initialisation and shortfall paths stay
       per member;
-    * the space codecs (``key_array``, the numeric/one-hot encodings,
-      ``to_unit_array``) are row-local, so encoding one stacked sheet and
-      slicing per member reproduces each member's solo bits;
+    * the space codecs (``key_array`` and the numeric/one-hot encodings)
+      are row-local, so encoding one stacked sheet and slicing per member
+      reproduces each member's solo bits;
     * dedup tests each member's slice against that member's own evaluated
-      keys, in the member's candidate order.
-
-    The stacked sheets are encode-only (:meth:`ColumnBatch.concat`):
-    materialisation (``take``, ``to_configurations``) goes through each
-    member's own columns, so cross-member dtype promotion cannot leak into
-    proposed configurations.
+      keys, in the member's candidate order;
+    * each member's unit encoding is built from its own fresh sheet, and
+      only when its kernel-penalty liar reads it (:attr:`PreparedAsk.unit`).
 
     A pass that raises leaves every member's generator as it found it, so a
     solo ``prepare_ask`` retry draws exactly what it would have drawn.
@@ -574,9 +562,7 @@ def _prepare_ask_fleet(
         ColumnBatch(requests[i][0].space, cols)
         for i, cols in zip(model_members, column_dicts)
     ]
-    stacked = ColumnBatch.concat(cand_batches)
-    keys = [row.tobytes() for row in space.key_array(stacked)]
-    _share_stacked_indices(stacked, cand_batches)
+    keys = [row.tobytes() for row in space.key_array(ColumnBatch.concat(cand_batches))]
 
     # Fused dedup: each member's key slice against its own evaluated set.
     fresh_parts: List[Tuple[int, ColumnBatch, Optional[List[Configuration]]]] = []
@@ -594,15 +580,13 @@ def _prepare_ask_fleet(
         if fresh_idx.shape[0] < n:
             fresh_configs = candidates.take(fresh_idx).to_configurations()
             fresh_configs.extend(opt._sample_unique(n - len(fresh_configs)))
-            fresh: ConfigsLike = ColumnBatch.from_configurations(opt.space, fresh_configs)
+            fresh = ColumnBatch.from_configurations(opt.space, fresh_configs)
         else:
             fresh = candidates.take(fresh_idx)
         fresh_parts.append((i, fresh, fresh_configs))
 
     # One shared encode of the stacked fresh sheet, sliced back per member.
-    stacked_fresh = ColumnBatch.concat([fresh for _, fresh, _ in fresh_parts])
-    encoded_all = rep._encode(stacked_fresh)
-    unit_all = space.to_unit_array(stacked_fresh)
+    encoded_all = rep._encode(ColumnBatch.concat([fresh for _, fresh, _ in fresh_parts]))
     offset = 0
     for i, fresh, fresh_configs in fresh_parts:
         opt, n = requests[i]
@@ -612,7 +596,6 @@ def _prepare_ask_fleet(
             fresh=fresh,
             fresh_configs=fresh_configs,
             encoded=encoded_all[offset:stop],
-            unit=unit_all[offset:stop],
             wants_scores=opt.liar.strategy != "refit",
         )
         offset = stop

@@ -17,10 +17,12 @@ uniform exploration.
 
 Sampling is columnar: per-parameter priors draw whole NumPy columns
 (:meth:`ParameterPrior.sample_array`) and joint priors assemble column
-dictionaries (:meth:`JointPrior.sample_columns`), so the optimizer's
-candidate-generation hot path never materialises per-configuration Python
-dicts.  The row-major ``sample``/``sample_configurations`` methods are thin
-materialising wrappers kept for API compatibility.
+dictionaries (:meth:`JointPrior.sample_columns`) in the form a
+:class:`~repro.core.space.ColumnBatch` stores: numeric values, and domain
+indices for categorical and ordinal parameters.  The optimizer's
+candidate-generation hot path therefore never builds a Python value or a
+per-configuration dict.  The row-major ``sample``/``sample_configurations``
+methods are thin materialising wrappers that return values.
 """
 
 from __future__ import annotations
@@ -60,12 +62,20 @@ class ParameterPrior:
         self.parameter = parameter
 
     def sample_array(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` values as a NumPy column (the hot-path entry point)."""
+        """Draw ``n`` values as a NumPy column (the hot-path entry point).
+
+        The column is in sheet form: domain indices for a categorical or
+        ordinal parameter, values otherwise.
+        """
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> List[Any]:
         """Draw ``n`` values as a list of Python scalars."""
-        return self.sample_array(n, rng).tolist()
+        column = self.sample_array(n, rng)
+        p = self.parameter
+        if isinstance(p, (CategoricalParameter, OrdinalParameter)):
+            column = p.values_at(column)
+        return column.tolist()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.parameter.name!r})"
@@ -80,8 +90,8 @@ class UniformPrior(ParameterPrior):
             return rng.uniform(p.low, p.high, size=n)
         if isinstance(p, IntegerParameter):
             return rng.integers(p.low, p.high + 1, size=n)
-        # categorical / ordinal: uniform over categories.
-        return np.asarray(p.sample(rng, size=n))
+        # categorical / ordinal: uniform domain indices.
+        return p.sample_indices(rng, n)
 
 
 class LogUniformPrior(ParameterPrior):
@@ -127,9 +137,6 @@ class CategoricalPrior(ParameterPrior):
         else:
             raise TypeError("CategoricalPrior requires a categorical/ordinal parameter")
         self.values = tuple(values)
-        self._values_array = np.empty(len(self.values), dtype=object)
-        for i, value in enumerate(self.values):
-            self._values_array[i] = value
         if probabilities is None:
             probabilities = [1.0 / len(self.values)] * len(self.values)
         probabilities = np.asarray(probabilities, dtype=float)
@@ -152,8 +159,8 @@ class CategoricalPrior(ParameterPrior):
         self._cdf /= self._cdf[-1]
 
     def sample_array(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        idx = self._cdf.searchsorted(rng.random(n), side="right")
-        return self._values_array[idx]
+        """``n`` domain indices."""
+        return self._cdf.searchsorted(rng.random(n), side="right")
 
 
 class JointPrior:
@@ -168,8 +175,10 @@ class JointPrior:
     def sample_columns(self, n: int, rng: np.random.Generator) -> Dict[str, np.ndarray]:
         """Draw ``n`` configurations as per-parameter columns.
 
-        The default implementation materialises row-major configurations and
-        re-extracts columns — subclasses override it with a direct columnar
+        The columns are in :class:`~repro.core.space.ColumnBatch` form:
+        numeric values, and domain indices for discrete parameters.  The
+        default implementation materialises row-major configurations and
+        converts them once — subclasses override it with a direct columnar
         path so candidate generation stays free of per-row Python objects.
         """
         configs = self.sample_configurations(n, rng)
@@ -238,7 +247,7 @@ class MixturePrior(JointPrior):
 
     def sample_columns(self, n: int, rng: np.random.Generator) -> Dict[str, np.ndarray]:
         if n <= 0:
-            return {p.name: np.empty(0, dtype=object) for p in self.space}
+            return _empty_columns(self.space)
         counts = rng.multinomial(n, self.weights)
         parts: List[Dict[str, np.ndarray]] = []
         for component, count in zip(self.components, counts):
@@ -262,16 +271,18 @@ def _concat_shuffle_columns(
     out: Dict[str, np.ndarray] = {}
     for p in space:
         pieces = [np.asarray(part[p.name]) for part in parts]
-        if len(pieces) == 1:
-            column = pieces[0]
-        else:
-            # Preserve object columns through concatenation (mixed dtypes
-            # between components must not silently up-cast).
-            if any(piece.dtype == object for piece in pieces):
-                pieces = [piece.astype(object) for piece in pieces]
-            column = np.concatenate(pieces)
+        column = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         out[p.name] = column[permutation]
     return out
+
+
+def _empty_columns(space: SearchSpace) -> Dict[str, np.ndarray]:
+    """Zero-row columns of ``space`` in sheet form (indices if discrete)."""
+    numeric = (RealParameter, IntegerParameter)
+    return {
+        p.name: np.empty(0, dtype=float if isinstance(p, numeric) else np.intp)
+        for p in space
+    }
 
 
 def sample_columns_fleet(

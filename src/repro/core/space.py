@@ -20,15 +20,21 @@ Configurations have two representations:
 * plain ``dict`` objects mapping parameter names to values (alias
   :data:`Configuration`) — the ergonomic public form consumed by evaluators
   and CSV round-tripping;
-* :class:`ColumnBatch` — a structure-of-arrays (columnar) batch holding one
-  NumPy array per parameter.  The hot paths of the optimizer (candidate
-  generation, history encoding, dedup keys) operate on columns and only
-  materialise dicts for the few configurations that are actually proposed.
+* :class:`ColumnBatch` — a structure-of-arrays (columnar) batch, a *sheet*:
+  the value column of each numeric parameter and the domain-index column
+  of each categorical or ordinal parameter.  The hot paths of the optimizer
+  (candidate generation, dedup keys, encodings) never touch a Python value
+  of a discrete parameter; values are built only for the configurations
+  that leave the sheet (:meth:`ColumnBatch.to_configurations`).
 
-All encodings (:meth:`SearchSpace.to_unit_array`,
+The sheet codecs (:meth:`SearchSpace.key_array`,
 :meth:`SearchSpace.to_numeric_array`, :meth:`SearchSpace.to_one_hot_array`,
-:meth:`SearchSpace.from_unit_array`) are vectorised column-wise through the
-per-parameter ``to_unit_vec`` / ``from_unit_vec`` codecs.
+:meth:`SearchSpace.to_unit_array`) stack a batch's columns into one float
+sheet and transform it one column family at a time (linear numeric, log
+numeric, discrete); the one-hot encoding sets every category in one
+scatter.  Each family repeats its parameters' ``to_unit_vec`` arithmetic
+element for element, so the encodings equal the per-parameter codecs' bit
+for bit.
 """
 
 from __future__ import annotations
@@ -305,12 +311,20 @@ class IntegerParameter(Parameter):
         return f"IntegerParameter({self.name!r}, [{self.low}, {self.high}]{tag})"
 
 
-class _IndexedDiscreteMixin:
-    """Shared index machinery for categorical and ordinal parameters.
+#: Columns up to this length are looked up value by value (``index_of``);
+#: longer ones with one ``==`` broadcast per domain value.
+_SCALAR_LOOKUP_MAX = 16
 
-    The value→index map uses first-wins insertion so lookups agree with the
-    linear ``==`` scan even for cross-type equal values (``True == 1``);
-    unhashable or unknown values fall back to the scan.
+
+class _IndexedDiscreteMixin:
+    """Shared index machinery and codecs of categorical and ordinal parameters.
+
+    A discrete parameter's values are its domain tuple; a
+    :class:`ColumnBatch` stores its column as domain indices.  No two
+    domain values compare equal (categorical and ordinal constructors
+    reject such domains), so index and value determine each other.  The
+    value→index map uses first-wins insertion so lookups agree with the
+    linear ``==`` scan; unhashable or unknown values fall back to the scan.
     """
 
     _domain: Tuple[Any, ...]
@@ -347,28 +361,19 @@ class _IndexedDiscreteMixin:
                 return i
         raise ValueError(f"{value!r} is not a value of {self.name}")  # type: ignore[attr-defined]
 
-    def unit_from_indices(self, indices: np.ndarray) -> np.ndarray:
-        """Unit-interval encoding from precomputed domain indices.
-
-        Same arithmetic as ``to_unit_vec`` minus the index lookup, for
-        callers that already hold the indices (the :class:`ColumnBatch`
-        index cache).
-        """
-        return (indices + 0.5) / len(self._domain)
-
     def indices_vec(self, values: Sequence[Any]) -> np.ndarray:
         """Indices of a column of values (vectorised lookup).
 
         The common case — a column of plain scalars over a small domain — is
         resolved with one ``==`` broadcast per domain value (first-wins order,
-        matching :meth:`index_of` even for cross-type equal values such as
-        ``True == 1``).  Values no domain comparison claims fall back to the
-        scalar :meth:`index_of`, which raises the usual error for unknowns.
-        This is the innermost loop of every candidate encoding, so it must not
-        cost a Python-level dict lookup per element.
+        matching :meth:`index_of`).  Values no domain comparison claims fall
+        back to the scalar :meth:`index_of`, which raises the usual error for
+        unknowns.  Value columns enter a :class:`ColumnBatch` through here
+        (:meth:`ColumnBatch.from_value_columns`); sampled candidate sheets
+        never do.
         """
         n = len(values)
-        if n <= 16:
+        if n <= _SCALAR_LOOKUP_MAX:
             # Tiny columns (the tell path records one or two evaluations) are
             # cheaper through the scalar lookup than through per-domain
             # broadcasts.
@@ -398,6 +403,41 @@ class _IndexedDiscreteMixin:
             out[j] = self.index_of(arr[j])
         return out
 
+    def values_at(self, indices: np.ndarray) -> np.ndarray:
+        """The domain values at ``indices`` (an object column)."""
+        return self._domain_array()[indices]
+
+    def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` uniform domain indices: the draws :meth:`sample` maps to values."""
+        return rng.integers(0, len(self._domain), size=size)
+
+    def indices_from_unit(self, u: np.ndarray) -> np.ndarray:
+        """Domain indices of unit-interval positions (equal-width bins)."""
+        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+        n = len(self._domain)
+        return np.minimum(n - 1, (u * n).astype(np.intp))
+
+    def contains(self, value: Any) -> bool:
+        return any(value == v for v in self._domain)
+
+    def to_unit(self, value: Any) -> float:
+        return (self.index_of(value) + 0.5) / len(self._domain)
+
+    def from_unit(self, u: float) -> Any:
+        u = min(1.0, max(0.0, float(u)))
+        n = len(self._domain)
+        return self._domain[min(n - 1, int(u * n))]
+
+    def to_unit_vec(self, values: Sequence[Any]) -> np.ndarray:
+        return (self.indices_vec(values) + 0.5) / len(self._domain)
+
+    def from_unit_vec(self, u: np.ndarray) -> np.ndarray:
+        return self.values_at(self.indices_from_unit(u))
+
+    @property
+    def cardinality(self) -> float:
+        return float(len(self._domain))
+
 
 class CategoricalParameter(_IndexedDiscreteMixin, Parameter):
     """An unordered categorical parameter.
@@ -407,7 +447,9 @@ class CategoricalParameter(_IndexedDiscreteMixin, Parameter):
     name:
         Parameter name.
     categories:
-        Sequence of allowed values (order only matters for encoding).
+        Sequence of allowed values (order only matters for encoding).  No
+        two may compare equal, so ``(1, True)``, ``(0, False)`` and
+        ``(1, 1.0)`` are rejected.
     """
 
     kind = "categorical"
@@ -417,8 +459,16 @@ class CategoricalParameter(_IndexedDiscreteMixin, Parameter):
         cats = list(categories)
         if len(cats) < 2:
             raise ValueError(f"{name}: need at least two categories")
-        if len(set(map(repr, cats))) != len(cats):
-            raise ValueError(f"{name}: duplicate categories {cats!r}")
+        # 1 == True == 1.0: such categories would be keyed, encoded and
+        # journaled as one another.
+        for i, a in enumerate(cats):
+            for b in cats[i + 1 :]:
+                try:
+                    equal = bool(a == b)
+                except (TypeError, ValueError):  # array-like categories
+                    equal = False
+                if equal:
+                    raise ValueError(f"{name}: categories {a!r} and {b!r} compare equal")
         self.categories: Tuple[Any, ...] = tuple(cats)
 
     @property
@@ -435,33 +485,6 @@ class CategoricalParameter(_IndexedDiscreteMixin, Parameter):
         if size is None:
             return self.categories[int(idx)]
         return self._domain_array()[np.atleast_1d(idx)]
-
-    def contains(self, value: Any) -> bool:
-        return any(value == c and type(value) is type(c) or value == c for c in self.categories)
-
-    def to_unit(self, value: Any) -> float:
-        n = len(self.categories)
-        return (self.index_of(value) + 0.5) / n
-
-    def from_unit(self, u: float) -> Any:
-        u = min(1.0, max(0.0, float(u)))
-        n = len(self.categories)
-        idx = min(n - 1, int(u * n))
-        return self.categories[idx]
-
-    def to_unit_vec(self, values: Sequence[Any]) -> np.ndarray:
-        n = len(self.categories)
-        return (self.indices_vec(values) + 0.5) / n
-
-    def from_unit_vec(self, u: np.ndarray) -> np.ndarray:
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        n = len(self.categories)
-        idx = np.minimum(n - 1, (u * n).astype(np.intp))
-        return self._domain_array()[idx]
-
-    @property
-    def cardinality(self) -> float:
-        return float(len(self.categories))
 
     def __repr__(self) -> str:
         return f"CategoricalParameter({self.name!r}, {list(self.categories)!r})"
@@ -498,77 +521,67 @@ class OrdinalParameter(_IndexedDiscreteMixin, Parameter):
             return self.values[int(idx)]
         return np.asarray([self.values[int(i)] for i in np.atleast_1d(idx)])
 
-    def contains(self, value: Any) -> bool:
-        return any(value == v for v in self.values)
-
-    def to_unit(self, value: Any) -> float:
-        n = len(self.values)
-        return (self.index_of(value) + 0.5) / n
-
-    def from_unit(self, u: float) -> Any:
-        u = min(1.0, max(0.0, float(u)))
-        n = len(self.values)
-        idx = min(n - 1, int(u * n))
-        return self.values[idx]
-
-    def to_unit_vec(self, values: Sequence[Any]) -> np.ndarray:
-        n = len(self.values)
-        return (self.indices_vec(values) + 0.5) / n
-
-    def from_unit_vec(self, u: np.ndarray) -> np.ndarray:
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        n = len(self.values)
-        idx = np.minimum(n - 1, (u * n).astype(np.intp))
-        return self._domain_array()[idx]
-
-    @property
-    def cardinality(self) -> float:
-        return float(len(self.values))
-
     def __repr__(self) -> str:
         return f"OrdinalParameter({self.name!r}, {list(self.values)!r})"
+
+
+def _is_numeric(param: "Parameter") -> bool:
+    return isinstance(param, (RealParameter, IntegerParameter))
 
 
 class ColumnBatch:
     """A batch of configurations in structure-of-arrays (columnar) form.
 
-    One NumPy array per parameter, all of equal length.  This is the hot-path
-    representation: priors sample directly into columns, the space encodes
-    columns without building intermediate dicts, and the optimizer only
-    materialises plain-``dict`` configurations (:meth:`to_configurations`)
-    for the few candidates it actually proposes.
+    One NumPy array per parameter, all of equal length: the value column of
+    an integer or real parameter, and the domain-index column (``intp``) of
+    a categorical or ordinal parameter.  This is the hot-path
+    representation: priors sample straight into index columns, dedup keys
+    and encodings read the indices as numbers, and ``take``/``concat``
+    move integers.  Python values are built only by :meth:`row`,
+    :meth:`to_configurations` and :meth:`values`, i.e. for the few
+    configurations that leave the sheet.
     """
 
-    __slots__ = ("space", "_columns", "_n", "_indices")
+    __slots__ = ("space", "_columns", "_n")
 
     def __init__(self, space: "SearchSpace", columns: Mapping[str, np.ndarray]):
-        self.space = space
-        self._columns: Dict[str, np.ndarray] = {}
+        """Wrap stored columns: numeric values, and domain indices of discrete
+        parameters.  Value columns enter through :meth:`from_value_columns`."""
+        checked: Dict[str, np.ndarray] = {}
         n = None
-        for p in space:
+        for p, numeric in zip(space, space._layout().numeric):
             if p.name not in columns:
                 raise ValueError(f"missing column for parameter {p.name!r}")
             col = np.asarray(columns[p.name])
             if col.ndim != 1:
                 raise ValueError(f"column {p.name!r} must be one-dimensional")
+            if not numeric and col.dtype.kind not in "iu":
+                raise ValueError(
+                    f"column {p.name!r} must hold domain indices, got dtype {col.dtype}"
+                )
             if n is None:
                 n = col.shape[0]
             elif col.shape[0] != n:
                 raise ValueError("all columns must have equal length")
-            self._columns[p.name] = col
+            checked[p.name] = col
+        self.space = space
+        self._columns = checked
         self._n = int(n or 0)
-        # Memoised domain-index columns of discrete parameters: every encoding
-        # of a batch needs them, so they are resolved at most once per batch
-        # (and sliced, not recomputed, through take()).
-        self._indices: Dict[str, np.ndarray] = {}
+
+    @classmethod
+    def _trusted(
+        cls, space: "SearchSpace", columns: Dict[str, np.ndarray], n: int
+    ) -> "ColumnBatch":
+        """Construct without re-validating columns the library produced."""
+        batch = cls.__new__(cls)
+        batch.space = space
+        batch._columns = columns
+        batch._n = n
+        return batch
 
     def discrete_indices(self, param: "Parameter") -> np.ndarray:
-        """Domain indices of a categorical/ordinal column (memoised)."""
-        cached = self._indices.get(param.name)
-        if cached is None:
-            cached = param.indices_vec(self._columns[param.name])
-            self._indices[param.name] = cached
-        return cached
+        """Domain indices of a categorical/ordinal column (the stored column)."""
+        return self._columns[param.name]
 
     # ---------------------------------------------------------------- dunders
     def __len__(self) -> int:
@@ -577,53 +590,49 @@ class ColumnBatch:
     # ------------------------------------------------------------------ views
     @property
     def columns(self) -> Dict[str, np.ndarray]:
-        """The per-parameter columns (parameter name → array)."""
+        """The stored columns (parameter name → array), as the constructor takes them."""
         return dict(self._columns)
 
-    def column(self, name: str) -> np.ndarray:
-        """The column of parameter ``name``."""
-        return self._columns[name]
-
-    @classmethod
-    def _trusted(
-        cls, space: "SearchSpace", columns: Dict[str, np.ndarray], n: int
-    ) -> "ColumnBatch":
-        """Construct without re-validating columns the space already produced."""
-        batch = cls.__new__(cls)
-        batch.space = space
-        batch._columns = columns
-        batch._n = n
-        batch._indices = {}
-        return batch
+    def values(self, name: str) -> np.ndarray:
+        """The value column of parameter ``name`` (domain values if discrete)."""
+        param = self.space[name]
+        col = self._columns[name]
+        return col if _is_numeric(param) else param.values_at(col)  # type: ignore[attr-defined]
 
     def take(self, indices: Union[Sequence[int], np.ndarray]) -> "ColumnBatch":
         """A new batch holding the rows at ``indices`` (in that order)."""
         idx = np.asarray(indices, dtype=np.intp)
-        batch = ColumnBatch._trusted(
+        return ColumnBatch._trusted(
             self.space,
             {name: col[idx] for name, col in self._columns.items()},
             int(idx.shape[0]),
         )
-        batch._indices = {name: arr[idx] for name, arr in self._indices.items()}
-        return batch
 
     def row(self, i: int) -> Configuration:
         """Materialise row ``i`` as a plain-dict configuration."""
         config: Configuration = {}
-        for name, col in self._columns.items():
-            value = col[i]
-            config[name] = value.item() if isinstance(value, np.generic) else value
+        for p, numeric in zip(self.space, self.space._layout().numeric):
+            value = self._columns[p.name][i]
+            if not numeric:
+                config[p.name] = p._domain[int(value)]  # type: ignore[attr-defined]
+            else:
+                config[p.name] = value.item() if isinstance(value, np.generic) else value
         return config
 
     def to_configurations(self) -> List[Configuration]:
         """Materialise the whole batch as plain-dict configurations.
 
-        Values are converted to Python scalars (``ndarray.tolist``), so the
-        dicts round-trip through ``repr``/CSV exactly like scalar-sampled
+        Numeric values are converted to Python scalars (``ndarray.tolist``)
+        and discrete values are the domain's own objects, so the dicts
+        round-trip through ``repr``/CSV exactly like scalar-sampled
         configurations.
         """
-        names = self.space.parameter_names
-        lists = [self._columns[name].tolist() for name in names]
+        space = self.space
+        lists = []
+        for p, numeric in zip(space, space._layout().numeric):
+            col = self._columns[p.name]
+            lists.append((col if numeric else p.values_at(col)).tolist())  # type: ignore[attr-defined]
+        names = space.parameter_names
         return [dict(zip(names, row)) for row in zip(*lists)]
 
     # ------------------------------------------------------------ constructors
@@ -636,8 +645,7 @@ class ColumnBatch:
         are row-local — each output row depends only on its input row — so
         encoding the concatenation and slicing the result per member is
         bitwise equal to encoding each batch alone.  That property is what
-        every stacked fleet pass rests on.  Memoised discrete-index columns
-        cached by *all* inputs are concatenated rather than recomputed.
+        every stacked fleet pass rests on.
 
         The result is for encoding only: ``np.concatenate`` may promote
         numeric columns across members (int64 + float64 → float64), which is
@@ -654,35 +662,50 @@ class ColumnBatch:
         for batch in batches[1:]:
             if batch.space is not space and batch.space != space:
                 raise ValueError("all batches must share one search space")
-        columns: Dict[str, np.ndarray] = {}
-        for p in space:
-            pieces = [batch._columns[p.name] for batch in batches]
-            if any(piece.dtype == object for piece in pieces):
-                pieces = [piece.astype(object) for piece in pieces]
-            columns[p.name] = np.concatenate(pieces)
-        stacked = cls._trusted(space, columns, sum(b._n for b in batches))
-        for name in set.intersection(*(set(b._indices) for b in batches)):
-            stacked._indices[name] = np.concatenate(
-                [batch._indices[name] for batch in batches]
-            )
-        return stacked
+        columns = {
+            p.name: np.concatenate([batch._columns[p.name] for batch in batches])
+            for p in space
+        }
+        return cls._trusted(space, columns, sum(b._n for b in batches))
+
+    @classmethod
+    def from_value_columns(
+        cls, space: "SearchSpace", columns: Mapping[str, Sequence[Any]]
+    ) -> "ColumnBatch":
+        """Build a batch from per-parameter *value* columns.
+
+        Numeric columns are kept as given; discrete columns are looked up
+        once (:meth:`_IndexedDiscreteMixin.indices_vec`), which raises for a
+        value outside the parameter's domain.
+        """
+        stored: Dict[str, np.ndarray] = {}
+        for p, numeric in zip(space, space._layout().numeric):
+            if p.name not in columns:
+                raise ValueError(f"missing column for parameter {p.name!r}")
+            values = columns[p.name]
+            if numeric:
+                stored[p.name] = np.asarray(values)
+            else:
+                stored[p.name] = p.indices_vec(values)  # type: ignore[attr-defined]
+        return cls(space, stored)
 
     @classmethod
     def from_configurations(
         cls, space: "SearchSpace", configs: Sequence[Mapping[str, Any]]
     ) -> "ColumnBatch":
         """Build a columnar batch from row-major configurations."""
-        columns: Dict[str, np.ndarray] = {}
-        for p in space:
+        columns: Dict[str, Any] = {}
+        for p, numeric in zip(space, space._layout().numeric):
             values = [config[p.name] for config in configs]
-            if isinstance(p, (RealParameter, IntegerParameter)):
-                columns[p.name] = np.asarray(values)
-            else:
+            if not numeric and len(values) > _SCALAR_LOOKUP_MAX:
+                # indices_vec broadcasts over longer columns; fill an object
+                # column element-wise, as np.asarray would split tuple values.
                 col = np.empty(len(values), dtype=object)
                 for i, v in enumerate(values):
                     col[i] = v
-                columns[p.name] = col
-        return cls(space, columns)
+                values = col
+            columns[p.name] = values
+        return cls.from_value_columns(space, columns)
 
     def __repr__(self) -> str:
         return f"<ColumnBatch n={self._n} space={self.space!r}>"
@@ -690,6 +713,78 @@ class ColumnBatch:
 
 #: Inputs accepted by the vectorised space codecs.
 ConfigsLike = Union[Sequence[Mapping[str, Any]], ColumnBatch]
+
+
+class _SheetLayout:
+    """A space's parameters grouped into the sheet codecs' column families.
+
+    The codecs stack every stored column of a batch into one ``(P, n)``
+    float sheet (:meth:`stack`) and transform it family by family: linear
+    numeric, log numeric and discrete rows.  Each family's arithmetic is the
+    per-parameter codec's, element for element, on contiguous rows, so the
+    encodings equal the per-parameter ones bit for bit.
+    """
+
+    def __init__(self, params: Sequence[Parameter]):
+        self.names = [p.name for p in params]
+        #: Per parameter: numeric (value column) or discrete (index column).
+        self.numeric = tuple(_is_numeric(p) for p in params)
+        linear = [j for j, p in enumerate(params) if self.numeric[j] and not p.log]
+        log = [j for j, p in enumerate(params) if self.numeric[j] and p.log]
+        discrete = [j for j, p in enumerate(params) if not self.numeric[j]]
+        ordinal = [j for j in discrete if not isinstance(params[j], CategoricalParameter)]
+        categorical = [j for j in discrete if isinstance(params[j], CategoricalParameter)]
+
+        def column(values):
+            return np.asarray(values, dtype=float)[:, None]
+
+        self.linear = np.asarray(linear, dtype=np.intp)
+        self.linear_low = column([params[j].low for j in linear])
+        self.linear_span = column([params[j].high - params[j].low for j in linear])
+        self.log = np.asarray(log, dtype=np.intp)
+        self.log_low = column([params[j].low for j in log])
+        bounds = [_log_low_high(params[j].low, params[j].high) for j in log]
+        self.log_lo = column([lo for lo, _ in bounds])
+        self.log_span = column([hi - lo for lo, hi in bounds])
+        self.discrete = np.asarray(discrete, dtype=np.intp)
+        self.discrete_size = column([len(params[j]._domain) for j in discrete])
+        self.ordinal = np.asarray(ordinal, dtype=np.intp)
+        self.ordinal_size = column([len(params[j]._domain) for j in ordinal])
+        # One-hot sheet: one unit column per non-categorical parameter, one
+        # block per categorical parameter, in parameter order.
+        starts, offset = [], 0
+        for p in params:
+            starts.append(offset)
+            offset += len(p.categories) if isinstance(p, CategoricalParameter) else 1
+        self.one_hot_dim = offset
+        self.unit_rows = np.asarray(
+            [j for j, p in enumerate(params) if not isinstance(p, CategoricalParameter)],
+            dtype=np.intp,
+        )
+        self.unit_cols = np.asarray([starts[j] for j in self.unit_rows], dtype=np.intp)
+        self.categorical_names = [params[j].name for j in categorical]
+        self.categorical_starts = np.asarray(
+            [starts[j] for j in categorical], dtype=np.intp
+        )
+
+    def stack(self, batch: ColumnBatch) -> np.ndarray:
+        """The ``(P, n)`` float sheet: raw numeric values and domain indices."""
+        columns = batch._columns
+        return np.array([columns[name] for name in self.names], dtype=float)
+
+    def log_numeric(self, sheet: np.ndarray) -> np.ndarray:
+        """The log rows' surrogate encoding, ``log(max(v, low))``."""
+        return np.log(np.maximum(sheet[self.log], self.log_low))
+
+    def to_unit(self, sheet: np.ndarray, discrete: np.ndarray, size: np.ndarray) -> None:
+        """Map the numeric rows and the ``discrete`` rows of ``sheet`` into
+        the unit interval, in place."""
+        if self.linear.size:
+            sheet[self.linear] = (sheet[self.linear] - self.linear_low) / self.linear_span
+        if self.log.size:
+            sheet[self.log] = (self.log_numeric(sheet) - self.log_lo) / self.log_span
+        if discrete.size:
+            sheet[discrete] = (sheet[discrete] + 0.5) / size
 
 
 class SearchSpace:
@@ -815,7 +910,9 @@ class SearchSpace:
         if prior is not None:
             configs = prior.sample_configurations(n, rng)
             return [self.clip(c) for c in configs]
-        return self.sample_columns(n, rng).to_configurations()
+        names = self.parameter_names
+        lists = [p.sample(rng, size=n).tolist() for p in self._params]
+        return [dict(zip(names, row)) for row in zip(*lists)]
 
     def sample_columns(
         self,
@@ -826,17 +923,25 @@ class SearchSpace:
         """Draw ``n`` configurations directly into a columnar batch.
 
         This is the hot-path variant of :meth:`sample`: no per-configuration
-        dicts are built.  Priors implementing ``sample_columns`` (all priors
-        in :mod:`repro.core.priors` and :mod:`repro.core.transfer`) sample
+        dicts are built, and discrete columns are drawn as domain indices.
+        Priors implementing ``sample_columns`` (all priors in
+        :mod:`repro.core.priors` and :mod:`repro.core.transfer`) sample
         whole columns at once and are trusted to produce in-domain values, so
-        no per-row clipping pass is needed.
+        no per-row clipping pass is needed.  Without a prior, the draws are
+        those of :meth:`sample`, kept as indices.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
         if prior is not None:
             return ColumnBatch(self, prior.sample_columns(n, rng))
-        return ColumnBatch(
-            self, {p.name: p.sample(rng, size=n) for p in self._params}
+        return ColumnBatch._trusted(
+            self,
+            {
+                p.name: p.sample(rng, size=n) if numeric
+                else p.sample_indices(rng, n)  # type: ignore[attr-defined]
+                for p, numeric in zip(self._params, self._layout().numeric)
+            },
+            n,
         )
 
     def clip(self, config: Mapping[str, Any]) -> Configuration:
@@ -925,18 +1030,6 @@ class SearchSpace:
                 out[p.name] = fixed
         return out
 
-    # ----------------------------------------------------- column extraction
-    def _column_values(self, configs: ConfigsLike) -> Tuple[int, List[Any]]:
-        """Per-parameter value columns of ``configs`` (dicts or ColumnBatch)."""
-        if isinstance(configs, ColumnBatch):
-            if configs.space is not self and configs.space != self:
-                raise ValueError("the batch belongs to a different search space")
-            return len(configs), [configs.column(p.name) for p in self._params]
-        columns = []
-        for p in self._params:
-            columns.append([config[p.name] for config in configs])
-        return len(configs), columns
-
     # -------------------------------------------------------------- encodings
     @staticmethod
     def _is_tiny_rows(configs: ConfigsLike) -> bool:
@@ -952,17 +1045,26 @@ class SearchSpace:
             and isinstance(configs[0], Mapping)
         )
 
+    def _as_batch(self, configs: ConfigsLike) -> ColumnBatch:
+        """``configs`` as a batch of this space (row lists are converted once)."""
+        if isinstance(configs, ColumnBatch):
+            if configs.space is not self and configs.space != self:
+                raise ValueError("the batch belongs to a different search space")
+            return configs
+        return ColumnBatch.from_configurations(self, configs)
+
+    def _layout(self) -> _SheetLayout:
+        layout = getattr(self, "_layout_cache", None)
+        if layout is None:
+            layout = self._layout_cache = _SheetLayout(self._params)
+        return layout
+
     def to_unit_array(self, configs: ConfigsLike) -> np.ndarray:
         """Encode configurations into the unit hypercube (one row per config)."""
-        batch = configs if isinstance(configs, ColumnBatch) else None
-        n, columns = self._column_values(configs)
-        arr = np.empty((n, len(self._params)), dtype=float)
-        for j, (p, col) in enumerate(zip(self._params, columns)):
-            if batch is not None and isinstance(p, _IndexedDiscreteMixin):
-                arr[:, j] = p.unit_from_indices(batch.discrete_indices(p))
-            else:
-                arr[:, j] = p.to_unit_vec(col)
-        return arr
+        layout = self._layout()
+        sheet = layout.stack(self._as_batch(configs))
+        layout.to_unit(sheet, layout.discrete, layout.discrete_size)
+        return sheet.T.copy()
 
     def from_unit_array(self, arr: np.ndarray) -> List[Configuration]:
         """Decode unit-hypercube rows back into configurations."""
@@ -975,9 +1077,15 @@ class SearchSpace:
             raise ValueError(
                 f"expected {len(self._params)} columns, got {arr.shape[1]}"
             )
-        return ColumnBatch(
+        numeric = self._layout().numeric
+        return ColumnBatch._trusted(
             self,
-            {p.name: p.from_unit_vec(arr[:, j]) for j, p in enumerate(self._params)},
+            {
+                p.name: p.from_unit_vec(arr[:, j]) if numeric[j]
+                else p.indices_from_unit(arr[:, j])  # type: ignore[attr-defined]
+                for j, p in enumerate(self._params)
+            },
+            arr.shape[0],
         )
 
     def to_numeric_array(self, configs: ConfigsLike) -> np.ndarray:
@@ -996,63 +1104,46 @@ class SearchSpace:
             # the cells are bit-identical to the columnar encoding at a
             # fraction of the per-column overhead.
             arr = np.empty((len(configs), len(self._params)), dtype=float)
+            numeric = self._layout().numeric
             for i, config in enumerate(configs):
                 for j, p in enumerate(self._params):
                     v = config[p.name]
-                    if isinstance(p, (RealParameter, IntegerParameter)):
+                    if numeric[j]:
                         x = np.float64(v)
                         arr[i, j] = np.log(np.maximum(x, p.low)) if p.log else x
                     else:
                         arr[i, j] = p.index_of(v)
             return arr
-        batch = configs if isinstance(configs, ColumnBatch) else None
-        n, columns = self._column_values(configs)
-        arr = np.empty((n, len(self._params)), dtype=float)
-        for j, (p, col) in enumerate(zip(self._params, columns)):
-            if isinstance(p, (RealParameter, IntegerParameter)):
-                v = np.asarray(col, dtype=float)
-                arr[:, j] = np.log(np.maximum(v, p.low)) if p.log else v
-            elif batch is not None:
-                arr[:, j] = batch.discrete_indices(p)
-            else:
-                arr[:, j] = p.indices_vec(col)
-        return arr
+        layout = self._layout()
+        sheet = layout.stack(self._as_batch(configs))
+        if layout.log.size:
+            sheet[layout.log] = layout.log_numeric(sheet)
+        return sheet.T.copy()
 
     def one_hot_dimension(self) -> int:
         """Number of columns of the one-hot encoding."""
-        dim = 0
-        for p in self._params:
-            if isinstance(p, CategoricalParameter):
-                dim += len(p.categories)
-            else:
-                dim += 1
-        return dim
+        return self._layout().one_hot_dim
 
     def to_one_hot_array(self, configs: ConfigsLike) -> np.ndarray:
         """One-hot encoding used by the Gaussian-process surrogate.
 
         Numeric and ordinal parameters occupy one column each (scaled to the
         unit interval); each categorical parameter expands into one column per
-        category.
+        category, all set in one scatter.
         """
-        batch = configs if isinstance(configs, ColumnBatch) else None
-        n, columns = self._column_values(configs)
-        arr = np.zeros((n, self.one_hot_dimension()), dtype=float)
-        rows = np.arange(n)
-        col = 0
-        for p, values in zip(self._params, columns):
-            if isinstance(p, CategoricalParameter):
-                indices = (
-                    batch.discrete_indices(p) if batch is not None else p.indices_vec(values)
-                )
-                arr[rows, col + indices] = 1.0
-                col += len(p.categories)
-            elif batch is not None and isinstance(p, _IndexedDiscreteMixin):
-                arr[:, col] = p.unit_from_indices(batch.discrete_indices(p))
-                col += 1
-            else:
-                arr[:, col] = p.to_unit_vec(values)
-                col += 1
+        layout = self._layout()
+        batch = self._as_batch(configs)
+        sheet = layout.stack(batch)
+        layout.to_unit(sheet, layout.ordinal, layout.ordinal_size)
+        n = len(batch)
+        arr = np.zeros((n, layout.one_hot_dim), dtype=float)
+        arr[:, layout.unit_cols] = sheet[layout.unit_rows].T
+        if layout.categorical_names:
+            columns = batch._columns
+            hot = np.array([columns[name] for name in layout.categorical_names], dtype=np.intp)
+            hot += layout.categorical_starts[:, None]
+            hot += np.arange(0, n * layout.one_hot_dim, layout.one_hot_dim)
+            arr.reshape(-1)[hot] = 1.0
         return arr
 
     def key_array(self, configs: ConfigsLike) -> np.ndarray:
@@ -1066,25 +1157,16 @@ class SearchSpace:
         """
         if self._is_tiny_rows(configs):
             arr = np.empty((len(configs), len(self._params)), dtype=float)
+            numeric = self._layout().numeric
             for i, config in enumerate(configs):
                 for j, p in enumerate(self._params):
                     v = config[p.name]
-                    if isinstance(p, (RealParameter, IntegerParameter)):
+                    if numeric[j]:
                         arr[i, j] = np.float64(v)
                     else:
                         arr[i, j] = p.index_of(v)
             return arr
-        batch = configs if isinstance(configs, ColumnBatch) else None
-        n, columns = self._column_values(configs)
-        arr = np.empty((n, len(self._params)), dtype=float)
-        for j, (p, col) in enumerate(zip(self._params, columns)):
-            if isinstance(p, (RealParameter, IntegerParameter)):
-                arr[:, j] = np.asarray(col, dtype=float)
-            elif batch is not None:
-                arr[:, j] = batch.discrete_indices(p)
-            else:
-                arr[:, j] = p.indices_vec(col)
-        return arr
+        return self._layout().stack(self._as_batch(configs)).T.copy()
 
     # ------------------------------------------------------------ composition
     def subspace(self, names: Sequence[str], name: str = "") -> "SearchSpace":

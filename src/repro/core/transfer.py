@@ -16,7 +16,10 @@ This is the heart of the paper's contribution (Algorithm 1, lines 1–10):
 The source and target spaces may differ in their parameter sets (the paper's
 unique capability); only the shared parameters are learned from, and they are
 interpreted with the *target* space's definitions so bounds and encodings stay
-consistent.
+consistent.  A discrete parameter may change its domain between the spaces,
+so ``Q_p`` crosses over as values (clipped into the target space) and is
+looked up once into the target's domain indices; from then on the prior
+samples index columns, as every prior does.
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.history import SearchHistory
-from repro.core.priors import IndependentPrior, JointPrior, _concat_shuffle_columns, default_prior
+from repro.core.priors import (
+    IndependentPrior,
+    JointPrior,
+    _concat_shuffle_columns,
+    _empty_columns,
+    default_prior,
+)
 from repro.core.space import (
     ColumnBatch,
     Configuration,
@@ -115,9 +124,10 @@ class TransferLearningPrior(JointPrior):
         The VAE decodes whole columns, new parameters are drawn as columns
         from their uninformative priors, and the informative/uniform parts are
         mixed with a single shared permutation — no intermediate Python dicts.
+        Discrete columns are domain indices of the target space.
         """
         if n <= 0:
-            return {p.name: np.empty(0, dtype=object) for p in self.space}
+            return _empty_columns(self.space)
         n_uniform = int(rng.binomial(n, self.uniform_fraction)) if self.uniform_fraction else 0
         n_informed = n - n_uniform
         parts: List[Dict[str, np.ndarray]] = []
@@ -251,10 +261,10 @@ def prepare_transfer_prior(
         # 1500+ rows at paper scale, Q_p a handful) and the VAE's design
         # matrix is built without intermediate row dicts.
         source_batch = source_history.top_quantile_columns(quantile)
-        top_batch = ColumnBatch(
+        top_batch = ColumnBatch.from_value_columns(
             shared_space,
             shared_space.clip_columns(
-                {name: source_batch.column(name) for name in shared_names}
+                {name: source_batch.values(name) for name in shared_names}
             ),
         )
         top_shared = top_batch.to_configurations()

@@ -16,13 +16,16 @@ Decoding inverts the mapping: numeric columns go through
 interpreted as probability vectors from which a category is sampled (or the
 arg-max taken).
 
-Both directions are columnar on the hot path: :meth:`TabularTransform.encode_columns`
-maps per-parameter value columns (a :class:`~repro.core.space.ColumnBatch` or
-a plain ``{name: column}`` mapping, e.g. straight from
+Both directions are columnar on the hot path.
+:meth:`TabularTransform.encode_columns` maps a
+:class:`~repro.core.space.ColumnBatch` (e.g. straight from
 :meth:`~repro.core.history.SearchHistory.top_quantile_columns`) into the
-design matrix without materialising row dicts, and
+design matrix — which is the space's one-hot encoding — or a plain
+``{name: value column}`` mapping through the per-parameter value codecs.
 :meth:`TabularTransform.decode_columns` turns VAE outputs back into a
-columnar batch.  The row-major :meth:`TabularTransform.encode` /
+batch of domain indices and numeric values: it draws every categorical
+block's uniforms in one call and decodes the blocks one pass per block
+width.  The row-major :meth:`TabularTransform.encode` /
 :meth:`TabularTransform.decode` are kept as the bit-identical reference pair
 (property-tested against the column path).
 """
@@ -38,11 +41,31 @@ from repro.core.space import (
     CategoricalParameter,
     ColumnBatch,
     Configuration,
+    OrdinalParameter,
     Parameter,
     SearchSpace,
 )
 
 __all__ = ["ColumnSpec", "TabularTransform"]
+
+
+def blocks_by_width(
+    blocks: Sequence[Tuple[int, int]]
+) -> List[Tuple[List[int], np.ndarray]]:
+    """Group ``(start, stop)`` column blocks by width, in first-seen order.
+
+    Each group is ``(positions, index)``: the block numbers of that width,
+    and a ``(blocks, width)`` array of their column indices, so
+    ``X[:, index]`` lays the group out as ``(rows, blocks, width)``.  A
+    reduction over its last axis is each block's own row reduction, bit
+    for bit.
+    """
+    groups = []
+    for width in dict.fromkeys(stop - start for start, stop in blocks):
+        positions = [j for j, (start, stop) in enumerate(blocks) if stop - start == width]
+        starts = np.array([blocks[j][0] for j in positions], dtype=np.intp)
+        groups.append((positions, starts[:, None] + np.arange(width)))
+    return groups
 
 
 @dataclass(frozen=True)
@@ -122,32 +145,26 @@ class TabularTransform:
     def encode_columns(
         self, columns: Union["ColumnBatch", Mapping[str, Sequence]]
     ) -> np.ndarray:
-        """Transform per-parameter value columns into the numeric matrix.
+        """Transform a batch or per-parameter value columns into the numeric matrix.
 
-        The columnar hot path of the transfer-learning pipeline: columns come
-        straight from :meth:`~repro.core.history.SearchHistory.top_quantile_columns`
-        (or any :class:`~repro.core.space.ColumnBatch` / ``{name: column}``
-        mapping covering the transform's parameters) and no per-row dict is
-        ever built.  A batch of the transform's own space reuses its memoised
-        categorical index columns.
+        The columnar hot path of the transfer-learning pipeline: a batch
+        comes straight from :meth:`~repro.core.history.SearchHistory.top_quantile_columns`
+        and no per-row dict is ever built.  The transform's layout is the
+        space's one-hot layout (a unit column per numeric or ordinal
+        parameter, a block per categorical one), so a batch of the
+        transform's own space is encoded by
+        :meth:`~repro.core.space.SearchSpace.to_one_hot_array`.  A batch of
+        another space covering the transform's parameters, or a
+        ``{name: value column}`` mapping, goes through the value codecs.
         """
         if isinstance(columns, ColumnBatch):
             batch = columns
-            n = len(batch)
-            own_space = batch.space is self.space or batch.space == self.space
-            X = np.zeros((n, self._dim), dtype=float)
-            rows = np.arange(n)
-            for col in self._columns:
-                param = col.parameter
-                if col.is_categorical:
-                    if own_space:
-                        idx = batch.discrete_indices(param)
-                    else:
-                        idx = param.indices_vec(batch.column(param.name))  # type: ignore[attr-defined]
-                    X[rows, col.start + idx] = 1.0
-                else:
-                    X[:, col.start] = param.to_unit_vec(batch.column(param.name))
-            return X
+            if batch.space is self.space or batch.space == self.space:
+                return self.space.to_one_hot_array(batch)
+            names = [col.parameter.name for col in self._columns]
+            return self._encode_column_values(
+                len(batch), {name: batch.values(name) for name in names}
+            )
         lengths = {np.shape(np.asarray(columns[c.parameter.name]))[0] for c in self._columns}
         if len(lengths) != 1:
             raise ValueError(f"columns must have equal length, got {sorted(lengths)}")
@@ -177,6 +194,12 @@ class TabularTransform:
     ) -> "ColumnBatch":
         """Transform VAE outputs into a columnar configuration batch.
 
+        Discrete columns come out as domain indices.  With
+        ``sample_categories``, block ``b``'s uniforms are row ``b`` of one
+        ``rng.random((blocks, n))`` draw — the stream of one ``rng.random(n)``
+        per block in block order — and every block of one width is decoded
+        in one pass.
+
         Parameters
         ----------
         X:
@@ -197,24 +220,31 @@ class TabularTransform:
             rng = np.random.default_rng()
         n = X.shape[0]
         columns = {}
-        for col in self._columns:
-            param = col.parameter
-            if col.is_categorical:
-                block = np.clip(X[:, col.start : col.stop], 1e-12, None)
-                probs = block / block.sum(axis=1, keepdims=True)
-                if sample_categories:
-                    cum = np.cumsum(probs, axis=1)
-                    draws = rng.random(n)
-                    idx = np.minimum(
-                        (cum < draws[:, None]).sum(axis=1), probs.shape[1] - 1
-                    )
-                else:
-                    idx = np.argmax(probs, axis=1)
-                columns[param.name] = param._domain_array()[idx]  # type: ignore[attr-defined]
+        blocks = [col for col in self._columns if col.is_categorical]
+        if blocks and sample_categories:
+            draws = rng.random((len(blocks), n))
+        for positions, index in blocks_by_width([(c.start, c.stop) for c in blocks]):
+            block = np.clip(X[:, index], 1e-12, None)  # (n, blocks, width)
+            probs = block / block.sum(axis=2, keepdims=True)
+            if sample_categories:
+                cum = np.cumsum(probs, axis=2)
+                below = cum < draws[positions].T[:, :, None]
+                idx = np.minimum(below.sum(axis=2), index.shape[1] - 1)
             else:
+                idx = np.argmax(probs, axis=2)
+            for b, position in enumerate(positions):
+                columns[blocks[position].parameter.name] = idx[:, b]
+        for col in self._columns:
+            if not col.is_categorical:
+                param = col.parameter
                 u = np.clip(X[:, col.start], 0.0, 1.0)
-                columns[param.name] = param.from_unit_vec(u)
-        return ColumnBatch(self.space, columns)
+                if isinstance(param, OrdinalParameter):
+                    columns[param.name] = param.indices_from_unit(u)
+                else:
+                    columns[param.name] = param.from_unit_vec(u)
+        return ColumnBatch._trusted(
+            self.space, {name: columns[name] for name in self.space.parameter_names}, n
+        )
 
     def decode(
         self,

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.vae.layers import Dense, DenseFleet, MLP, MLPFleet, flatten_parameters
 from repro.core.vae.optim import Adam
+from repro.core.vae.transforms import blocks_by_width
 
 __all__ = ["TabularVAE", "TrainingTrace", "VAEFleet", "vae_fleet_key"]
 
@@ -75,16 +76,10 @@ def _loss_gathers(
     """
     row_offsets = dim * np.arange(rows)
     numeric_index = np.asarray(numeric, dtype=np.intp)[:, None] + row_offsets[None, :]
-    gathers = []
-    for width in dict.fromkeys(stop - start for start, stop in blocks):
-        positions = [j for j, (start, stop) in enumerate(blocks) if stop - start == width]
-        starts = np.array([blocks[j][0] for j in positions])
-        index = (
-            starts[:, None, None]
-            + row_offsets[None, :, None]
-            + np.arange(width)[None, None, :]
-        )
-        gathers.append((np.array(positions), index))
+    gathers = [
+        (np.array(positions), columns[:, None, :] + row_offsets[None, :, None])
+        for positions, columns in blocks_by_width(blocks)
+    ]
     return numeric_index, gathers
 
 
@@ -159,13 +154,17 @@ class TabularVAE:
         self.trace: Optional[TrainingTrace] = None
 
     def _decode_activations(self, logits: np.ndarray) -> np.ndarray:
-        """Apply sigmoid to numeric columns and softmax to categorical blocks."""
+        """Apply sigmoid to numeric columns and softmax to categorical blocks.
+
+        One softmax pass per distinct block width, over the blocks of that
+        width laid out as ``(rows, blocks, width)``.
+        """
         out = np.empty_like(logits)
         if self.numeric_columns:
             cols = self.numeric_columns
             out[:, cols] = _sigmoid(logits[:, cols])
-        for start, stop in self.categorical_blocks:
-            out[:, start:stop] = _softmax(logits[:, start:stop])
+        for _, index in blocks_by_width(self.categorical_blocks):
+            out[:, index] = _softmax(logits[:, index])
         return out
 
     # -------------------------------------------------------------------- fit

@@ -54,6 +54,23 @@ class TestParameters:
         below = np.mean(values <= 45)
         assert 0.35 < below < 0.65
 
+    @pytest.mark.parametrize(
+        "categories, first, second",
+        [((1, True, "x"), 1, True), ((0, "x", False), 0, False), (("x", 1, 1.0), 1, 1.0)],
+    )
+    def test_categories_that_compare_equal_are_rejected(self, categories, first, second):
+        """``True == 1`` would key, encode and journal one category as the other."""
+        with pytest.raises(ValueError) as raised:
+            CategoricalParameter("c", categories)
+        message = str(raised.value)
+        assert f"{first!r} and {second!r}" in message
+
+    def test_mixed_type_categories_keep_their_values(self):
+        param = CategoricalParameter("c", (True, "x", 7))
+        assert [param.index_of(value) for value in (True, "x", 7)] == [0, 1, 2]
+        assert param.contains(True) and param.contains(7)
+        assert not param.contains(False) and not param.contains(8)
+
     def test_categorical_index_and_unit_round_trip(self):
         param = CategoricalParameter("c", ("a", "b", "c"))
         for value in param.categories:

@@ -9,6 +9,9 @@ not in ``src/``, because only tests run them:
   keys (one float ``lexsort`` per candidate-feature slot);
 * :mod:`reference.history` — the row-major search history;
 * :mod:`reference.space` — the per-element search-space codecs;
+* :mod:`reference.sheet` — the value-typed candidate sheet: object
+  columns, value-typed samplers and VAE decode, per-parameter sheet codecs
+  and the solo ask over them, which the index sheets must match;
 * :mod:`reference.gaussian_process` — the frozen-hyperparameter full GP
   refit;
 * :mod:`reference.optimizer` — an optimizer that re-encodes its whole
