@@ -7,26 +7,34 @@ consumes the history of a *previous* run (Algorithm 1's ``H_p``).
 
 Storage is **columnar** (structure of arrays): the per-evaluation metadata
 (objective, runtime, submitted, completed, worker, eval_id) lives in
-append-only NumPy buffers and every parameter of the owning
-:class:`~repro.core.space.SearchSpace` has its own value column.  Row-major
-:class:`Evaluation` views are materialised lazily, so the public API is
-unchanged — ``history[i]``, iteration, :attr:`SearchHistory.evaluations`,
-:meth:`SearchHistory.successful` and the CSV round trip behave exactly as they
-did when the history stored a list of dataclasses — while every derived view
+append-only NumPy buffers, and every parameter of the owning
+:class:`~repro.core.space.SearchSpace` has one column of stored *words*
+(:func:`~repro.core.space.word_dtype`): ``float64`` for a real parameter,
+``int64`` for an integer parameter and the ``int64`` domain index for a
+categorical or ordinal parameter.  :meth:`SearchHistory.append` converts
+each value to its word once and rejects what has none: a missing or extra
+key, a non-integral integer, a discrete value outside its domain.  The words
+are what the campaign journal's ``rows.bin`` holds, and
+:meth:`SearchHistory.sheet` hands rows out as a
+:class:`~repro.core.space.ColumnBatch` with no lookup, so the journal, the
+optimizer's tells and the transfer-learning top sets read them as they are.
+
+Python values are built only at the edges: :class:`Evaluation` views
+(``history[i]``, iteration, :attr:`SearchHistory.evaluations`,
+:meth:`SearchHistory.successful`), :meth:`SearchHistory.configurations`,
+:meth:`SearchHistory.parameter_column` and the CSV text.  A real parameter
+reads back as a ``float``, an integer parameter as an ``int``, and a
+discrete parameter as its domain's own object.  Every derived view
 (:meth:`SearchHistory.objectives`, :meth:`SearchHistory.incumbent_trajectory`,
 :meth:`SearchHistory.top_quantile`, :meth:`SearchHistory.best_runtime_at`) is
-a vectorised column operation.  At paper scale (1500+ evaluations per run ×
-repetitions × setups) this keeps the analysis layer and the transfer-learning
-``H_p`` ingestion linear-algebra-fast instead of Python-loop-slow.
-
-:class:`SearchHistory` supports:
+a vectorised column operation.
 
 Histories normally own their buffers, but :meth:`SearchHistory.from_columns`
 builds a **read-only zero-copy view** over externally owned column arrays —
-the campaign journal's memory-mapped files (:class:`repro.core.journal.JournalReader`).
-Such a view serves every derived metric straight off the mapped pages;
-parameter columns decode lazily on first configuration access, and
-:meth:`SearchHistory.copy` thaws the view into an ordinary mutable history.
+the campaign journal's memory-mapped records
+(:class:`repro.core.journal.JournalReader`), metadata and parameter fields
+alike.  :meth:`SearchHistory.copy` thaws the view into an ordinary mutable
+history.
 
 :class:`SearchHistory` supports:
 
@@ -47,7 +55,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,16 +69,10 @@ from repro.core.space import (
     Parameter,
     RealParameter,
     SearchSpace,
+    word_dtype,
 )
 
 __all__ = ["Evaluation", "SearchHistory"]
-
-
-#: Sentinel stored in a parameter column when an appended evaluation's
-#: configuration does not define that parameter (only possible with
-#: hand-constructed :class:`Evaluation` objects; the search loop always
-#: records complete configurations).
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -134,13 +136,6 @@ class SearchHistory:
         self._capacity = 0
         # Read-only views (journal-backed) reject mutation; see from_columns.
         self._read_only = False
-        # Deferred parameter-column loaders (read-only views only): column
-        # name -> () -> object-dtype array, invoked on first _param_bufs use.
-        self._param_loaders: Dict[str, Any] = {}
-        # Optional per-row loaders (name -> (row) -> value) for read-only
-        # views: materialising a single configuration (best()) decodes one
-        # value per parameter instead of whole columns.
-        self._param_element_loaders: Dict[str, Any] = {}
         # Metadata columns (append-only, capacity-doubling).
         self._objective_buf = np.empty(0, dtype=float)
         self._runtime_buf = np.empty(0, dtype=float)
@@ -148,17 +143,10 @@ class SearchHistory:
         self._completed_buf = np.empty(0, dtype=float)
         self._worker_buf = np.empty(0, dtype=np.int64)
         self._eval_id_buf = np.empty(0, dtype=np.int64)
-        # One value column per parameter.  Object dtype keeps the exact Python
-        # values appended (ints stay ints, bools stay bools, category strings
-        # stay strings), so lazily materialised Evaluation views and the CSV
-        # text are bit-compatible with the former row-major storage.
-        self._param_bufs = {
-            name: np.empty(0, dtype=object) for name in space.parameter_names
+        # One column of stored words per parameter, in space order.
+        self._columns: Dict[str, np.ndarray] = {
+            p.name: np.empty(0, dtype=word_dtype(p)) for p in space
         }
-        # Rare escape hatch for hand-built evaluations whose configuration has
-        # extra keys (row index -> extra mapping) or missing parameters.
-        self._extras: Dict[int, Dict[str, Any]] = {}
-        self._incomplete_rows = False
         # Derived-array caches, invalidated on every append.  The search loop
         # and the analysis layer call objectives()/runtimes() once per
         # completion batch; the cached copies are detached from the buffers so
@@ -168,50 +156,23 @@ class SearchHistory:
         self._completed_cache: Optional[np.ndarray] = None
         self._submitted_cache: Optional[np.ndarray] = None
 
-    # ------------------------------------------------------- parameter columns
-    @property
-    def _param_bufs(self) -> Dict[str, np.ndarray]:
-        """The object-dtype parameter columns, decoding lazily when deferred.
-
-        Ordinary histories store the columns directly; a journal-backed
-        read-only view (:meth:`from_columns`) defers them behind loaders so
-        metric sweeps that never touch configurations never decode them.
-        """
-        store = self._param_store
-        if store is None:
-            store = self._param_store = {
-                name: loader() for name, loader in self._param_loaders.items()
-            }
-        return store
-
-    @_param_bufs.setter
-    def _param_bufs(self, value: Dict[str, np.ndarray]) -> None:
-        self._param_store = value
-
     # ------------------------------------------------------ zero-copy views
     @classmethod
     def from_columns(
         cls,
         space: SearchSpace,
         meta_columns: Dict[str, np.ndarray],
-        param_loaders: Dict[str, Any],
+        param_columns: Dict[str, np.ndarray],
         objective: Optional[Objective] = None,
-        param_element_loaders: Optional[Dict[str, Any]] = None,
     ) -> "SearchHistory":
         """A read-only history over externally owned column arrays (zero-copy).
 
         ``meta_columns`` supplies the six metadata columns (``objective``,
         ``runtime``, ``submitted``, ``completed``, ``worker``, ``eval_id``)
-        as equal-length arrays — typically ``np.memmap`` views of a campaign
-        journal — which become the history's buffers *without copying*.
-        ``param_loaders`` maps each parameter name to a zero-argument
-        callable returning that parameter's object-dtype value column; the
-        loaders run lazily, on the first access that needs configurations
-        (``best()``, ``top_quantile``, CSV export), and never for the purely
-        columnar metrics.  ``param_element_loaders`` optionally maps each
-        parameter name to a ``(row) -> value`` callable; while the full
-        columns are still deferred, single-row materialisation (``best()``)
-        goes through these instead of forcing every column to decode.
+        and ``param_columns`` one column of stored words per parameter, all
+        of equal length — typically field views of a campaign journal's
+        mapped records — which become the history's buffers *without
+        copying*.
 
         The view rejects :meth:`append`; :meth:`copy` /:meth:`truncated`
         return ordinary mutable histories (the thaw escape hatch).
@@ -223,10 +184,17 @@ class SearchHistory:
                     f"metadata column {name!r} has {column.shape[0]} rows, "
                     f"expected {n}"
                 )
-        missing = [name for name in space.parameter_names if name not in param_loaders]
-        if missing:
-            raise ValueError(f"param_loaders missing columns for {missing}")
         history = cls(space, objective=objective)
+        for p in space:
+            if p.name not in param_columns:
+                raise ValueError(f"missing column for parameter {p.name!r}")
+            column = param_columns[p.name]
+            if column.shape != (n,) or column.dtype != word_dtype(p):
+                raise ValueError(
+                    f"column {p.name!r} must hold {n} words of dtype "
+                    f"{word_dtype(p)}, got {column.shape} {column.dtype}"
+                )
+            history._columns[p.name] = column
         history._n = n
         history._capacity = n
         history._objective_buf = meta_columns["objective"]
@@ -235,9 +203,6 @@ class SearchHistory:
         history._completed_buf = meta_columns["completed"]
         history._worker_buf = meta_columns["worker"]
         history._eval_id_buf = meta_columns["eval_id"]
-        history._param_store = None
-        history._param_loaders = dict(param_loaders)
-        history._param_element_loaders = dict(param_element_loaders or {})
         history._read_only = True
         return history
 
@@ -251,13 +216,12 @@ class SearchHistory:
         return self._n
 
     def __iter__(self) -> Iterator[Evaluation]:
-        for i in range(self._n):
-            yield self._materialize(i)
+        return iter(self.evaluations)
 
     def __getitem__(self, idx: Union[int, slice]) -> Union[Evaluation, List[Evaluation]]:
         n = self._n
         if isinstance(idx, slice):
-            return [self._materialize(i) for i in range(*idx.indices(n))]
+            return self._evaluations_at(np.arange(n)[idx])
         idx = int(idx)
         if idx < 0:
             idx += n
@@ -276,17 +240,24 @@ class SearchHistory:
         self._completed_buf = _grow(self._completed_buf, needed)
         self._worker_buf = _grow(self._worker_buf, needed)
         self._eval_id_buf = _grow(self._eval_id_buf, needed)
-        for name in self._param_bufs:
-            self._param_bufs[name] = _grow(self._param_bufs[name], needed)
+        for name, column in self._columns.items():
+            self._columns[name] = _grow(column, needed)
         self._capacity = self._objective_buf.shape[0]
 
     def append(self, evaluation: Evaluation) -> None:
-        """Append one completed evaluation (decomposed into the columns)."""
+        """Append one completed evaluation (decomposed into the columns).
+
+        Each parameter value becomes its stored word here, once; a
+        configuration with missing or extra keys, or a value without a word
+        (:meth:`~repro.core.space.SearchSpace.to_words`), raises
+        ``ValueError`` and appends nothing.
+        """
         if self._read_only:
             raise TypeError(
                 "this SearchHistory is a read-only journal view; "
                 "copy() it to obtain a mutable history"
             )
+        words = self.space.to_words(evaluation.configuration)
         i = self._n
         self._ensure_row_capacity(i + 1)
         self._objective_buf[i] = float(evaluation.objective)
@@ -295,24 +266,8 @@ class SearchHistory:
         self._completed_buf[i] = float(evaluation.completed)
         self._worker_buf[i] = int(evaluation.worker)
         self._eval_id_buf[i] = int(evaluation.eval_id)
-
-        config = evaluation.configuration
-        matched = 0
-        for name, buf in self._param_bufs.items():
-            if name in config:
-                buf[i] = config[name]
-                matched += 1
-            else:
-                buf[i] = _MISSING
-                # Only genuinely missing parameters force the columnar
-                # top-quantile batch onto the per-dict fallback; extra keys
-                # leave every parameter column complete.
-                self._incomplete_rows = True
-        if matched != len(config):
-            self._extras[i] = {
-                k: v for k, v in config.items() if k not in self._param_bufs
-            }
-
+        for column, word in zip(self._columns.values(), words):
+            column[i] = word
         self._n = i + 1
         self._objectives_cache = None
         self._runtimes_cache = None
@@ -332,7 +287,12 @@ class SearchHistory:
         completed: float,
         worker: int = 0,
     ) -> Evaluation:
-        """Create, append and return an :class:`Evaluation` from a run time."""
+        """Create, append and return an :class:`Evaluation` from a run time.
+
+        The returned evaluation holds ``configuration`` as given; the history
+        keeps its words (:meth:`append`), so ``history[-1]`` reads it back
+        with canonical types.
+        """
         evaluation = Evaluation(
             configuration=dict(configuration),
             objective=self.objective.from_runtime(runtime),
@@ -346,49 +306,35 @@ class SearchHistory:
         return evaluation
 
     # -------------------------------------------------------- materialisation
-    def _config_at(self, i: int) -> Configuration:
-        """Materialise row ``i``'s configuration as a plain dict."""
-        if self._param_store is None and self._param_element_loaders:
-            # Read-only view with its columns still deferred: decode just
-            # this row (views never carry _extras or missing parameters).
-            return {
-                name: loader(i)
-                for name, loader in self._param_element_loaders.items()
-            }
-        config: Configuration = {}
-        for name, buf in self._param_bufs.items():
-            value = buf[i]
-            if value is _MISSING:
-                continue
-            config[name] = value
-        if self._extras:
-            extras = self._extras.get(i)
-            if extras:
-                config.update(extras)
-        return config
+    def _evaluations_at(self, rows: np.ndarray) -> List[Evaluation]:
+        """:class:`Evaluation` views of ``rows``, built column by column."""
+        configs = self.sheet().take(rows).to_configurations()
+        meta = [
+            buf[rows].tolist()
+            for buf in (
+                self._objective_buf,
+                self._runtime_buf,
+                self._submitted_buf,
+                self._completed_buf,
+                self._worker_buf,
+                self._eval_id_buf,
+            )
+        ]
+        return [Evaluation(config, *fields) for config, *fields in zip(configs, *meta)]
 
     def _materialize(self, i: int) -> Evaluation:
         """Materialise row ``i`` as an :class:`Evaluation` view."""
-        return Evaluation(
-            configuration=self._config_at(i),
-            objective=float(self._objective_buf[i]),
-            runtime=float(self._runtime_buf[i]),
-            submitted=float(self._submitted_buf[i]),
-            completed=float(self._completed_buf[i]),
-            worker=int(self._worker_buf[i]),
-            eval_id=int(self._eval_id_buf[i]),
-        )
+        return self._evaluations_at(np.array([i], dtype=np.intp))[0]
 
     # ------------------------------------------------------------------ views
     @property
     def evaluations(self) -> Tuple[Evaluation, ...]:
         """All evaluations, in completion order of insertion."""
-        return tuple(self._materialize(i) for i in range(self._n))
+        return tuple(self._evaluations_at(np.arange(self._n)))
 
     def successful(self) -> List[Evaluation]:
         """Evaluations with a finite objective."""
-        finite = np.isfinite(self._objective_buf[: self._n])
-        return [self._materialize(int(i)) for i in np.flatnonzero(finite)]
+        return self._evaluations_at(np.flatnonzero(np.isfinite(self._objective_buf[: self._n])))
 
     def num_failures(self) -> int:
         """Number of failed (NaN) evaluations."""
@@ -396,7 +342,7 @@ class SearchHistory:
 
     def configurations(self) -> List[Configuration]:
         """All evaluated configurations."""
-        return [self._config_at(i) for i in range(self._n)]
+        return self.sheet().to_configurations()
 
     def _meta_column(self, cache_name: str, buf: np.ndarray) -> np.ndarray:
         cached = getattr(self, cache_name)
@@ -440,21 +386,14 @@ class SearchHistory:
         return self._eval_id_buf[: self._n].copy()
 
     def parameter_column(self, name: str) -> np.ndarray:
-        """The raw value column of parameter ``name`` (a copy, object dtype)."""
-        if name not in self._param_bufs:
-            raise KeyError(f"unknown parameter {name!r}")
-        return self._param_bufs[name][: self._n].copy()
+        """The values of parameter ``name`` (an object-dtype copy).
 
-    @property
-    def has_incomplete_rows(self) -> bool:
-        """Whether any appended evaluation lacked one of the space's parameters.
-
-        Complete histories (everything the search loop or ``from_csv``
-        produces) keep this False; consumers like the transfer-learning
-        selection use it to decide between the columnar fast path and a
-        row-tolerant fallback.
+        Real values are ``float``, integer values ``int`` and discrete values
+        the domain's own objects.
         """
-        return self._incomplete_rows
+        if name not in self._columns:
+            raise KeyError(f"unknown parameter {name!r}")
+        return self.sheet().values(name).astype(object)
 
     def best(self) -> Optional[Evaluation]:
         """The evaluation with the highest objective (None if all failed)."""
@@ -563,19 +502,17 @@ class SearchHistory:
         q:
             Fraction of successful evaluations to keep, in (0, 1].
         """
-        return [self._config_at(int(i)) for i in self._top_quantile_indices(q)]
+        return self.top_quantile_columns(q).to_configurations()
 
     def top_quantile_columns(self, q: float = 0.10) -> ColumnBatch:
         """The top-``q`` configurations as a columnar batch (Algorithm 1, l.1).
 
         This is the hot-path variant of :meth:`top_quantile` used by the
         transfer-learning ``H_p`` ingestion: the selection happens on the
-        objective column and the parameter columns are fancy-indexed, without
-        materialising one dict per historical evaluation.  Falls back to the
-        dict path when the history contains incomplete rows, skipping rows
-        that do not define every parameter of the space.
+        objective column and the rows are taken from :meth:`sheet`, without
+        materialising one dict per historical evaluation.
         """
-        return self._columns_at(self._top_quantile_indices(q))
+        return self.sheet().take(self._top_quantile_indices(q))
 
     def top_k_columns(self, k: int) -> ColumnBatch:
         """The ``k`` best successful configurations as a columnar batch.
@@ -591,30 +528,25 @@ class SearchHistory:
             raise ValueError("k must be >= 1")
         obj = self._objective_buf[: self._n]
         finite = np.flatnonzero(np.isfinite(obj))
-        if finite.size == 0:
-            return self._columns_at(np.empty(0, dtype=np.intp))
         # Descending stable sort: negating keeps equal objectives in
         # insertion order, matching a sequential "best so far" scan.
         order = np.argsort(-obj[finite], kind="stable")
-        return self._columns_at(finite[order[:k]])
+        return self.sheet().take(finite[order[:k]])
 
-    def _columns_at(self, idx: np.ndarray) -> ColumnBatch:
-        """Fancy-index the parameter columns at ``idx`` (row-tolerant).
+    def sheet(self, start: int = 0, stop: Optional[int] = None) -> ColumnBatch:
+        """Rows ``[start, stop)`` as a sheet of the stored words (no lookup).
 
-        The value columns become a sheet here: discrete values are looked up
-        once, into domain indices.
+        The columns are *views* into the live buffers — consume them before
+        the next append (a capacity-doubling growth would reallocate
+        underneath them) or :meth:`~repro.core.space.ColumnBatch.take` the
+        rows to keep.
         """
-        if self._incomplete_rows:
-            names = self.space.parameter_names
-            complete = [
-                config
-                for config in (self._config_at(int(i)) for i in idx)
-                if all(name in config for name in names)
-            ]
-            return ColumnBatch.from_configurations(self.space, complete)
-        return ColumnBatch.from_value_columns(
+        stop = self._n if stop is None else min(int(stop), self._n)
+        start = min(max(0, int(start)), stop)
+        return ColumnBatch._trusted(
             self.space,
-            {name: buf[:self._n][idx] for name, buf in self._param_bufs.items()},
+            {name: column[start:stop] for name, column in self._columns.items()},
+            stop - start,
         )
 
     # ------------------------------------------------------------------- copy
@@ -643,36 +575,8 @@ class SearchHistory:
         clone._completed_buf = self._completed_buf[:n].copy()
         clone._worker_buf = self._worker_buf[:n].copy()
         clone._eval_id_buf = self._eval_id_buf[:n].copy()
-        clone._param_bufs = {name: buf[:n].copy() for name, buf in self._param_bufs.items()}
-        clone._extras = {
-            i: dict(extras) for i, extras in self._extras.items() if i < n
-        }
-        clone._incomplete_rows = self._incomplete_rows
+        clone._columns = {name: column[:n].copy() for name, column in self._columns.items()}
         return clone
-
-    def column_block(self, start: int, stop: int):
-        """Raw column views of rows ``[start, stop)`` — the journal's window.
-
-        Returns ``(meta, params)``: the metadata columns keyed by their CSV
-        names and the parameter value columns (object dtype) keyed by
-        parameter name.  The arrays are *views* into the live buffers —
-        consume them before the next append (a capacity-doubling growth would
-        reallocate underneath them).
-        """
-        stop = min(int(stop), self._n)
-        start = max(0, int(start))
-        meta = {
-            "objective": self._objective_buf[start:stop],
-            "runtime": self._runtime_buf[start:stop],
-            "submitted": self._submitted_buf[start:stop],
-            "completed": self._completed_buf[start:stop],
-            "worker": self._worker_buf[start:stop],
-            "eval_id": self._eval_id_buf[start:stop],
-        }
-        params = {
-            name: buf[start:stop] for name, buf in self._param_bufs.items()
-        }
-        return meta, params
 
     # -------------------------------------------------------------------- csv
     CSV_META_COLUMNS = ("eval_id", "worker", "submitted", "completed", "runtime", "objective")
@@ -701,10 +605,8 @@ class SearchHistory:
         objectives = [
             f"{t:.6f}" if math.isfinite(t) else "nan" for t in self._objective_buf[:n]
         ]
-        value_columns = [
-            ["" if v is _MISSING else v for v in self._param_bufs[name][:n]]
-            for name in names
-        ]
+        sheet = self.sheet()
+        value_columns = [sheet.values(name).tolist() for name in names]
         for row in zip(
             eval_ids, workers, submitted, completed, runtimes, objectives, *value_columns
         ):
@@ -728,7 +630,8 @@ class SearchHistory:
         Parameter cells are parsed against the owning parameter's declared
         type (see :func:`_parse_typed`), so an integer parameter's ``"1e3"``
         loads as ``1000`` and a *string* category ``"True"`` stays a string
-        instead of being guessed into a bool.
+        instead of being guessed into a bool.  A cell that does not parse
+        raises ``ValueError`` naming its row and column.
         """
         text = source
         if isinstance(source, Path) or (
@@ -737,11 +640,17 @@ class SearchHistory:
             text = Path(source).read_text()
         history = cls(space, objective=objective)
         reader = csv.DictReader(io.StringIO(str(text)))
-        for row in reader:
+        for index, row in enumerate(reader):
             config = {}
             for param in space:
                 raw = row[param.name]
-                config[param.name] = _parse_typed(raw, param)
+                try:
+                    config[param.name] = _parse_typed(raw, param)
+                except ValueError as error:
+                    raise ValueError(
+                        f"CSV row {index} (line {reader.line_num}), column "
+                        f"{param.name!r}: {error}"
+                    ) from None
             history.append(
                 Evaluation(
                     configuration=config,
@@ -761,58 +670,32 @@ def _parse_typed(raw: str, param: Parameter):
 
     * real parameters parse as ``float``;
     * integer parameters parse as ``int`` (scientific notation like ``"1e3"``
-      is accepted and rounded);
+      is accepted when the number is integral);
     * categorical/ordinal parameters are matched against the string form of
       their domain values, so a string category ``"True"`` is returned as the
       string while a boolean category parses back to ``True``.
 
-    Cells that cannot be interpreted for the declared type fall back to the
-    legacy value-guessing parser (:func:`_parse_value`), which keeps CSVs
-    written by other tools loadable.
+    A cell that does not parse raises ``ValueError``.
     """
+    if raw is None:
+        raise ValueError("the cell is missing")
     text = raw.strip()
     if isinstance(param, RealParameter):
-        try:
-            return float(text)
-        except ValueError:
-            return _parse_value(raw)
+        return float(text)
     if isinstance(param, IntegerParameter):
         try:
             return int(text)
         except ValueError:
-            try:
-                return int(round(float(text)))
-            except (ValueError, OverflowError):
-                return _parse_value(raw)
-    domain = getattr(param, "_domain", None)
-    if domain is not None:
-        lookup = getattr(param, "_csv_lookup_cache", None)
-        if lookup is None:
-            lookup = {}
-            for value in domain:
-                lookup.setdefault(str(value), value)
-            param._csv_lookup_cache = lookup
-        if text in lookup:
-            return lookup[text]
-    return _parse_value(raw)
-
-
-def _parse_value(raw: str):
-    """Parse a CSV cell back into bool / int / float / str (legacy fallback).
-
-    Kept for cells that do not match their parameter's declared domain (e.g.
-    CSVs produced outside this library); prefer :func:`_parse_typed`, which
-    never turns a string-typed ``"True"`` into a bool.
-    """
-    text = raw.strip()
-    if text in ("True", "False"):
-        return text == "True"
-    try:
-        as_int = int(text)
-        return as_int
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+            value = float(text)
+            if not value.is_integer():
+                raise ValueError(f"{raw!r} is not an integer") from None
+            return int(value)
+    lookup = getattr(param, "_csv_lookup_cache", None)
+    if lookup is None:
+        lookup = {}
+        for value in getattr(param, "_domain", ()):
+            lookup.setdefault(str(value), value)
+        param._csv_lookup_cache = lookup
+    if text not in lookup:
+        raise ValueError(f"{raw!r} is not a value of {param.name}")
+    return lookup[text]

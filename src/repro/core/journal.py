@@ -11,9 +11,11 @@ holding (format 2)
 * **``rows.bin``** — an append-only file of fixed-width little-endian
   records, one per :class:`~repro.core.history.SearchHistory` row: the six
   metadata words (``objective``, ``runtime``, ``submitted``, ``completed``
-  as ``float64``; ``worker``, ``eval_id`` as ``int64``), then one 8-byte
-  word per parameter (reals as ``float64``, integers as ``int64``,
-  categorical/ordinal values as the ``int64`` index into their domain);
+  as ``float64``; ``worker``, ``eval_id`` as ``int64``), then each
+  parameter's stored word (:func:`~repro.core.space.word_dtype`: reals as
+  ``float64``, integers as ``int64``, categorical/ordinal values as the
+  ``int64`` index into their domain) — the words the history's columns
+  already hold, so a block is packed by copying columns;
 * **``intervals.bin``** — append-only ``(submitted, completed)``
   ``float64`` busy-interval pairs;
 * **``meta.json``** — the immutable campaign fingerprint (space layout, seed,
@@ -59,8 +61,9 @@ never crashed.
 
 The **read side** is :class:`JournalReader`: a zero-copy view of a journaled
 campaign at its checkpoint watermark.  ``rows.bin`` is memory-mapped once,
-up to the committed row count, and every column is a field view of that one
-mapping — bytes past the watermark (a live writer's uncheckpointed appends,
+up to the committed row count, and every column — metadata and parameter
+words alike — is a field view of that one mapping, handed to the history
+as it is — bytes past the watermark (a live writer's uncheckpointed appends,
 or a torn tail left by a crash) are simply never mapped, so one writer and
 any number of reader processes can share a journal directory without
 locking and without rewriting anything.  :func:`open_journal_reader` serves
@@ -91,7 +94,7 @@ import numpy as np
 from repro.core.history import SearchHistory
 from repro.core.ioutil import atomic_write_text, fsync_file
 from repro.core.objective import Objective
-from repro.core.space import IntegerParameter, RealParameter, SearchSpace
+from repro.core.space import SearchSpace, word_dtype
 
 __all__ = [
     "CampaignJournal",
@@ -156,62 +159,13 @@ def _dump_json(payload: Dict) -> str:
     return json.dumps(payload, default=_json_default, allow_nan=True)
 
 
-class _ParamCodec:
-    """Binary codec for one parameter's word of a ``rows.bin`` record.
-
-    Real parameters store their values as ``float64`` (exact round trip);
-    integer parameters as ``int64``; categorical and ordinal parameters as
-    the ``int64`` index into their declared domain, so the decoded value is
-    the *identical* Python object the space defines (bools stay bools,
-    strings stay strings).
-    """
-
-    def __init__(self, param):
-        self.param = param
-        self.name = param.name
-        #: The domain of an indexed (categorical/ordinal) parameter, None for
-        #: a numeric one; ``_scalar`` converts a numeric word to its value.
-        self._domain = None
-        if isinstance(param, RealParameter):
-            self.dtype, self._scalar = "<f8", float
-        elif isinstance(param, IntegerParameter):
-            self.dtype, self._scalar = "<i8", int
-        elif getattr(param, "_domain", None) is not None:
-            self.dtype, self._domain = "<i8", param._domain
-        else:
-            raise JournalError(
-                f"parameter {param.name!r} of type {type(param).__name__} "
-                "has no journal codec"
-            )
-
-    def encode(self, values: np.ndarray) -> np.ndarray:
-        """Encode an object-dtype value column in one vectorised pass."""
-        if self._domain is None:
-            # The object → float64/int64 cast runs float()/int() in C.
-            return np.asarray(values, dtype=self.dtype)
-        return self.param.indices_vec(values)
-
-    def decode(self, column: np.ndarray) -> List:
-        # tolist() converts the whole column to native Python scalars in one
-        # C pass — element-wise iteration over a memory-mapped column would
-        # pay one buffer access per value instead.
-        values = column.tolist()
-        domain = self._domain
-        return values if domain is None else [domain[v] for v in values]
-
-    def decode_element(self, value):
-        if self._domain is None:
-            return self._scalar(value)
-        return self._domain[int(value)]
-
-
 def _space_fingerprint(space: SearchSpace) -> List[List[str]]:
     return [[p.name, type(p).__name__] for p in space.parameters]
 
 
-def _row_dtype(codecs: Sequence[_ParamCodec]) -> np.dtype:
-    """The packed record layout of ``rows.bin`` for a space's codecs."""
-    return _record_dtype(tuple(codec.dtype for codec in codecs))
+def _row_dtype(space: SearchSpace) -> np.dtype:
+    """The packed record layout of ``rows.bin`` for a space's words."""
+    return _record_dtype(tuple(word_dtype(p).str for p in space))
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,8 +312,7 @@ class CampaignJournal:
         self.directory = Path(directory)
         self.space = space
         self.fsync = bool(fsync)
-        self._codecs = [_ParamCodec(p) for p in space.parameters]
-        self._row_dtype = _row_dtype(self._codecs)
+        self._row_dtype = _row_dtype(space)
         self._handles: Dict[str, object] = {}
         #: Per data file: ``[offset, crc]`` of the bytes appended since the
         #: last commit — the tail the next record vouches for.
@@ -577,21 +530,27 @@ class CampaignJournal:
     def append_rows(self, history: SearchHistory) -> None:
         """Append history rows past the journal's current row count.
 
-        The rows are packed into one block of ``rows.bin`` records in a
-        single vectorised pass per column and written with one call.
+        The history's metadata and word columns are copied into one block of
+        ``rows.bin`` records, which is written with one call.
         """
         stop = len(history)
         start = self.num_rows
         if stop <= start:
             return
-        if history.has_incomplete_rows:
-            raise JournalError("cannot journal a history with incomplete rows")
-        meta, params = history.column_block(start, stop)
+        meta = (
+            history.objectives(),
+            history.runtimes(),
+            history.submitted_times(),
+            history.completed_times(),
+            history.workers(),
+            history.eval_ids(),
+        )
         block = np.empty(stop - start, dtype=self._row_dtype)
-        for name, _ in _META_COLUMNS:
-            block[name] = meta[name]
-        for i, codec in enumerate(self._codecs):
-            block[f"p{i}"] = codec.encode(params[codec.name])
+        for (name, _), column in zip(_META_COLUMNS, meta):
+            block[name] = column[start:stop]
+        words = history.sheet(start, stop).columns
+        for i, p in enumerate(self.space):
+            block[f"p{i}"] = words[p.name]
         self._append(ROWS_NAME, block.tobytes())
         self.num_rows = stop
 
@@ -689,14 +648,6 @@ class CampaignJournal:
                 )
 
 
-def _object_column(values: Sequence) -> np.ndarray:
-    """Pack decoded parameter values into the object-dtype column layout
-    :class:`~repro.core.history.SearchHistory` stores natively."""
-    column = np.empty(len(values), dtype=object)
-    column[:] = values
-    return column
-
-
 def _map_rows(directory: Path, dtype: np.dtype, count: int) -> np.ndarray:
     """Memory-map the first ``count`` records of ``rows.bin`` as ``dtype``."""
     if count == 0:
@@ -753,10 +704,9 @@ class JournalReader:
     coexist on the same directory without locking.
 
     :meth:`history` returns a read-only
-    :class:`~repro.core.history.SearchHistory` whose metadata columns *are*
-    the mapped records (no copy, no parse); parameter columns decode lazily
-    on first access, so metric sweeps that only touch objectives/runtimes/
-    timestamps never pay for configuration decoding.
+    :class:`~repro.core.history.SearchHistory` whose metadata and parameter
+    columns *are* the mapped record fields (no copy, no parse, no decode):
+    Python values are built only when a caller asks for configurations.
 
     A journal whose checkpoint has not been written yet (created but never
     committed) reads as empty.  ``commit`` pins the reader to a commit the
@@ -785,7 +735,7 @@ class JournalReader:
         self.num_intervals = (
             0 if commit is None else int(commit.record["num_intervals"])
         )
-        self._codecs = [_ParamCodec(p) for p in space.parameters]
+        self._row_dtype = _row_dtype(space)
         self._history: Optional[SearchHistory] = None
         self._intervals: Optional[List[Tuple[float, float]]] = None
         self._closed = False
@@ -807,32 +757,14 @@ class JournalReader:
         if self._closed:
             raise JournalError(f"journal reader for {self.directory} is closed")
         if self._history is None:
-            rows = _map_rows(self.directory, _row_dtype(self._codecs), self.num_rows)
-            fields = [(f"p{i}", codec) for i, codec in enumerate(self._codecs)]
-            # The loaders hold the mapping itself, not the reader, so a
-            # history stays readable after the reader is closed or evicted.
-            loaders = {
-                codec.name: (
-                    lambda field=field, codec=codec: _object_column(
-                        codec.decode(rows[field])
-                    )
-                )
-                for field, codec in fields
-            }
-            element_loaders = {
-                codec.name: (
-                    lambda row, field=field, codec=codec: codec.decode_element(
-                        rows[field][row]
-                    )
-                )
-                for field, codec in fields
-            }
+            # The history holds field views of the mapping itself, not the
+            # reader, so it stays readable after the reader is closed.
+            rows = _map_rows(self.directory, self._row_dtype, self.num_rows)
             self._history = SearchHistory.from_columns(
                 self.space,
                 {name: rows[name] for name, _ in _META_COLUMNS},
-                loaders,
+                {p.name: rows[f"p{i}"] for i, p in enumerate(self.space)},
                 objective=self.objective,
-                param_element_loaders=element_loaders,
             )
         return self._history
 

@@ -45,18 +45,16 @@ class ConstantLiar:
     strategy:
         ``"kernel_penalty"`` (fast approximation, default) or ``"refit"``
         (literal constant liar).
-    penalty_length_scale:
-        Neighbourhood radius (in unit-hypercube distance per dimension) of the
-        kernel penalty.
     """
 
-    def __init__(self, strategy: str = "kernel_penalty", penalty_length_scale: float = 0.15):
+    #: Neighbourhood radius (in unit-hypercube distance per dimension) of the
+    #: kernel penalty.
+    penalty_length_scale = 0.15
+
+    def __init__(self, strategy: str = "kernel_penalty"):
         if strategy not in ("kernel_penalty", "refit"):
             raise ValueError(f"unknown liar strategy {strategy!r}")
-        if penalty_length_scale <= 0:
-            raise ValueError("penalty_length_scale must be positive")
         self.strategy = strategy
-        self.penalty_length_scale = penalty_length_scale
 
     def select(
         self,

@@ -15,7 +15,10 @@ The hot path is columnar: candidates are sampled as a sheet of per-parameter
 NumPy columns (:meth:`~repro.core.space.SearchSpace.sample_columns`), with
 categorical and ordinal parameters as domain indices, encoded one column
 family at a time, and only the configurations actually proposed are
-materialised as dicts.  The evaluated history is kept as an *incremental*
+materialised as dicts.  Tells arrive as sheets too: a campaign hands
+:meth:`BayesianOptimizer.ingest` its history's new rows as stored
+(:meth:`~repro.core.history.SearchHistory.sheet`), and a list of dicts is
+converted once.  The evaluated history is kept only as an *incremental*
 encoded cache — ``tell`` appends encoded rows and objective values into
 growing buffers, so neither ``tell`` nor ``ask`` ever re-encodes the full
 history (re-encoding all ``n`` observations on every interaction would make
@@ -27,10 +30,11 @@ Surrogates that advertise
 rank-1 Cholesky extension) are handed only the rows appended since the last
 fit instead of the whole training matrix.
 
-Each ask scores its candidate pool with one surrogate ``predict``.  Fusion
-across campaigns happens one layer up: :func:`prepare_ask_fleet` stacks the
-candidate generation of a group of optimizers, and the multi-campaign runner
-(:mod:`repro.service.runner`) hands fused scores to :meth:`finish_ask`.
+Each ask scores its candidate pool with one surrogate ``predict``.
+:func:`prepare_ask_fleet` generates the candidate pools of a group of
+optimizers in one stacked pass, and a solo :meth:`BayesianOptimizer.prepare_ask`
+is a fleet of one; the multi-campaign runner (:mod:`repro.service.runner`)
+hands fused scores to :meth:`finish_ask`.
 
 The optimizer measures the wall-clock time spent fitting the surrogate and
 generating candidates (:attr:`last_tell_duration`, :attr:`last_ask_duration`)
@@ -140,9 +144,6 @@ class BayesianOptimizer:
     n_initial_points:
         Number of evaluations before the surrogate is trusted; until then
         :meth:`ask` returns prior samples.
-    encoding:
-        "numeric" (ordinal, used by tree models) or "one_hot" (used by the
-        GP).  "auto" picks per surrogate type.
     liar_strategy:
         Constant-liar flavour ("kernel_penalty" or "refit").
     random_sampling:
@@ -166,7 +167,6 @@ class BayesianOptimizer:
         kappa: float = DEFAULT_KAPPA,
         num_candidates: int = 512,
         n_initial_points: int = 10,
-        encoding: str = "auto",
         liar_strategy: str = "kernel_penalty",
         random_sampling: bool = False,
         refit_interval: int = 1,
@@ -192,18 +192,11 @@ class BayesianOptimizer:
         self.objective = objective or Objective()
         self.rng = np.random.default_rng(seed)
 
-        if encoding == "auto":
-            encoding = (
-                "one_hot"
-                if isinstance(self.surrogate, GaussianProcessSurrogate)
-                else "numeric"
-            )
-        if encoding not in ("numeric", "one_hot"):
-            raise ValueError(f"unknown encoding {encoding!r}")
-        self.encoding = encoding
-
-        self._configs: List[Configuration] = []
-        self._objectives: List[float] = []
+        #: The surrogate's input encoding: one-hot for the GP, the ordinal
+        #: numeric encoding for every other surrogate.
+        self.encoding = (
+            "one_hot" if isinstance(self.surrogate, GaussianProcessSurrogate) else "numeric"
+        )
         self._evaluated_keys: set = set()
         # Incremental encoded-history cache (capacity-doubling buffers).
         self._enc_dim = (
@@ -223,7 +216,7 @@ class BayesianOptimizer:
     @property
     def num_observations(self) -> int:
         """Number of evaluations told to the optimizer so far."""
-        return len(self._configs)
+        return self._n_rows
 
     def _encode(self, configs: ConfigsLike) -> np.ndarray:
         if self.encoding == "one_hot":
@@ -272,30 +265,28 @@ class BayesianOptimizer:
             self.fit_now()
         self.last_tell_duration = time.perf_counter() - start
 
-    def ingest(self, configurations: Sequence[Configuration], objectives: Sequence[float]) -> bool:
+    def ingest(self, configurations: ConfigsLike, objectives: Sequence[float]) -> bool:
         """Record completed evaluations without fitting.
 
-        Returns True when a surrogate (re)fit is now due — the caller is then
-        responsible for either :meth:`fit_now` or an external fit (e.g.
+        ``configurations`` is a sheet (a campaign passes its history's new
+        rows as stored) or a list of dicts, converted once.  Returns True
+        when a surrogate (re)fit is now due — the caller is then responsible
+        for either :meth:`fit_now` or an external fit (e.g.
         :func:`~repro.core.surrogate.random_forest.fit_forest_fleet` over
         :meth:`training_data`) followed by :meth:`mark_fitted`.
         """
         if len(configurations) != len(objectives):
             raise ValueError("configurations and objectives must have equal length")
-        if not configurations:
+        if not len(configurations):
             return False
-        new_configs = [dict(config) for config in configurations]
-        if len(new_configs) <= 4:
-            # The asynchronous loop tells one or two evaluations at a time;
-            # the row-major codecs' scalar path beats building a ColumnBatch.
-            batch: ConfigsLike = new_configs
-        else:
-            batch = ColumnBatch.from_configurations(self.space, new_configs)
+        batch = (
+            configurations
+            if isinstance(configurations, ColumnBatch)
+            else ColumnBatch.from_configurations(self.space, configurations)
+        )
         filled = [self.objective.fill_failure(obj) for obj in objectives]
-        self._configs.extend(new_configs)
-        self._objectives.extend(filled)
         self._evaluated_keys.update(self._key_bytes(batch))
-        self._new_since_fit += len(new_configs)
+        self._new_since_fit += len(batch)
         self._append_history(self._encode(batch), np.asarray(filled, dtype=float))
         return (
             not self.random_sampling
@@ -365,42 +356,11 @@ class BayesianOptimizer:
 
         During the initialisation phase (or with random sampling) the batch
         is decided immediately and returned in ``PreparedAsk.proposals``;
-        otherwise the prepared pool awaits surrogate scores.
+        otherwise the prepared pool awaits surrogate scores.  This is a
+        :func:`prepare_ask_fleet` pass of one: a pass that raises leaves the
+        generator as it found it.
         """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        use_model = (
-            not self.random_sampling
-            and self.surrogate.fitted
-            and self.num_observations >= self.n_initial_points
-        )
-        if not use_model:
-            return PreparedAsk(n=n, proposals=self._sample_unique(n))
-
-        # Candidate generation from the (possibly informative) prior, columnar.
-        candidates = self.space.sample_columns(self.num_candidates, self.rng, prior=self.prior)
-        keys = self._key_bytes(candidates)
-        evaluated = self._evaluated_keys
-        fresh_idx = np.fromiter(
-            (i for i, key in enumerate(keys) if key not in evaluated),
-            dtype=np.intp,
-        )
-        fresh_configs: Optional[List[Configuration]] = None
-        if fresh_idx.shape[0] < n:
-            # Not enough unseen candidates: top up via the unique sampler and
-            # fall back to a materialised (row-major) fresh set.
-            fresh_configs = candidates.take(fresh_idx).to_configurations()
-            fresh_configs.extend(self._sample_unique(n - len(fresh_configs)))
-            fresh = ColumnBatch.from_configurations(self.space, fresh_configs)
-        else:
-            fresh = candidates.take(fresh_idx)
-        return PreparedAsk(
-            n=n,
-            fresh=fresh,
-            fresh_configs=fresh_configs,
-            encoded=self._encode(fresh),
-            wants_scores=self.liar.strategy != "refit",
-        )
+        return prepare_ask_fleet([(self, n)])[0]
 
     def finish_ask(
         self,
@@ -464,14 +424,7 @@ class BayesianOptimizer:
             )
         return proposals[:n]
 
-    # ------------------------------------------------------------------- best
-    def best(self) -> Optional[Configuration]:
-        """The best configuration told so far (None before any tell)."""
-        if not self._configs:
-            return None
-        idx = int(np.argmax(self._objectives))
-        return self._configs[idx]
-
+    # ------------------------------------------------------------- inspection
     def categorical_column_indices(self) -> List[int]:
         """Indices of categorical columns in the numeric encoding (for TPE)."""
         return [
@@ -491,8 +444,8 @@ def prepare_ask_fleet(
     order) and share one encoding — the runner groups them that way via
     :func:`~repro.service.grouping.plan_tick_groups`.
 
-    Per member the result is **bitwise identical** to
-    ``member.prepare_ask(n)``:
+    Per member the result is **bitwise identical** to a pass over that
+    member alone (``member.prepare_ask(n)``):
 
     * every random draw comes from the member's own generator in the member's
       own order — candidate columns are assembled parameter-major across the
@@ -509,7 +462,7 @@ def prepare_ask_fleet(
       only when its kernel-penalty liar reads it (:attr:`PreparedAsk.unit`).
 
     A pass that raises leaves every member's generator as it found it, so a
-    solo ``prepare_ask`` retry draws exactly what it would have drawn.
+    retry draws exactly what it would have drawn.
     """
     requests = list(requests)
     states = [opt.rng.bit_generator.state for opt, _ in requests]

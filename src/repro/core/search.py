@@ -436,8 +436,6 @@ class CampaignExecution:
         self.history = SearchHistory(search.space, objective=search.objective)
         self.intervals: List[Tuple[float, float]] = []
         self.finished = False
-        self._tell_configs: List[Configuration] = []
-        self._tell_objectives: List[float] = []
         self._num_completed = 0
         self._pending_batch: Optional[List[Configuration]] = None
         self._prepared_ask = None
@@ -501,7 +499,7 @@ class CampaignExecution:
         if not completed:
             self.finished = True
             return None
-        recorded = [
+        for ev in completed:
             self.history.record(
                 ev.configuration,
                 runtime=ev.runtime,
@@ -509,13 +507,6 @@ class CampaignExecution:
                 completed=ev.completed,
                 worker=ev.worker,
             )
-            for ev in completed
-        ]
-        # The recorded evaluations already hold the objective transform of
-        # each runtime — feed those to the optimizer instead of re-deriving
-        # them.
-        self._tell_configs = [ev.configuration for ev in completed]
-        self._tell_objectives = [rec.objective for rec in recorded]
         self._num_completed = len(completed)
         self._evals_since_prior_refresh += len(completed)
         return completed
@@ -540,10 +531,12 @@ class CampaignExecution:
         ingest time refreshes the optimizer's measured tell duration.  A due
         fit is noted in the campaign journal here — fleet fits consume the
         surrogate RNG bitwise-identically to solo fits, so the pre-fit
-        capture covers both.
+        capture covers both.  The optimizer reads the collected rows as the
+        history stores them.
         """
         start = time.perf_counter()
-        due = self.optimizer.ingest(self._tell_configs, self._tell_objectives)
+        stop = len(self.history)
+        due = self._ingest_rows(stop - self._num_completed, stop)
         self.optimizer.last_tell_duration = time.perf_counter() - start
         if due:
             self._note_fit_due()
@@ -919,7 +912,7 @@ class CampaignExecution:
         total_rows = int(checkpoint["num_rows"])
         position = 0
         for index, boundary in enumerate(fit_rows):
-            self._replay_ingest(position, boundary)
+            self._ingest_rows(position, boundary)
             position = boundary
             if optimizer.surrogate.supports_partial_fit:
                 optimizer.fit_now()
@@ -933,7 +926,7 @@ class CampaignExecution:
                 # From-scratch surrogates: only the final fit determines the
                 # model — earlier events advance the bookkeeping only.
                 optimizer.mark_fitted()
-        self._replay_ingest(position, total_rows)
+        self._ingest_rows(position, total_rows)
         for rows in checkpoint["refresh_rows"]:
             prefix = self.history.truncated(int(rows))
             prepared = self._build_prior_refresh(prefix)
@@ -950,14 +943,13 @@ class CampaignExecution:
         self._num_completed = int(checkpoint["num_completed"])
         self.finished = bool(checkpoint["finished"])
 
-    def _replay_ingest(self, start: int, stop: int) -> None:
-        """Re-ingest journaled history rows ``[start, stop)`` into the optimizer."""
-        if stop <= start:
-            return
-        evaluations = self.history[start:stop]
-        self.optimizer.ingest(
-            [evaluation.configuration for evaluation in evaluations],
-            [evaluation.objective for evaluation in evaluations],
+    def _ingest_rows(self, start: int, stop: int) -> bool:
+        """Tell the optimizer history rows ``[start, stop)``, as stored.
+
+        Returns whether a surrogate fit is now due.
+        """
+        return self.optimizer.ingest(
+            self.history.sheet(start, stop), self.history.objectives()[start:stop]
         )
 
     # ------------------------------------------------------------------ misc

@@ -27,6 +27,13 @@ Configurations have two representations:
   of a discrete parameter; values are built only for the configurations
   that leave the sheet (:meth:`ColumnBatch.to_configurations`).
 
+Every evaluated configuration is stored in one form, its *words*
+(:func:`word_dtype`, :meth:`SearchSpace.to_words`): ``float64`` for a real
+parameter, ``int64`` for an integer parameter and the ``int64`` domain index
+for a categorical or ordinal parameter.  The search history keeps its
+parameter columns in words, the campaign journal's ``rows.bin`` records are
+the same words, and a history's rows leave it as a sheet with no lookup.
+
 The sheet codecs (:meth:`SearchSpace.key_array`,
 :meth:`SearchSpace.to_numeric_array`, :meth:`SearchSpace.to_one_hot_array`,
 :meth:`SearchSpace.to_unit_array`) stack a batch's columns into one float
@@ -65,10 +72,27 @@ __all__ = [
     "CategoricalParameter",
     "OrdinalParameter",
     "SearchSpace",
+    "word_dtype",
 ]
 
 #: A configuration is a mapping from parameter name to value.
 Configuration = Dict[str, Any]
+
+#: The stored word of each parameter kind: a real parameter is kept as its
+#: ``float64`` value, an integer parameter as its ``int64`` value, and a
+#: categorical or ordinal parameter as the ``int64`` index into its domain.
+#: Search histories and the campaign journal's ``rows.bin`` both read it.
+_WORD_DTYPES = {"real": "<f8", "integer": "<i8", "categorical": "<i8", "ordinal": "<i8"}
+
+
+def word_dtype(param: "Parameter") -> np.dtype:
+    """The dtype of ``param``'s stored word (see :data:`_WORD_DTYPES`)."""
+    try:
+        return np.dtype(_WORD_DTYPES[param.kind])  # type: ignore[attr-defined]
+    except (AttributeError, KeyError):
+        raise ValueError(
+            f"parameter {param.name!r} of type {type(param).__name__} has no stored word"
+        ) from None
 
 
 class Parameter(ABC):
@@ -107,6 +131,10 @@ class Parameter(ABC):
     @abstractmethod
     def from_unit(self, u: float) -> Any:
         """Map a unit-interval position back to a native value."""
+
+    def to_word(self, value: Any) -> Any:
+        """The stored word of ``value`` (see :func:`word_dtype`)."""
+        raise ValueError(f"{type(self).__name__} has no stored word")
 
     def to_unit_vec(self, values: Sequence[Any]) -> np.ndarray:
         """Map a column of native values into the unit interval (vectorised)."""
@@ -181,6 +209,10 @@ class RealParameter(Parameter):
         except (TypeError, ValueError):
             return False
         return self.low <= v <= self.high
+
+    def to_word(self, value: Any) -> float:
+        """The stored word of ``value``: its ``float``."""
+        return float(value)
 
     def to_unit(self, value: Any) -> float:
         v = float(value)
@@ -268,6 +300,13 @@ class IntegerParameter(Parameter):
         if not math.isfinite(v):
             return False
         return v == int(v) and self.low <= int(v) <= self.high
+
+    def to_word(self, value: Any) -> int:
+        """The stored word of ``value``: its ``int``, which must equal it."""
+        word = int(value)
+        if word != value:
+            raise ValueError(f"{value!r} is not an integer")
+        return word
 
     def to_unit(self, value: Any) -> float:
         v = float(value)
@@ -374,9 +413,9 @@ class _IndexedDiscreteMixin:
         """
         n = len(values)
         if n <= _SCALAR_LOOKUP_MAX:
-            # Tiny columns (the tell path records one or two evaluations) are
-            # cheaper through the scalar lookup than through per-domain
-            # broadcasts.
+            # Tiny columns (an application encoding the one or two
+            # configurations it was handed) are cheaper through the scalar
+            # lookup than through per-domain broadcasts.
             index_of = self.index_of
             return np.fromiter((index_of(v) for v in values), dtype=np.intp, count=n)
         arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
@@ -407,9 +446,17 @@ class _IndexedDiscreteMixin:
         """The domain values at ``indices`` (an object column)."""
         return self._domain_array()[indices]
 
-    def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample_indices(self, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
         """``size`` uniform domain indices: the draws :meth:`sample` maps to values."""
         return rng.integers(0, len(self._domain), size=size)
+
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+        """Uniform draws as the domain's own objects."""
+        return self.values_at(self.sample_indices(rng, size))
+
+    def to_word(self, value: Any) -> int:
+        """The stored word of ``value``: its domain index."""
+        return self.index_of(value)
 
     def indices_from_unit(self, u: np.ndarray) -> np.ndarray:
         """Domain indices of unit-interval positions (equal-width bins)."""
@@ -480,12 +527,6 @@ class CategoricalParameter(_IndexedDiscreteMixin, Parameter):
         """Convenience constructor for a True/False parameter."""
         return cls(name, (False, True))
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        idx = rng.integers(0, len(self.categories), size=size)
-        if size is None:
-            return self.categories[int(idx)]
-        return self._domain_array()[np.atleast_1d(idx)]
-
     def __repr__(self) -> str:
         return f"CategoricalParameter({self.name!r}, {list(self.categories)!r})"
 
@@ -514,12 +555,6 @@ class OrdinalParameter(_IndexedDiscreteMixin, Parameter):
     @property
     def _domain(self) -> Tuple[Any, ...]:
         return self.values
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        idx = rng.integers(0, len(self.values), size=size)
-        if size is None:
-            return self.values[int(idx)]
-        return np.asarray([self.values[int(i)] for i in np.atleast_1d(idx)])
 
     def __repr__(self) -> str:
         return f"OrdinalParameter({self.name!r}, {list(self.values)!r})"
@@ -729,6 +764,10 @@ class _SheetLayout:
         self.names = [p.name for p in params]
         #: Per parameter: numeric (value column) or discrete (index column).
         self.numeric = tuple(_is_numeric(p) for p in params)
+        #: Per parameter: its name and the fast value → word map of
+        #: :meth:`SearchSpace.to_words` (``float``, the integer check, the
+        #: discrete index map); a value it misses takes ``to_word``.
+        self.words = tuple((p.name, _fast_word(p)) for p in params)
         linear = [j for j, p in enumerate(params) if self.numeric[j] and not p.log]
         log = [j for j, p in enumerate(params) if self.numeric[j] and p.log]
         discrete = [j for j, p in enumerate(params) if not self.numeric[j]]
@@ -910,9 +949,7 @@ class SearchSpace:
         if prior is not None:
             configs = prior.sample_configurations(n, rng)
             return [self.clip(c) for c in configs]
-        names = self.parameter_names
-        lists = [p.sample(rng, size=n).tolist() for p in self._params]
-        return [dict(zip(names, row)) for row in zip(*lists)]
+        return self.sample_columns(n, rng).to_configurations()
 
     def sample_columns(
         self,
@@ -1030,21 +1067,42 @@ class SearchSpace:
                 out[p.name] = fixed
         return out
 
-    # -------------------------------------------------------------- encodings
-    @staticmethod
-    def _is_tiny_rows(configs: ConfigsLike) -> bool:
-        """Whether ``configs`` is a short row-major list worth a scalar path.
+    # ------------------------------------------------------------------ words
+    def to_words(self, config: Mapping[str, Any]) -> List[Any]:
+        """The stored words of a full configuration, in parameter order.
 
-        The asynchronous tell path encodes one or two configurations per
-        manager interaction; building per-parameter columns for those costs
-        more than the encoding itself.
+        Raises ``ValueError`` naming the missing or extra keys of an
+        incomplete configuration, or the parameter whose value has no word:
+        a non-integral value of an integer parameter, a discrete value
+        outside its domain, or a non-numeric value of a real parameter.
         """
-        return (
-            isinstance(configs, (list, tuple))
-            and 0 < len(configs) <= 4
-            and isinstance(configs[0], Mapping)
-        )
+        try:
+            words = [to_word(config[name]) for name, to_word in self._layout().words]
+            if len(config) == len(words):
+                return words
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+        # Parameter by parameter: the words of values the fast maps miss (a
+        # discrete value equal to, but not hashed like, a domain value), or
+        # the error naming what is wrong.
+        missing = [name for name in self._by_name if name not in config]
+        extra = [key for key in config if key not in self._by_name]
+        if missing or extra:
+            problems = [f"missing parameters {missing}"] if missing else []
+            problems += [f"unknown keys {extra}"] if extra else []
+            raise ValueError("configuration has " + " and ".join(problems))
+        words = []
+        for p in self._params:
+            value = config[p.name]
+            try:
+                words.append(p.to_word(value))
+            except (TypeError, ValueError, OverflowError) as error:
+                raise ValueError(
+                    f"parameter {p.name!r} cannot store {value!r}: {error}"
+                ) from None
+        return words
 
+    # -------------------------------------------------------------- encodings
     def _as_batch(self, configs: ConfigsLike) -> ColumnBatch:
         """``configs`` as a batch of this space (row lists are converted once)."""
         if isinstance(configs, ColumnBatch):
@@ -1098,22 +1156,6 @@ class SearchSpace:
         a non-positive out-of-domain value can never silently mix a
         linear-scale number into an otherwise log-scale column.
         """
-        if self._is_tiny_rows(configs):
-            # Row path for one-or-two-row inputs (the tell hot path): scalar
-            # NumPy ufuncs hit the same libm kernels as the column ops, so
-            # the cells are bit-identical to the columnar encoding at a
-            # fraction of the per-column overhead.
-            arr = np.empty((len(configs), len(self._params)), dtype=float)
-            numeric = self._layout().numeric
-            for i, config in enumerate(configs):
-                for j, p in enumerate(self._params):
-                    v = config[p.name]
-                    if numeric[j]:
-                        x = np.float64(v)
-                        arr[i, j] = np.log(np.maximum(x, p.low)) if p.log else x
-                    else:
-                        arr[i, j] = p.index_of(v)
-            return arr
         layout = self._layout()
         sheet = layout.stack(self._as_batch(configs))
         if layout.log.size:
@@ -1155,17 +1197,6 @@ class SearchSpace:
         last ulp between code paths); discrete parameters contribute their
         index.  ``row.tobytes()`` of a row is therefore a stable dedup key.
         """
-        if self._is_tiny_rows(configs):
-            arr = np.empty((len(configs), len(self._params)), dtype=float)
-            numeric = self._layout().numeric
-            for i, config in enumerate(configs):
-                for j, p in enumerate(self._params):
-                    v = config[p.name]
-                    if numeric[j]:
-                        arr[i, j] = np.float64(v)
-                    else:
-                        arr[i, j] = p.index_of(v)
-            return arr
         return self._layout().stack(self._as_batch(configs)).T.copy()
 
     # ------------------------------------------------------------ composition
@@ -1192,6 +1223,15 @@ class SearchSpace:
     def new_parameters(self, previous: "SearchSpace") -> List[str]:
         """Names present here but absent from ``previous`` (Algorithm 1, l.3)."""
         return [p.name for p in self._params if p.name not in previous]
+
+
+def _fast_word(param: Parameter):
+    """The value → word map :meth:`SearchSpace.to_words` tries first."""
+    if isinstance(param, RealParameter):
+        return float
+    if isinstance(param, _IndexedDiscreteMixin):
+        return param._index_map().__getitem__
+    return param.to_word
 
 
 def _snappable(param: Parameter, value: Any) -> bool:

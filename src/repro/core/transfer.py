@@ -240,34 +240,20 @@ def prepare_transfer_prior(
     transform = TabularTransform(shared_space)
 
     # Keep only the shared parameters and clip them into the target bounds
-    # (bounds may legitimately change between campaigns).
-    if source_history.has_incomplete_rows:
-        # Row-tolerant fallback: histories with hand-built evaluations may
-        # define the shared parameters while lacking source-only ones; only
-        # rows missing a *shared* parameter are dropped.
-        top_shared: List[Configuration] = []
-        for config in source_history.top_quantile(quantile):
-            restricted = {
-                name: config[name] for name in shared_names if name in config
-            }
-            if len(restricted) == len(shared_names):
-                top_shared.append(shared_space.clip(restricted))
-        top_batch = ColumnBatch.from_configurations(shared_space, top_shared)
-    else:
-        # Hot path, columnar end to end: select Q_p on the history's
-        # objective column, fancy-index only the shared parameter columns,
-        # clip them as columns and encode them as columns — the selection
-        # never materialises one dict per historical evaluation (H_p has
-        # 1500+ rows at paper scale, Q_p a handful) and the VAE's design
-        # matrix is built without intermediate row dicts.
-        source_batch = source_history.top_quantile_columns(quantile)
-        top_batch = ColumnBatch.from_value_columns(
-            shared_space,
-            shared_space.clip_columns(
-                {name: source_batch.values(name) for name in shared_names}
-            ),
-        )
-        top_shared = top_batch.to_configurations()
+    # (bounds may legitimately change between campaigns).  Columnar end to
+    # end: Q_p is selected on the history's objective column and taken from
+    # its stored rows, and only the shared columns are clipped and encoded —
+    # no dict per historical evaluation (H_p has 1500+ rows at paper scale,
+    # Q_p a handful).  The shared values cross into the target's domains
+    # once, here.
+    source_batch = source_history.top_quantile_columns(quantile)
+    top_batch = ColumnBatch.from_value_columns(
+        shared_space,
+        shared_space.clip_columns(
+            {name: source_batch.values(name) for name in shared_names}
+        ),
+    )
+    top_shared = top_batch.to_configurations()
 
     vae: Optional[TabularVAE] = None
     pending: Optional[PreparedTransferFit] = None

@@ -212,20 +212,17 @@ class SurrogateRuntimeFleet:
                 idx, configs = requests[pos]
                 results[pos] = self.runtimes[idx].run_many(configs)
                 continue
-            # One fused inference over every request sharing this forest.
-            matrices = []
+            # One fused encode and inference over every request sharing this
+            # forest (both are row-local).
+            first = self.runtimes[requests[positions[0]][0]]
+            stacked = [config for pos in positions for config in requests[pos][1]]
+            mean, _ = first.forest.predict(first.space.to_numeric_array(stacked))
+            values = np.exp(mean)
+            offset = 0
             for pos in positions:
                 idx, configs = requests[pos]
                 model = self.runtimes[idx]
-                matrices.append(model.space.to_numeric_array(configs))
-            forest = self.runtimes[requests[positions[0]][0]].forest
-            mean, _ = forest.predict(np.vstack(matrices))
-            values = np.exp(mean)
-            offset = 0
-            for pos, X in zip(positions, matrices):
-                idx, _ = requests[pos]
-                model = self.runtimes[idx]
-                chunk = values[offset : offset + X.shape[0]]
-                offset += X.shape[0]
+                chunk = values[offset : offset + len(configs)]
+                offset += len(configs)
                 results[pos] = [model._finalize(value) for value in chunk]
         return results

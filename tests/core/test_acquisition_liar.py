@@ -122,5 +122,3 @@ class TestConstantLiar:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             ConstantLiar(strategy="magic")
-        with pytest.raises(ValueError):
-            ConstantLiar(penalty_length_scale=0.0)

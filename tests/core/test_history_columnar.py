@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference.gaussian_process import refit_with_current_hyperparameters
 from reference.history import RowHistoryReference
-from repro.core.history import Evaluation, SearchHistory, _parse_typed
+from repro.core.history import SearchHistory, _parse_typed
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.space import (
     CategoricalParameter,
@@ -184,22 +184,6 @@ class TestColumnarRowEquivalence:
         batch = columnar.top_quantile_columns(0.5)
         assert batch.to_configurations() == columnar.top_quantile(0.5)
 
-    def test_incomplete_rows_survive_round_trip(self):
-        """Hand-built evaluations with missing/extra keys stay intact."""
-        space = make_space()
-        history = SearchHistory(space)
-        odd = Evaluation(
-            {"batch": 4, "pool": "fifo", "extra_key": 99},
-            objective=1.0,
-            runtime=2.0,
-            submitted=0.0,
-            completed=1.0,
-        )
-        history.append(odd)
-        assert history[0].configuration == {"batch": 4, "pool": "fifo", "extra_key": 99}
-        # The incomplete row is excluded from the columnar top-q batch.
-        assert len(history.top_quantile_columns(1.0)) == 0
-
     def test_incumbent_at_matches_scalar_queries(self):
         columnar, reference = build_histories([40.0, float("nan"), 25.0, 31.0, 8.0], 9)
         grid = np.linspace(0.0, 7.0, 29)
@@ -223,43 +207,6 @@ class TestColumnarRowEquivalence:
         assert columnar[1:3] == reference.evaluations[1:3]
         assert columnar[::-1] == reference.evaluations[::-1]
         assert columnar[:0] == []
-
-    def test_transfer_learns_from_rows_missing_source_only_parameters(self):
-        """Evaluations lacking a source-only parameter still feed Q_p."""
-        from repro.core.transfer import fit_transfer_prior
-
-        source_space = SearchSpace(
-            [
-                IntegerParameter("a", 1, 100),
-                RealParameter("b", 0.0, 1.0),
-                IntegerParameter("source_only", 1, 10),
-            ]
-        )
-        target_space = SearchSpace(
-            [IntegerParameter("a", 1, 100), RealParameter("b", 0.0, 1.0)]
-        )
-        history = SearchHistory(source_space)
-        rng = np.random.default_rng(0)
-        for i in range(20):
-            config = {"a": int(rng.integers(1, 100)), "b": float(rng.random())}
-            history.append(
-                Evaluation(config, objective=float(i), runtime=float(20 - i),
-                           submitted=float(i), completed=float(i + 1))
-            )
-        assert history.has_incomplete_rows
-        prior = fit_transfer_prior(history, target_space, quantile=0.5, epochs=5)
-        assert len(prior.top_configurations) == 10
-
-    def test_extra_keys_do_not_disable_columnar_top_quantile(self):
-        space = make_space()
-        history = SearchHistory(space)
-        rng = np.random.default_rng(0)
-        for i in range(6):
-            config = dict(space.sample(1, rng)[0], extra_key=i)
-            history.record(config, 10.0 + i, float(i), float(i + 1))
-        assert not history._incomplete_rows
-        batch = history.top_quantile_columns(0.5)
-        assert len(batch) == len(history.top_quantile(0.5))
 
 
 class TestTopKColumnsAndCopy:

@@ -5,9 +5,9 @@ The read side's contract has three legs:
 * **watermark visibility** — a reader attached while a writer is live (or
   after a crash left a torn tail) sees exactly the checkpointed prefix,
   bit-identical to the writer's in-memory history at that watermark;
-* **read-only zero-copy views** — the history handed out shares the mapped
-  column files (no parse, no copy), rejects mutation, and thaws via
-  ``copy()``;
+* **read-only zero-copy views** — the history handed out holds field views
+  of the mapped records, metadata and parameter words alike (no parse, no
+  copy), rejects mutation, and thaws via ``copy()``;
 * **bounded resources** — readers are served through an LRU cache with a
   settable limit, attach failures leak no handles, and ``close()`` is
   idempotent.
@@ -203,14 +203,15 @@ class TestReadOnlyView:
         assert view.read_only
         with pytest.raises(TypeError, match="read-only"):
             view.append(master[0])
-        # Metadata access must not trigger parameter decoding.
         assert view.best_runtime() == master.best_runtime()
-        assert view._param_store is None
-        # best() materialises one row through the element loaders — still no
-        # full-column decode.
+        # Every column is a field view of the one mapping: the parameter
+        # words are mapped like the metadata, not decoded or copied.
+        mapping = view.objectives().base
+        assert mapping.dtype.names is not None  # the structured record array
+        for name in space.parameter_names:
+            assert np.shares_memory(view.sheet().columns[name], mapping)
         assert view.best().configuration == master.best().configuration
-        assert view._param_store is None
-        # Full config access decodes; values are the exact Python objects.
+        # Values are built on request, as the exact Python objects.
         assert view.configurations() == master.configurations()
 
     def test_copy_thaws_to_mutable(self, tmp_path):

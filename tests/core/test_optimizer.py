@@ -152,14 +152,30 @@ class TestAskTell:
         batch = opt.ask(20)
         assert all(c["flag"] is True or c["flag"] == True for c in batch)  # noqa: E712
 
-    def test_best_tracks_maximum_objective(self):
+    def test_solo_ask_that_raises_restores_the_generator(self):
+        """A solo ask is a fleet pass of one: a raising prior leaves the
+        optimizer's generator where it was, so a retry draws the same."""
         space = quadratic_space()
-        opt = BayesianOptimizer(space, seed=0)
-        assert opt.best() is None
-        configs = space.sample(5, np.random.default_rng(0))
-        objectives = [1.0, 5.0, 3.0, float("nan"), 2.0]
-        opt.tell(configs, objectives)
-        assert opt.best() == configs[1]
+        opt = BayesianOptimizer(space, num_candidates=32, n_initial_points=4, seed=0)
+        configs = space.sample(6, np.random.default_rng(0))
+        opt.tell(configs, [quadratic_objective(c) for c in configs])
+        working = opt.prior
+
+        class RaisingPrior:
+            def sample_columns(self, n, rng):
+                rng.random(n)  # consume draws, then fail
+                raise RuntimeError("prior failed")
+
+        state = opt.rng.bit_generator.state
+        opt.prior = RaisingPrior()
+        with pytest.raises(RuntimeError, match="prior failed"):
+            opt.prepare_ask(2)
+        assert opt.rng.bit_generator.state == state
+        opt.prior = working
+        retried = opt.ask(2)
+        twin = BayesianOptimizer(space, num_candidates=32, n_initial_points=4, seed=0)
+        twin.tell(configs, [quadratic_objective(c) for c in configs])
+        assert retried == twin.ask(2)
 
     def test_invalid_constructor_arguments(self):
         space = quadratic_space()
@@ -169,8 +185,6 @@ class TestAskTell:
             BayesianOptimizer(space, n_initial_points=0)
         with pytest.raises(ValueError):
             BayesianOptimizer(space, refit_interval=0)
-        with pytest.raises(ValueError):
-            BayesianOptimizer(space, encoding="binary")
 
     def test_gp_surrogate_uses_one_hot_encoding_automatically(self):
         space = quadratic_space()

@@ -54,22 +54,26 @@ class TestIncrementalCacheIdentity:
 
     def test_cached_rows_match_full_reencode(self):
         """Appending encoded batches equals re-encoding the whole history."""
-        opt, _ = run_ask_tell(BayesianOptimizer, "RF", rounds=5)
+        opt, trajectory = run_ask_tell(BayesianOptimizer, "RF", rounds=5)
+        told = [config for batch in trajectory for config in batch]
         X_cached, y_cached = opt._train_data()
-        X_full = opt._encode(opt._configs)
+        X_full = opt._encode(told)
         assert np.array_equal(X_cached, X_full)
-        assert np.array_equal(y_cached, np.asarray(opt._objectives))
+        filled = [opt.objective.fill_failure(fake_objective(c)) for c in told]
+        assert np.array_equal(y_cached, np.asarray(filled))
 
     def test_buffer_growth_preserves_rows(self):
         space = make_space()
         opt = BayesianOptimizer(space, n_initial_points=2, seed=0)
         rng = np.random.default_rng(0)
+        told = []
         for _ in range(6):  # repeated growth past the initial capacity
             configs = space.sample(40, rng)
             opt.tell(configs, [fake_objective(c) for c in configs])
+            told.extend(configs)
         X, y = opt._train_data()
         assert X.shape == (240, len(space))
-        assert np.array_equal(X, opt._encode(opt._configs))
+        assert np.array_equal(X, opt._encode(told))
 
     def test_duplicate_detection_survives_materialisation(self):
         """A proposal told back to the optimizer is never proposed again."""

@@ -18,6 +18,8 @@ import pytest
 
 import repro.analysis.csvio
 import repro.core.evaluator
+import repro.core.history
+import repro.core.journal
 import repro.frameworks
 from fixtures import (
     assert_results_identical,
@@ -31,6 +33,7 @@ from reference.search import run as run_sequential
 from repro.analysis.campaign import run_repeated_search
 from repro.core.history import SearchHistory
 from repro.core.journal import CampaignJournal
+from repro.core.liar import ConstantLiar
 from repro.core.optimizer import BayesianOptimizer
 from repro.core.overhead import MeasuredOverheadModel
 from repro.core.search import CampaignExecution, CBOSearch, VAEABOSearch
@@ -246,6 +249,37 @@ class TestOptionSurface:
         assert not hasattr(CampaignRunner, "gp_predict_chunk_elements")
         assert not hasattr(repro.frameworks, "run_framework_suite")
         assert not hasattr(Framework, "build_search")
+
+    def test_one_stored_form(self):
+        """Histories store words, so the knobs only tests set, the object
+        columns' escape hatches and the lookups around them are gone."""
+        assert "encoding" not in inspect.signature(BayesianOptimizer).parameters
+        assert "penalty_length_scale" not in inspect.signature(ConstantLiar).parameters
+        assert ConstantLiar.penalty_length_scale == 0.15
+        assert not hasattr(BayesianOptimizer, "best")
+        opt = BayesianOptimizer(make_service_space())
+        for name in ("_configs", "_objectives"):
+            assert not hasattr(opt, name), name
+        for name in ("column_block", "has_incomplete_rows", "_param_bufs", "_columns_at"):
+            assert not hasattr(SearchHistory, name), name
+        history = SearchHistory(make_service_space())
+        for name in ("_extras", "_incomplete_rows", "_param_loaders", "_param_element_loaders"):
+            assert not hasattr(history, name), name
+        assert list(inspect.signature(SearchHistory.from_columns).parameters) == [
+            "space",
+            "meta_columns",
+            "param_columns",
+            "objective",
+        ]
+        for module, name in (
+            (repro.core.history, "_MISSING"),
+            (repro.core.history, "_parse_value"),
+            (repro.core.journal, "_ParamCodec"),
+            (repro.core.journal, "_object_column"),
+        ):
+            assert not hasattr(module, name), name
+        assert not hasattr(SearchSpace, "_is_tiny_rows")
+        assert not hasattr(CampaignExecution, "_replay_ingest")
 
     def test_one_evaluator(self):
         """Every campaign evaluates on a ``SharedWorkerPool`` (the old

@@ -83,11 +83,7 @@ def value_batch(space, configs):
 
 
 def draw_configs(space, n, seed):
-    """``n`` configurations whose discrete values are the domain's objects.
-
-    (``SearchSpace.sample`` hands out an ordinal column through
-    ``np.asarray``, which turns ``(1, 2.5)`` into floats.)
-    """
+    """``n`` configurations whose discrete values are the domain's objects."""
     return IndependentPrior(space).sample_configurations(n, np.random.default_rng(seed))
 
 

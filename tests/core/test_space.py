@@ -99,6 +99,29 @@ class TestParameters:
 
 
 class TestSearchSpace:
+    def test_sample_hands_out_the_domain_objects(self):
+        """Without a prior, ``sample`` draws what ``sample_columns`` draws,
+        as the domain's own objects (a mixed ordinal domain once came back
+        as floats)."""
+        space = SearchSpace(
+            [
+                OrdinalParameter("p", (1, 2.5)),
+                CategoricalParameter("c", (True, "x", 7)),
+                IntegerParameter("k", 1, 9),
+            ]
+        )
+        configs = space.sample(40, np.random.default_rng(0))
+        expected = space.sample_columns(40, np.random.default_rng(0)).to_configurations()
+        typed = [[(type(v), v) for v in c.values()] for c in configs]
+        assert typed == [[(type(v), v) for v in c.values()] for c in expected]
+        for config in configs:
+            assert any(config["p"] is value for value in (1, 2.5))
+            assert type(config["k"]) is int
+        param = space["p"]
+        assert [type(v) for v in param.sample(np.random.default_rng(1), size=8)] == [
+            type(param.values[i]) for i in param.sample_indices(np.random.default_rng(1), 8)
+        ]
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             SearchSpace([IntegerParameter("x", 0, 1), RealParameter("x", 0, 1)])
