@@ -11,7 +11,6 @@ throughout, with the paper's default κ = 1.96 (a 95 % confidence band).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

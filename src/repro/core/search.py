@@ -25,7 +25,6 @@ uninformative priors for parameters that are new in the current space).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union

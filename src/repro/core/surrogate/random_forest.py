@@ -2,10 +2,9 @@
 
 A from-scratch implementation on NumPy: :class:`RandomForestSurrogate` is a
 bagged ensemble of CART-style regression trees (variance-reduction splits,
-random feature subsampling per node, flat node arrays so prediction is
-vectorised).  The predictive mean is the average of the per-tree
-predictions and the predictive standard deviation is their spread (the
-classic forest uncertainty estimate used by sampling-based BO).
+random feature subsampling per node).  The predictive mean is the average
+of the per-tree predictions and the predictive standard deviation is their
+spread (the classic forest uncertainty estimate used by sampling-based BO).
 
 The implementation favours fast re-fitting: the asynchronous search refits the
 surrogate every time a batch of evaluations completes, and the paper's Fig. 4
@@ -15,13 +14,16 @@ are split together with segmented NumPy operations, instead of one Python
 call stack per node.  Feature values enter the split search as per-column
 integer ranks, so each level sorts ``int64`` keys (one stable ``argsort``
 per candidate-feature slot, on one sort path) and scores its slots together
-in chunks whose size is bounded by the frontier width.  At 1,000
-observations and 12 trees a fit takes 15× less CPU than the depth-first
-recursive builder kept in ``tests/reference/random_forest.py`` (2-vCPU
-host, one BLAS thread: 0.06 s against 0.99 s at 6 features, 0.10 s against
-1.47 s at 20) while producing statistically equivalent forests (same split
-criterion, same guards, same hyperparameters; only the order of the RNG
-draws differs).
+in chunks whose size is bounded by the frontier width.  A level records only
+its node values and its splits; the builder lays every forest out once, as
+the flat node tables (:class:`_ForestTables`) its traversal walks.  The
+forests are statistically equivalent to those of the depth-first recursive
+builder kept in ``tests/reference/random_forest.py`` (same split criterion,
+same guards, same hyperparameters; only the order of the RNG draws differs).
+
+Prediction walks those tables for every (tree, row) pair at once.  A leaf is
+its own child, so a level is three gathers and one compare with no mask, and
+the walk stops at the depth of the deepest tree.
 
 :meth:`RandomForestSurrogate.fit` and :meth:`~RandomForestSurrogate.predict`
 are fleets of one: :func:`fit_forest_fleet` and :func:`predict_forest_fleet`
@@ -31,7 +33,7 @@ are the only builder and traversal.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,35 +58,28 @@ _MIN_SPREAD = 1e-12
 _CHUNK_ELEMENTS = 1 << 15
 
 
-class _ArrayTree:
-    """A fitted regression tree stored as flat NumPy node arrays.
+class _ForestTables(NamedTuple):
+    """A fitted forest: the flat node tables its traversal walks.
 
-    Produced by the level-wise forest builder; forests predict through the
-    fused traversal of :func:`predict_forest_fleet`.
+    The trees' nodes lie tree after tree, each tree breadth-first from its
+    root at ``roots[t]``, so a tree's nodes are one slice of every table and
+    a node's position minus its root is its breadth-first id.  An internal
+    node sends a row whose ``feature`` value is ``<= threshold`` to ``left``
+    and every other row, NaN included, to ``right`` (positions in these
+    tables).  A leaf has ``feature == -1`` and ``threshold == 0.0`` and is
+    its own left and right child, so a walk that reaches it stays there.
+    ``depth[t]`` is the number of splits on tree ``t``'s longest path, and
+    ``width`` the number of features the forest was fitted on.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "max_depth")
-
-    def __init__(
-        self,
-        feature: np.ndarray,
-        threshold: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
-        value: np.ndarray,
-        max_depth: int,
-    ):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.value = value
-        self.max_depth = int(max_depth)
-
-    @property
-    def node_count(self) -> int:
-        """Number of nodes in the tree."""
-        return int(self.feature.shape[0])
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: np.ndarray
+    width: int
 
 
 def _dense_ranks(X: np.ndarray) -> np.ndarray:
@@ -95,13 +90,17 @@ def _dense_ranks(X: np.ndarray) -> np.ndarray:
     comparing values — ``-0.0`` and ``0.0`` included, which compare equal
     either way.
     """
-    order = np.argsort(X, axis=0, kind="stable")
-    ordered = np.take_along_axis(X, order, axis=0)
-    steps = np.zeros(X.shape, dtype=np.int64)
+    n, d = X.shape
+    # at[i, j]: flat position of column j's i-th smallest value.
+    at = X.argsort(axis=0, kind="stable")
+    at *= d
+    at += np.arange(d)
+    ordered = X.take(at)
+    steps = np.zeros((n, d), dtype=np.int64)
     np.not_equal(ordered[1:], ordered[:-1], out=steps[1:])
-    np.cumsum(steps, axis=0, out=steps)
-    ranks = np.empty_like(steps)
-    np.put_along_axis(ranks, order, steps, axis=0)
+    steps.cumsum(axis=0, out=steps)
+    ranks = np.empty((n, d), dtype=np.int64)
+    ranks.put(at, steps)
     return ranks
 
 
@@ -114,17 +113,18 @@ def _build_forest_fleet(
     min_samples_split: int,
     min_samples_leaf: int,
     n_split_features: int,
-) -> List[List[_ArrayTree]]:
+) -> List[_ForestTables]:
     """Fit the forests of several independent *jobs* in one level-wise pass.
 
     Each job is one ``(X, y, bootstrap_rows, rng)`` quadruple — one forest
     over one training set, e.g. one campaign's surrogate in a multi-campaign
-    batch.  The frontier holds every open node of every tree of every job;
-    each node's samples are stored contiguously in one concatenated sample
-    array.  Per level, one segmented sort + cumulative-sum pass scores every
-    possible split of every node for its candidate-feature slots, so the
-    per-node call overhead of a recursive builder collapses into a few array
-    passes per level, paid once for the whole fleet.
+    batch — and gets back its forest's :class:`_ForestTables`.  The frontier
+    holds every open node of every tree of every job; each node's samples
+    are stored contiguously in one concatenated sample array.  Per level, one
+    segmented sort + cumulative-sum pass scores every possible split of every
+    node for its candidate-feature slots, so the per-node call overhead of a
+    recursive builder collapses into a few array passes per level, paid once
+    for the whole fleet.
 
     **Rank keys.**  Once per fit, every feature column of the stacked
     training rows is replaced by its dense ranks (:func:`_dense_ranks`).  A
@@ -132,7 +132,8 @@ def _build_forest_fleet(
     ``node * rows + rank``: the permutation a stable sort by (node, value)
     gives, without a float ``lexsort``.  Neighbours tie exactly when their
     keys are equal.  The child partition is the same kind of sort, of
-    ``2 * split node + goes right``.
+    ``2 * (split rank + 1) + goes right``, and one ``bincount`` of that key
+    sizes the children.
 
     **The slot pass.**  A level's ``k`` slots are scored together as
     ``(c, N)`` arrays — gathers, sorts, running sums, SSE scores and each
@@ -140,6 +141,13 @@ def _build_forest_fleet(
     positions) — in chunks of ``c = max(1, _CHUNK_ELEMENTS // N)`` slots, so
     a small frontier pays each array call once per level while no chunk
     array outgrows ``max(N, _CHUNK_ELEMENTS)`` elements.
+
+    **Records.**  A level records its frontier's trees and node values and,
+    for the nodes it tried to split, their chosen feature (``-1``: none) and
+    threshold; nothing else.  Every node past the roots is a child, allotted
+    two by two in the order the split nodes were recorded, so the freeze
+    derives the child pointers, lays the nodes out tree after tree and fills
+    the leaf defaults once for the whole fleet.
 
     Every forest is **bit-identical** to fitting its job alone, and to the
     float-``lexsort`` builder kept in ``tests/reference/random_forest.py``:
@@ -171,7 +179,7 @@ def _build_forest_fleet(
     k = n_split_features
     min_leaf = min_samples_leaf
 
-    # Concatenate the per-job training sets; frontier rows index into X_all.
+    # Concatenate the per-job training sets; samples index into X_all.
     row_off = np.zeros(num_jobs, dtype=np.intp)
     if num_jobs > 1:
         np.cumsum(np.asarray([X.shape[0] for X in Xs[:-1]], dtype=np.intp), out=row_off[1:])
@@ -184,117 +192,93 @@ def _build_forest_fleet(
     # ---------------------------------------------------------- frontier init
     # Trees (and therefore the frontier) are laid out job-major; every level
     # below preserves that grouping, so each job occupies one contiguous block
-    # of nodes and samples.  Nodes are not stored in mutable per-tree
-    # containers: each level *emits* one record block (tree id, value, split
-    # feature/threshold, child ids) for its whole frontier, and the per-tree
-    # arrays are carved out of the concatenated records at the end — local
-    # node ids are breadth-first allocation ranks.
-    storage_job: List[int] = []
+    # of nodes and samples.  ``job_trees[j]`` is job j's first tree.
     rows_parts: List[np.ndarray] = []
-    sizes_list: List[int] = []
+    job_trees = [0]
     for j, boots in enumerate(bootstrap_rows_per_job):
-        for r in boots:
-            rows_parts.append(r + row_off[j] if row_off[j] else r)
-            sizes_list.append(r.shape[0])
-            storage_job.append(j)
-    num_trees = len(sizes_list)
+        rows_parts.extend((r + row_off[j] for r in boots) if j else boots)
+        job_trees.append(job_trees[-1] + len(boots))
+    num_trees = job_trees[-1]
+    sizes = np.asarray([r.shape[0] for r in rows_parts], dtype=np.intp)
     rows = np.concatenate(rows_parts)
-    yv = y_all[rows]
-    sizes = np.asarray(sizes_list, dtype=np.intp)
-    stor_of = np.arange(num_trees, dtype=np.intp)
-    storage_job_arr = np.asarray(storage_job, dtype=np.intp)
-    node_counts = np.ones(num_trees, dtype=np.intp)  # every tree has its root
+    yv = y_all.take(rows)
+    rowd = rows * d  # each sample's row offset into X_flat and rank_flat
+    tree = np.arange(num_trees, dtype=np.intp)  # each frontier node's tree
+    job_trees_arr = np.asarray(job_trees, dtype=np.intp)
 
-    rec_stor: List[np.ndarray] = []
-    rec_value: List[np.ndarray] = []
-    rec_feature: List[np.ndarray] = []
-    rec_threshold: List[np.ndarray] = []
-    rec_left: List[np.ndarray] = []
-    rec_right: List[np.ndarray] = []
-
-    def emit(stor, values, feature=None, threshold=None, left=None, right=None):
-        n = stor.size
-        rec_stor.append(stor)
-        rec_value.append(values)
-        rec_feature.append(
-            np.full(n, -1, dtype=np.intp) if feature is None else feature
-        )
-        rec_threshold.append(np.zeros(n) if threshold is None else threshold)
-        rec_left.append(np.full(n, -1, dtype=np.intp) if left is None else left)
-        rec_right.append(np.full(n, -1, dtype=np.intp) if right is None else right)
-
+    # Records, numbered in emission order (level by level, frontier order):
+    # each level's trees and node values, and for the nodes it tried to split
+    # their record numbers, features (-1: no split) and thresholds.
+    level_tree: List[np.ndarray] = []
+    level_value: List[np.ndarray] = []
+    tried_at: List[np.ndarray] = []
+    tried_feature: List[np.ndarray] = []
+    tried_threshold: List[np.ndarray] = []
+    emitted = 0
     depth = 0
-    while sizes.size:
+    while True:
         m = sizes.size
-        starts = np.zeros(m, dtype=np.intp)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        seg = np.repeat(np.arange(m, dtype=np.intp), sizes)
-
-        # Node values (mean of y over the node's samples).
-        node_sums = np.add.reduceat(yv, starts)
-        node_values = node_sums / sizes
-
+        bounds = np.zeros(m + 1, dtype=np.intp)
+        sizes.cumsum(out=bounds[1:])
+        starts = bounds[:-1]
+        level_tree.append(tree)
+        level_value.append(np.add.reduceat(yv, starts) / sizes)
         if depth >= max_depth:
-            emit(stor_of, node_values)
             break
         spread = np.maximum.reduceat(yv, starts) - np.minimum.reduceat(yv, starts)
         splittable = (sizes >= min_samples_split) & (spread >= _MIN_SPREAD)
-        if not np.any(splittable):
-            emit(stor_of, node_values)
+        m2 = int(np.count_nonzero(splittable))
+        if m2 == 0:
             break
+        if m2 < m:
+            # Compact the frontier to the splittable nodes.
+            keep = splittable.repeat(sizes)
+            rowd, yv = rowd[keep], yv[keep]
+            sizes, tree = sizes[splittable], tree[splittable]
+            bounds = np.zeros(m2 + 1, dtype=np.intp)
+            sizes.cumsum(out=bounds[1:])
+            starts = bounds[:-1]
+            tried_at.append(splittable.nonzero()[0] + emitted)
+        else:
+            tried_at.append(np.arange(emitted, emitted + m))
+        emitted += m
+        n = rowd.size
+        seg = np.arange(m2, dtype=np.intp).repeat(sizes)
+        last = bounds[1:] - 1
 
-        # Compact the frontier to the splittable nodes.
-        keep = splittable[seg]
-        rows2, yv2 = rows[keep], yv[keep]
-        sizes2 = sizes[splittable]
-        stor2 = stor_of[splittable]
-        m2 = sizes2.size
-        n = rows2.size
-        starts2 = np.zeros(m2, dtype=np.intp)
-        np.cumsum(sizes2[:-1], out=starts2[1:])
-        ends2 = starts2 + sizes2
-        seg2 = np.repeat(np.arange(m2, dtype=np.intp), sizes2)
-
-        # Job block boundaries on the node axis and the sample axis.  A job
-        # whose frontier is exhausted simply has an empty block (and, exactly
-        # like a solo fit that broke out of its loop, draws no randomness).
-        job2 = storage_job_arr[stor2]
-        jcounts = np.bincount(job2, minlength=num_jobs)
-        jnode_hi = np.cumsum(jcounts)
-        jnode_lo = jnode_hi - jcounts
-        seg_job_lo = np.repeat(starts2[np.minimum(jnode_lo, m2 - 1)], jcounts)
-        job_blocks = [
-            (starts2[lo], ends2[hi - 1])
-            for lo, hi in zip(jnode_lo.tolist(), jnode_hi.tolist())
+        # Job blocks on the node axis and the sample axis.  A job whose
+        # frontier is exhausted simply has an empty block (and, exactly like
+        # a solo fit that broke out of its loop, draws no randomness).
+        node_bounds = tree.searchsorted(job_trees_arr).tolist()
+        sample_bounds = bounds.take(node_bounds).tolist()
+        blocks = [
+            (j, lo, hi, sample_bounds[j], sample_bounds[j + 1])
+            for j, (lo, hi) in enumerate(zip(node_bounds, node_bounds[1:]))
             if hi > lo
         ]
+        # The first node of each job block has no running sum before it.
+        first_nodes = [lo for _, lo, _, _, _ in blocks]
 
         # Random feature subset per node: batched uniform k-subsets, drawn
         # from each job's own generator over its own frontier block so every
         # job consumes its RNG exactly as it would alone; the (row-local)
         # rank selection runs fused over the stacked draws.
-        if num_jobs == 1:
-            draws = rngs[0].random((m2, d))
-        else:
-            draws = np.vstack(
-                [
-                    rngs[j].random((jcounts[j], d))
-                    for j in range(num_jobs)
-                    if jcounts[j]
-                ]
-            )
-        F = np.argsort(draws, axis=1)[:, :k]
+        draws = [rngs[j].random((hi - lo, d)) for j, lo, hi, _, _ in blocks]
+        perm = (draws[0] if len(draws) == 1 else np.vstack(draws)).argsort(axis=1)
+        F = perm[:, :k]
 
-        # Per-sample split-position bookkeeping, shared by all feature slots.
+        # Per-sample split-position bookkeeping, shared by all feature slots:
+        # counts[0] holds n_left and counts[1] max(n_right, 1) per position.
         positions = np.arange(n, dtype=np.intp)
-        counts_left = (positions - starts2[seg2] + 1).astype(float)
-        counts_right = sizes2[seg2] - counts_left
-        counts_right_safe = np.maximum(counts_right, 1.0)
-        count_bad = (counts_left < min_leaf) | (counts_right < min_leaf)
-        seg_key = seg2 * num_rows
-        row_key = rows2 * d
-        has_base = starts2 > seg_job_lo
-        prev, last = np.maximum(starts2 - 1, 0), ends2 - 1
+        counts = np.empty((2, 1, n))
+        counts_left = counts[0, 0]
+        np.subtract(np.arange(1.0, n + 1.0), starts.astype(float).take(seg), out=counts_left)
+        counts_right = sizes.take(seg) - counts_left
+        np.maximum(counts_right, 1.0, out=counts[1, 0])
+        # Also true at each node's last position (nothing to its right).
+        count_bad = np.minimum(counts_left, counts_right) < min_leaf
+        seg_key = seg * num_rows
+        prev = starts - 1  # -1 wraps, but a block's first node takes no base
 
         # Score the slots in chunks of ``width``; row s of every (c, n)
         # array is slot s0 + s.  Sorted position p of slot s holds sample
@@ -306,12 +290,14 @@ def _build_forest_fleet(
         for s0 in range(0, k, width):
             feats = F[:, s0 : s0 + width].T
             c = feats.shape[0]
-            flat = np.take(feats, seg2, axis=1)
-            flat += row_key
+            flat = feats.take(seg, axis=1)
+            flat += rowd
             keys = rank_flat.take(flat)
             keys += seg_key
-            order = np.argsort(keys, axis=1, kind="stable")
-            offsets = (np.arange(c, dtype=np.intp) * n)[:, None]
+            vals = X_flat.take(flat)
+            order = keys.argsort(axis=1, kind="stable")
+            offsets = np.arange(0, c * n, n)[:, None]
+            # flat[s, p]: position in keys and vals of the sample sorted to p.
             np.add(order, offsets, out=flat)
             sorted_keys = keys.take(flat)
             bad = np.empty((c, n), dtype=bool)
@@ -320,162 +306,154 @@ def _build_forest_fleet(
             bad |= count_bad
             # Free the key arrays before the running sums: at the widest
             # frontiers these temporaries set the fit's peak memory.
-            del flat, keys, sorted_keys
-            # Running sums of y (rows :c) and y² (rows c:), cumulated per
-            # job block; each row accumulates on its own, so every slot's
-            # sums are bit-identical to a 1-D cumsum of that slot alone.
-            sums = np.empty((2 * c, n))
-            yv2.take(order, out=sums[:c])
-            np.multiply(sums[:c], sums[:c], out=sums[c:])
-            for lo, hi in job_blocks:
-                np.cumsum(sums[:, lo:hi], axis=1, out=sums[:, lo:hi])
-            base = np.where(has_base, np.take(sums, prev, axis=1), 0.0)
-            totals = np.take(sums, last, axis=1)
+            del keys, sorted_keys
+            # Running sums of y and y² (sums[0]), cumulated per job block;
+            # each row accumulates on its own, so every slot's sums are
+            # bit-identical to a 1-D cumsum of that slot alone.  sums[1]
+            # holds the sums right of each position.
+            sums = np.empty((2, 2, c, n))
+            running = sums[0].reshape(2 * c, n)
+            yv.take(order, out=sums[0, 0])
+            np.multiply(sums[0, 0], sums[0, 0], out=sums[0, 1])
+            for _, _, _, lo, hi in blocks:
+                block = running[:, lo:hi]
+                block.cumsum(axis=1, out=block)
+            base = running.take(prev, axis=1)
+            for lo in first_nodes:
+                base[:, lo] = 0.0
+            totals = running.take(last, axis=1)
             totals -= base
-            sums -= np.take(base, seg2, axis=1)
-            right = np.take(totals, seg2, axis=1)
-            right -= sums
-            # score = (Σy²_l - (Σy_l)²/n_l) + (Σy²_r - (Σy_r)²/n_r).
-            score, right_sse = sums[:c], right[:c]
-            np.square(score, out=score)
-            score /= counts_left
-            np.subtract(sums[c:], score, out=score)
-            np.square(right_sse, out=right_sse)
-            right_sse /= counts_right_safe
-            np.subtract(right[c:], right_sse, out=right_sse)
-            score += right_sse
-            score[bad] = np.inf
+            running -= base.take(seg, axis=1)
+            np.subtract(totals.take(seg, axis=1), running, out=sums[1].reshape(2 * c, n))
+            # score = (Σy²_l - (Σy_l)²/n_l) + (Σy²_r - (Σy_r)²/n_r), both
+            # sides at once.
+            sse = np.square(sums[:, 0])
+            sse /= counts
+            np.subtract(sums[:, 1], sse, out=sse)
+            score = sse[0]
+            score += sse[1]
+            np.putmask(score, bad, np.inf)
             # Per-node minimum and its first (lowest-position) occurrence;
             # positions off the minimum read n - 1, which never undercuts a
-            # node's own first minimum.
-            minval = np.minimum.reduceat(score, starts2, axis=1)
-            at_min = score == np.take(minval, seg2, axis=1)
-            best = np.minimum.reduceat(np.where(at_min, positions, n - 1), starts2, axis=1)
+            # node's own first minimum.  A node's last position scores inf,
+            # so its first minimum has a successor inside the node.
+            minval = scores[s0 : s0 + c]
+            np.minimum.reduceat(score, starts, axis=1, out=minval)
+            at_min = score == minval.take(seg, axis=1)
+            best = np.minimum.reduceat(np.where(at_min, positions, n - 1), starts, axis=1)
             best += offsets
-            after = np.minimum(best + 1, offsets + (n - 1))
-            v_best = X_flat.take(row_key.take(order.take(best)) + feats)
-            v_next = X_flat.take(row_key.take(order.take(after)) + feats)
-            scores[s0 : s0 + c] = minval
-            thrs[s0 : s0 + c] = 0.5 * (v_best + v_next)
+            v_best = vals.take(flat.take(best))
+            best += 1
+            v_next = vals.take(flat.take(best))
+            np.add(v_best, v_next, out=thrs[s0 : s0 + c])
+            thrs[s0 : s0 + c] *= 0.5
             vnexts[s0 : s0 + c] = v_next
 
         # Fast path: the globally best feature slot per node is accepted when
         # its threshold provably separates the chosen position (no tie
         # swallow-up), which mirrors the sequential selection outcome.
-        node_idx = np.arange(m2)
-        jstar = np.argmin(scores, axis=0)
-        sstar = scores[jstar, node_idx]
-        tstar = thrs[jstar, node_idx]
-        has_split = np.isfinite(sstar)
-        quick = has_split & (tstar < vnexts[jstar, node_idx])
-        chosen_feature = np.where(quick, F[node_idx, jstar], -1)
+        node_idx = np.arange(m2, dtype=np.intp)
+        jstar = scores.argmin(axis=0)
+        pick = jstar * m2
+        pick += node_idx
+        tstar = thrs.take(pick)
+        has_split = np.isfinite(scores.take(pick))
+        quick = tstar < vnexts.take(pick)
+        quick &= has_split
+        node_idx *= d
+        node_idx += jstar
+        chosen_feature = np.where(quick, perm.take(node_idx), -1)
         chosen_thr = np.where(quick, tstar, 0.0)
         # Slow path (rare float-adjacency ties): replicate the reference
         # builder's sequential scan, including its running-best-score quirk.
-        for i in np.flatnonzero(has_split & ~quick):
+        for i in (has_split > quick).nonzero()[0]:
             best_score = np.inf
-            lo, hi = starts2[i], ends2[i]
+            lo, hi = bounds[i], bounds[i + 1]
             for j in range(k):
                 s_ij = scores[j, i]
                 if not (s_ij < best_score):
                     continue
                 best_score = s_ij
                 t_ij = thrs[j, i]
-                cnt = int(np.count_nonzero(X_all[rows2[lo:hi], F[i, j]] <= t_ij))
+                cnt = int(np.count_nonzero(X_flat.take(rowd[lo:hi] + F[i, j]) <= t_ij))
                 if min_leaf <= cnt <= hi - lo - min_leaf:
                     chosen_feature[i] = F[i, j]
                     chosen_thr[i] = t_ij
+        tried_feature.append(chosen_feature)
+        tried_threshold.append(chosen_thr)
 
-        split_nodes = chosen_feature >= 0
-        if not np.any(split_nodes):
-            emit(stor_of, node_values)
+        split = chosen_feature >= 0
+        q = int(np.count_nonzero(split))
+        if q == 0:
             break
 
-        # Allocate child node ids: two consecutive breadth-first local ids per
-        # split node, in frontier order per tree (the frontier keeps each
-        # tree's nodes contiguous, so a rank-within-tree subtraction assigns
-        # exactly the ids sequential per-node allocation produced).
-        stor_children = np.repeat(stor2[split_nodes], 2)
-        n_children = stor_children.size
-        child_idx = np.arange(n_children, dtype=np.intp)
-        first_of_tree = np.empty(n_children, dtype=bool)
-        first_of_tree[0] = True
-        first_of_tree[1:] = stor_children[1:] != stor_children[:-1]
-        tree_start = np.maximum.accumulate(np.where(first_of_tree, child_idx, 0))
-        child_local = node_counts[stor_children] + (child_idx - tree_start)
-        node_counts += np.bincount(stor_children, minlength=num_trees)
-
-        # Emit this level's records: split info for split nodes, leaves for
-        # the rest of the frontier.
-        feature_block = np.full(m, -1, dtype=np.intp)
-        thr_block = np.zeros(m)
-        left_block = np.full(m, -1, dtype=np.intp)
-        right_block = np.full(m, -1, dtype=np.intp)
-        pos_m = np.flatnonzero(splittable)[split_nodes]
-        feature_block[pos_m] = chosen_feature[split_nodes]
-        thr_block[pos_m] = chosen_thr[split_nodes]
-        left_block[pos_m] = child_local[0::2]
-        right_block[pos_m] = child_local[1::2]
-        emit(stor_of, node_values, feature_block, thr_block, left_block, right_block)
-
         # Partition the samples of every split node into its two children
-        # with one stable integer sort (left block first, order preserved).
-        feat_per_sample = chosen_feature[seg2]
-        keep2 = feat_per_sample >= 0
-        rows3, yv3 = rows2[keep2], yv2[keep2]
-        go_left = X_flat.take(rows3 * d + feat_per_sample[keep2]) <= chosen_thr[seg2][keep2]
-        remap = np.full(m2, -1, dtype=np.intp)
-        q = int(np.count_nonzero(split_nodes))
-        remap[split_nodes] = np.arange(q, dtype=np.intp)
-        seg_new = remap[seg2[keep2]]
-        order_children = np.argsort(2 * seg_new + ~go_left, kind="stable")
-        rows_next = rows3[order_children]
-        yv_next = yv3[order_children]
-        sizes_split = sizes2[split_nodes]
-        starts_split = np.zeros(q, dtype=np.intp)
-        np.cumsum(sizes_split[:-1], out=starts_split[1:])
-        left_counts = np.add.reduceat(go_left.astype(np.intp), starts_split)
-        sizes_next = np.empty(2 * q, dtype=np.intp)
-        sizes_next[0::2] = left_counts
-        sizes_next[1::2] = sizes_split - left_counts
-
-        rows, yv = rows_next, yv_next
-        sizes, stor_of = sizes_next, stor_children
+        # with one stable integer sort of 2 * (split rank + 1) + goes right
+        # (left block first, order preserved).  The samples of unsplit nodes
+        # key 0 or 1, sort first and are dropped.
+        child = split.cumsum()
+        child *= split
+        child += child
+        child = child.take(seg)
+        at = chosen_feature.take(seg)
+        at += rowd
+        child += X_flat.take(at) > chosen_thr.take(seg)
+        order = child.argsort(kind="stable")
+        sizes = np.bincount(child, minlength=2 * q + 2)
+        order = order[sizes[0] + sizes[1] :]
+        rowd, yv = rowd.take(order), yv.take(order)
+        sizes = sizes[2:]
+        tree = tree[split].repeat(2)
         depth += 1
 
     # -------------------------------------------------------------- freeze
-    # Concatenate the level blocks and carve out each tree's node arrays.
-    # Within one tree, records were emitted in breadth-first local-id order,
-    # so a stable grouping by tree id yields arrays indexed by local id.
-    stor_all = np.concatenate(rec_stor)
-    order = np.argsort(stor_all, kind="stable")
-    value_all = np.concatenate(rec_value)[order]
-    feature_all = np.concatenate(rec_feature)[order]
-    threshold_all = np.concatenate(rec_threshold)[order]
-    left_all = np.concatenate(rec_left)[order]
-    right_all = np.concatenate(rec_right)[order]
-    tree_ends = np.cumsum(np.bincount(stor_all, minlength=num_trees))
+    # A tree's records come in breadth-first order, so a stable grouping by
+    # tree lays every tree out from its root; ``position`` is each record's
+    # place in that layout.
+    tree_of = np.concatenate(level_tree)
+    total = tree_of.size
+    layout = tree_of.argsort(kind="stable")
+    position = np.empty(total, dtype=np.intp)
+    position[layout] = np.arange(total, dtype=np.intp)
+    feature_rec = np.full(total, -1, dtype=np.intp)
+    threshold_rec = np.zeros(total)
+    if tried_at:
+        at = np.concatenate(tried_at)
+        feature_rec[at] = np.concatenate(tried_feature)
+        threshold_rec[at] = np.concatenate(tried_threshold)
+    # The i-th split record's children are records num_trees + 2i and
+    # num_trees + 2i + 1; every other node is a leaf and its own child.
+    split_at = position.take((feature_rec >= 0).nonzero()[0])
+    left_at = position.take(np.arange(num_trees, total, 2, dtype=np.intp))
+    left = np.arange(total, dtype=np.intp)
+    left[split_at] = left_at
+    right = np.arange(total, dtype=np.intp)
+    right[split_at] = left_at + 1
+    feature = feature_rec.take(layout)
+    threshold = threshold_rec.take(layout)
+    value = np.concatenate(level_value).take(layout)
+    # A tree's last node lies on its deepest level.
+    roots = position[:num_trees]
+    tree_end = np.append(roots[1:], total)
+    level_of = np.arange(len(level_tree), dtype=np.intp).repeat([t.size for t in level_tree])
+    tree_depth = level_of.take(layout.take(tree_end - 1))
 
-    frozen: List[_ArrayTree] = []
-    lo = 0
-    for t in range(num_trees):
-        hi = int(tree_ends[t])
-        frozen.append(
-            _ArrayTree(
-                feature=feature_all[lo:hi],
-                threshold=threshold_all[lo:hi],
-                left=left_all[lo:hi],
-                right=right_all[lo:hi],
-                value=value_all[lo:hi],
-                max_depth=max_depth,
+    forests: List[_ForestTables] = []
+    for j in range(num_jobs):
+        lo = int(roots[job_trees[j]])
+        hi = int(tree_end[job_trees[j + 1] - 1])
+        forests.append(
+            _ForestTables(
+                feature=feature[lo:hi],
+                threshold=threshold[lo:hi],
+                left=left[lo:hi] - lo,
+                right=right[lo:hi] - lo,
+                value=value[lo:hi],
+                roots=roots[job_trees[j] : job_trees[j + 1]] - lo,
+                depth=tree_depth[job_trees[j] : job_trees[j + 1]],
+                width=d,
             )
         )
-        lo = hi
-    forests: List[List[_ArrayTree]] = []
-    cursor = 0
-    for boots in bootstrap_rows_per_job:
-        forests.append(frozen[cursor : cursor + len(boots)])
-        cursor += len(boots)
     return forests
 
 
@@ -486,8 +464,11 @@ class RandomForestSurrogate(Surrogate):
     ----------
     n_estimators:
         Number of trees.
-    max_depth, min_samples_split, min_samples_leaf, max_features:
+    max_depth, min_samples_split, min_samples_leaf:
         Passed to each tree.
+    max_features:
+        Features considered per split: ``None`` (all of them), ``"sqrt"``
+        (⌈√d⌉) or an ``int`` ≥ 1 (capped at ``d``).
     bootstrap:
         Whether each tree trains on a bootstrap resample.
     seed:
@@ -511,6 +492,18 @@ class RandomForestSurrogate(Surrogate):
             raise ValueError("max_depth must be >= 1")
         if min_samples_leaf < 1 or min_samples_split < 2:
             raise ValueError("invalid minimum sample constraints")
+        if not (
+            max_features is None
+            or (isinstance(max_features, str) and max_features == "sqrt")
+            or (
+                isinstance(max_features, (int, np.integer))
+                and not isinstance(max_features, bool)
+                and max_features >= 1
+            )
+        ):
+            raise ValueError(
+                f"max_features must be None, 'sqrt' or an int >= 1, got {max_features!r}"
+            )
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -519,8 +512,7 @@ class RandomForestSurrogate(Surrogate):
         self.bootstrap = bootstrap
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._trees: List[_ArrayTree] = []
-        self._fused_cache: Optional[Tuple] = None
+        self._tables: Optional[_ForestTables] = None
         self.fitted = False
 
     def _n_split_features(self, d: int) -> int:
@@ -536,29 +528,6 @@ class RandomForestSurrogate(Surrogate):
             # size-n draw per tree (row-major fill), at one call.
             return list(self._rng.integers(0, n, size=(self.n_estimators, n)))
         return [np.arange(n) for _ in range(self.n_estimators)]
-
-    def _fused_tables(self) -> Tuple:
-        """Concatenated node tables of all trees (cached until the next fit).
-
-        Returns ``(feature, threshold, left, right, value, roots, depth_cap)``
-        where child pointers are offset into the concatenated arrays and
-        ``roots`` holds each tree's root position.
-        """
-        if self._fused_cache is None:
-            trees = self._trees
-            sizes = np.asarray([t.feature.shape[0] for t in trees], dtype=np.intp)
-            roots = np.zeros(len(trees), dtype=np.intp)
-            np.cumsum(sizes[:-1], out=roots[1:])
-            self._fused_cache = (
-                np.concatenate([t.feature for t in trees]),
-                np.concatenate([t.threshold for t in trees]),
-                np.concatenate([t.left + off for t, off in zip(trees, roots)]),
-                np.concatenate([t.right + off for t, off in zip(trees, roots)]),
-                np.concatenate([t.value for t in trees]),
-                roots,
-                max(t.max_depth for t in trees),
-            )
-        return self._fused_cache
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestSurrogate":
         """Fit the forest: a fleet of one (see :func:`fit_forest_fleet`)."""
@@ -621,15 +590,14 @@ def fit_forest_fleet(
         for model, state in zip(models, states):
             model._rng.bit_generator.state = state
         raise
-    for model, trees in zip(models, forests):
-        model._trees = trees
-        model._fused_cache = None
+    for model, tables in zip(models, forests):
+        model._tables = tables
         model.fitted = True
 
 
 def _fit_forests(
     fits: Sequence[Tuple[RandomForestSurrogate, np.ndarray, np.ndarray]],
-) -> List[List[_ArrayTree]]:
+) -> List[_ForestTables]:
     """Validate a fleet fit and grow its forests (models stay untouched)."""
     Xs: List[np.ndarray] = []
     ys: List[np.ndarray] = []
@@ -669,61 +637,82 @@ def predict_forest_fleet(
     One fused vectorised traversal walks every (forest, tree, candidate)
     triple at once, so the per-tree/per-level NumPy call overhead is paid
     once for the fleet.  :meth:`RandomForestSurrogate.predict` is a fleet of
-    one, which walks the forest's cached node tables as they are; a larger
-    fleet concatenates its members' tables with offset child pointers.  The
-    returned per-job ``(mean, std)`` pairs are **bit-identical** to calling
-    ``forest.predict(X)`` per job: node traversal is pure gather/compare and
-    the per-job moment reduction runs on the same ``(trees, n)`` stack a
-    fleet of one builds.
+    one, which walks the forest's node tables as they are; a larger fleet
+    concatenates its members' tables with offset child pointers.  Leaves are
+    their own children, so every level is one gather of the split features,
+    one ``<=`` against the thresholds and one gather of the children, for
+    every walk at once, and the walk takes as many levels as the fleet's
+    deepest tree.  A matrix whose width differs from the one its forest was
+    fitted on raises ``ValueError``.
+
+    The returned per-job ``(mean, std)`` pairs are **bit-identical** to
+    calling ``forest.predict(X)`` per job: node traversal is pure
+    gather/compare and the per-job moment reduction runs on the same
+    ``(trees, n)`` stack a fleet of one builds.
     """
     if not jobs:
         return []
     Xs: List[np.ndarray] = []
-    tables: List[Tuple] = []
+    tables: List[_ForestTables] = []
     for forest, X in jobs:
         if not forest.fitted:
             raise RuntimeError("the forest has not been fitted")
-        Xs.append(np.atleast_2d(np.asarray(X, dtype=float)))
-        tables.append(forest._fused_tables())
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        forest_tables = forest._tables
+        if X.shape[1] != forest_tables.width:
+            raise ValueError(
+                f"the forest was fitted on {forest_tables.width} features, "
+                f"but the matrix has {X.shape[1]} columns"
+            )
+        Xs.append(X)
+        tables.append(forest_tables)
+    # base[i]: offset in X_flat of the row walk i reads.
     if len(jobs) == 1:
-        feature, threshold, left, right, value, roots, max_depth = tables[0]
-        X_all = Xs[0]
-        n = X_all.shape[0]
-        nodes = np.repeat(roots, n)
-        row_map = np.tile(np.arange(n, dtype=np.intp), roots.size)
+        (forest_tables,), (X,) = tables, Xs
+        feature, threshold, left, right, value, roots, depth, width = forest_tables
+        n = X.shape[0]
+        X_flat = np.ascontiguousarray(X).ravel()
+        nodes = roots.repeat(n)
+        base = np.arange(0, n * width, width)[None, :].repeat(roots.size, axis=0).ravel()
+        levels = int(depth.max())
     else:
-        node_off = row_off = 0
-        columns: Tuple[List[np.ndarray], ...] = ([], [], [], [], [])
-        root_parts: List[np.ndarray] = []
-        rowmap_parts: List[np.ndarray] = []
-        for (f, t, l, r, v, roots, _), X in zip(tables, Xs):
+        node_off = flat_off = 0
+        columns: Tuple[List[np.ndarray], ...] = ([], [], [], [], [], [], [])
+        for (f, t, l, r, v, roots, _, width), X in zip(tables, Xs):
             n = X.shape[0]
-            for column, array in zip(columns, (f, t, l + node_off, r + node_off, v)):
-                column.append(array)
-            root_parts.append(np.repeat(roots + node_off, n))
-            rowmap_parts.append(np.tile(row_off + np.arange(n, dtype=np.intp), roots.size))
-            node_off += f.shape[0]
-            row_off += n
-        feature, threshold, left, right, value = (np.concatenate(c) for c in columns)
-        X_all = np.vstack(Xs)
-        nodes = np.concatenate(root_parts)
-        row_map = np.concatenate(rowmap_parts)
-        max_depth = max(table[6] for table in tables)
+            row_base = np.arange(flat_off, flat_off + n * width, width)
+            parts = (
+                f,
+                t,
+                l + node_off,
+                r + node_off,
+                v,
+                (roots + node_off).repeat(n),
+                row_base[None, :].repeat(roots.size, axis=0).ravel(),
+            )
+            for column, part in zip(columns, parts):
+                column.append(part)
+            node_off += f.size
+            flat_off += n * width
+        feature, threshold, left, right, value, nodes, base = (
+            np.concatenate(column) for column in columns
+        )
+        X_flat = np.concatenate([X.ravel() for X in Xs])
+        levels = max(int(forest_tables.depth.max()) for forest_tables in tables)
 
-    for _ in range(max_depth + 1):
-        is_internal = feature[nodes] >= 0
-        if not np.any(is_internal):
-            break
-        at = np.nonzero(is_internal)[0]
-        nd = nodes[at]
-        go_left = X_all[row_map[at], feature[nd]] <= threshold[nd]
-        nodes[at] = np.where(go_left, left[nd], right[nd])
-    preds = value[nodes]
+    # A leaf's feature is -1, so its walk reads the value before its row
+    # (index -1 wraps); whatever the comparison says, the walk stays put.
+    for _ in range(levels):
+        at = feature.take(nodes)
+        at += base
+        go_left = X_flat.take(at) <= threshold.take(nodes)
+        nodes = np.where(go_left, left.take(nodes), right.take(nodes))
+    preds = value.take(nodes)
 
     results: List[Tuple[np.ndarray, np.ndarray]] = []
     cursor = 0
-    for (*_, roots, _), X in zip(tables, Xs):
-        num_trees, n = roots.size, X.shape[0]
+    for forest_tables, X in zip(tables, Xs):
+        num_trees, n = forest_tables.roots.size, X.shape[0]
         block = preds[cursor : cursor + num_trees * n].reshape(num_trees, n)
         cursor += num_trees * n
         if n == 1:

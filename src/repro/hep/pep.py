@@ -19,8 +19,8 @@ The tunable behaviour reproduced: ``pep_pes_per_node``, ``pep_num_threads``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.sim import Environment, Store
 from repro.mochi.margo import MargoEngine, ProgressMode

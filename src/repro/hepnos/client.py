@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.mochi.margo import MargoEngine
 from repro.hepnos.service import HEPnOSService

@@ -20,9 +20,8 @@ non-trivial choice in the paper's parameter space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from repro.sim import Environment, Resource
 

@@ -23,7 +23,7 @@ The platform model provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.sim import Environment
 from repro.mochi.mercury import NetworkInterface, NetworkModel

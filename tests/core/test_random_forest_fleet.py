@@ -11,7 +11,9 @@ runner's bit-identity guarantee rests on these two properties.
 The builder itself is pinned to a frozen copy: ``build_forest_fleet`` in
 ``tests/reference/random_forest.py`` is the float-``lexsort`` builder the
 rank-key builder replaced, and both must grow the same node arrays, byte for
-byte, and leave every job's generator in the same state.
+byte, and leave every job's generator in the same state.  The traversal is
+pinned the same way to ``predict_forest_fleet`` there, the masked walk that
+absorbing leaves replaced.
 """
 
 import numpy as np
@@ -19,7 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.surrogate.random_forest as random_forest
-from reference.random_forest import build_forest_fleet
+from reference.random_forest import (
+    build_forest_fleet,
+    predict_forest_fleet as masked_predict_forest_fleet,
+    tree_depth,
+    tree_views,
+)
 from repro.core.surrogate.random_forest import (
     _CHUNK_ELEMENTS,
     RandomForestSurrogate,
@@ -41,8 +48,9 @@ def dataset(seed, n=140, d=6, quantized=False):
 
 
 def assert_forests_equal(a, b):
-    assert len(a._trees) == len(b._trees)
-    for tree_a, tree_b in zip(a._trees, b._trees):
+    trees_a, trees_b = tree_views(a._tables), tree_views(b._tables)
+    assert len(trees_a) == len(trees_b)
+    for tree_a, tree_b in zip(trees_a, trees_b):
         for attr in TREE_ARRAYS:
             assert np.array_equal(getattr(tree_a, attr), getattr(tree_b, attr)), attr
 
@@ -159,11 +167,13 @@ def assert_builders_agree(Xs, ys, boots, seeds, **params):
     assert states == oracle_states
     assert len(forests) == len(oracle_forests)
     for forest, oracle in zip(forests, oracle_forests):
-        assert len(forest) == len(oracle)
-        for tree, oracle_tree in zip(forest, oracle):
+        trees = tree_views(forest)
+        assert len(trees) == len(oracle)
+        for tree, oracle_tree in zip(trees, oracle):
             for attr in TREE_ARRAYS:
                 a, b = getattr(tree, attr), getattr(oracle_tree, attr)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+        assert forest.depth.tolist() == [tree_depth(tree) for tree in oracle]
     return forests
 
 
@@ -266,7 +276,7 @@ class TestBuilderMatchesLexsortReference:
             n_split_features=2,
         )
         assert 0.5 * (ADJACENT[0] + ADJACENT[1]) == ADJACENT[1]
-        assert forest[0].feature[0] == 1
+        assert tree_views(forest)[0].feature[0] == 1
 
 
 class TestFleetPredict:
@@ -299,3 +309,105 @@ class TestFleetPredict:
 
     def test_empty_jobs(self):
         assert predict_forest_fleet([]) == []
+
+
+def assert_traversals_agree(jobs):
+    """The absorbing-leaf traversal returns the masked reference's bytes,
+    fused and solo, and every tree's recorded depth is its real depth."""
+    fused = predict_forest_fleet(jobs)
+    oracle = masked_predict_forest_fleet(jobs)
+    assert len(fused) == len(oracle) == len(jobs)
+    for (mean, std), (oracle_mean, oracle_std), (forest, X) in zip(fused, oracle, jobs):
+        assert mean.tobytes() == oracle_mean.tobytes()
+        assert std.tobytes() == oracle_std.tobytes()
+        solo_mean, solo_std = forest.predict(X)
+        assert solo_mean.tobytes() == mean.tobytes() and solo_std.tobytes() == std.tobytes()
+        tables = forest._tables
+        assert tables.depth.tolist() == [tree_depth(tree) for tree in tree_views(tables)]
+        assert tables.depth.max() <= forest.max_depth
+
+
+class TestTraversalMatchesMaskedReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        forests=st.lists(
+            st.tuples(st.integers(1, 40), st.integers(1, 4), st.booleans(), st.integers(1, 9)),
+            min_size=1,
+            max_size=5,
+        ),
+        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=8, max_size=8),
+        max_depth=st.integers(1, 18),
+        nan_share=st.sampled_from([0.0, 0.25]),
+    )
+    def test_random_fleets(self, seed, d, forests, kinds, max_depth, nan_share):
+        """Fleets of mixed real depth — single leaves from a constant y
+        included — scored on 1- and multi-row matrices of tied, ±0.0 and
+        float-adjacent values, exact thresholds and NaN."""
+        rng = np.random.default_rng(seed)
+        jobs = []
+        for rows, trees, constant_y, candidates in forests:
+            X = np.column_stack([make_column(kind, rows, rng) for kind in kinds[:d]])
+            if constant_y:
+                y = np.full(rows, rng.normal())
+            else:
+                y = X @ rng.normal(size=d) + rng.normal(size=rows)
+            forest = RandomForestSurrogate(
+                n_estimators=trees,
+                max_depth=max_depth,
+                min_samples_split=2,
+                min_samples_leaf=1,
+                seed=int(rng.integers(2**31)),
+            ).fit(X, y)
+            C = np.column_stack([make_column(kind, candidates, rng) for kind in kinds[:d]])
+            # Put split thresholds themselves in the matrix: they go left.
+            tables = forest._tables
+            internal = np.flatnonzero(tables.feature >= 0)
+            for node in rng.choice(internal, size=min(internal.size, candidates), replace=False):
+                C[rng.integers(candidates), tables.feature[node]] = tables.threshold[node]
+            C[rng.random(C.shape) < nan_share] = np.nan
+            jobs.append((forest, C))
+        assert_traversals_agree(jobs)
+
+    def test_nan_routes_right(self):
+        """``NaN <= threshold`` is false, so a NaN row takes the right child."""
+        X = np.array([[0.0], [0.0], [1.0], [1.0]])
+        forest = RandomForestSurrogate(
+            n_estimators=1, max_depth=1, min_samples_split=2, min_samples_leaf=1,
+            bootstrap=False, max_features=None,
+        ).fit(X, np.array([1.0, 1.0, 5.0, 5.0]))
+        assert forest._tables.depth.tolist() == [1]
+        mean, _ = forest.predict(np.array([[np.nan], [0.5], [0.25]]))
+        assert mean.tolist() == [5.0, 1.0, 1.0]
+        assert_traversals_agree([(forest, np.array([[np.nan], [0.5], [0.25]]))])
+
+    def test_single_leaf_forest_takes_no_level(self):
+        X = np.random.default_rng(0).random((12, 3))
+        forest = RandomForestSurrogate(n_estimators=3, seed=0).fit(X, np.full(12, 2.5))
+        assert forest._tables.depth.tolist() == [0, 0, 0]
+        deep = RandomForestSurrogate(n_estimators=2, seed=1).fit(*dataset(4, n=60, d=3))
+        assert_traversals_agree([(forest, X[:1]), (deep, X[:5]), (forest, X)])
+
+
+class TestWidthCheck:
+    @pytest.mark.parametrize("columns", [7, 5])
+    def test_mismatched_width_raises_and_names_both(self, columns):
+        """A wider matrix used to be scored on its first columns, a narrower
+        one to raise a bare IndexError."""
+        X, y = dataset(0)
+        forest = RandomForestSurrogate(seed=0).fit(X, y)
+        with pytest.raises(ValueError, match=rf"fitted on 6 features.* {columns} columns"):
+            forest.predict(np.zeros((3, columns)))
+        other = RandomForestSurrogate(seed=1).fit(X, y)
+        with pytest.raises(ValueError, match=rf"fitted on 6 features.* {columns} columns"):
+            predict_forest_fleet([(other, np.zeros((2, 6))), (forest, np.zeros((3, columns)))])
+
+    def test_fleet_of_mixed_widths_equals_solo_predicts(self):
+        narrow = RandomForestSurrogate(seed=0).fit(*dataset(1, n=50, d=3))
+        wide = RandomForestSurrogate(seed=1).fit(*dataset(2, n=50, d=8))
+        rng = np.random.default_rng(3)
+        jobs = [(narrow, rng.random((4, 3))), (wide, rng.random((6, 8))), (narrow, rng.random((1, 3)))]
+        for (mean, std), (forest, X) in zip(predict_forest_fleet(jobs), jobs):
+            solo_mean, solo_std = forest.predict(X)
+            assert mean.tobytes() == solo_mean.tobytes() and std.tobytes() == solo_std.tobytes()

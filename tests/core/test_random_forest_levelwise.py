@@ -13,8 +13,8 @@ statistically equivalent.
 import numpy as np
 import pytest
 
-from reference.random_forest import fit_recursive
-from repro.core.surrogate.random_forest import RandomForestSurrogate, _ArrayTree
+from reference.random_forest import fit_recursive, tree_views
+from repro.core.surrogate.random_forest import RandomForestSurrogate
 
 
 def make_data(n=200, d=6, seed=0, noise=0.05, quantized=False):
@@ -37,7 +37,7 @@ class TestDeterministicEquivalence:
         fast = RandomForestSurrogate(**kwargs).fit(X, y)
         ref = fit_recursive(RandomForestSurrogate(**kwargs), X, y)
         np.testing.assert_allclose(fast.predict(X)[0], ref.predict(X)[0])
-        assert fast._trees[0].node_count == ref._trees[0].node_count
+        assert tree_views(fast._tables)[0].node_count == tree_views(ref._tables)[0].node_count
 
     def test_shallow_tree_matches_reference(self):
         X, y = make_data(n=80, d=3, seed=5)
@@ -80,12 +80,12 @@ class TestLevelwiseEdgeCases:
         forest.fit(np.array([[1.0, 2.0]]), np.array([5.0]))
         mean, _ = forest.predict(np.array([[1.0, 2.0]]))
         assert mean[0] == pytest.approx(5.0)
-        assert all(t.node_count == 1 for t in forest._trees)
+        assert all(t.node_count == 1 for t in tree_views(forest._tables))
 
     def test_constant_targets_yield_single_leaf(self):
         X = np.random.default_rng(0).random((50, 3))
         forest = RandomForestSurrogate(n_estimators=4, seed=0).fit(X, np.full(50, 2.5))
-        assert all(t.node_count == 1 for t in forest._trees)
+        assert all(t.node_count == 1 for t in tree_views(forest._tables))
         mean, _ = forest.predict(X[:7])
         assert np.allclose(mean, 2.5)
 
@@ -94,7 +94,7 @@ class TestLevelwiseEdgeCases:
         y = np.random.default_rng(0).normal(size=30)
         forest = RandomForestSurrogate(n_estimators=2, seed=0, bootstrap=False).fit(X, y)
         # No feature can produce a valid (distinct-value) split.
-        assert all(t.node_count == 1 for t in forest._trees)
+        assert all(t.node_count == 1 for t in tree_views(forest._tables))
         mean, _ = forest.predict(X[:1])
         assert mean[0] == pytest.approx(float(np.mean(y)))
 
@@ -104,7 +104,7 @@ class TestLevelwiseEdgeCases:
             n_estimators=2, max_depth=2, bootstrap=False, max_features=None, seed=0
         ).fit(X, y)
         # Depth-2 binary tree has at most 7 nodes.
-        assert all(t.node_count <= 7 for t in forest._trees)
+        assert all(t.node_count <= 7 for t in tree_views(forest._tables))
 
     def test_deterministic_given_seed(self):
         X, y = make_data(n=150, d=5, seed=4)
@@ -115,8 +115,13 @@ class TestLevelwiseEdgeCases:
     def test_trees_are_array_backed(self):
         X, y = make_data(n=60, d=3, seed=6)
         forest = RandomForestSurrogate(n_estimators=2, seed=0).fit(X, y)
-        for tree in forest._trees:
-            assert isinstance(tree, _ArrayTree)
+        tables = forest._tables
+        # Leaves absorb: a leaf is its own left and right child.
+        own = np.arange(tables.feature.size)
+        leaf = tables.feature < 0
+        assert np.array_equal(tables.left[leaf], own[leaf])
+        assert np.array_equal(tables.right[leaf], own[leaf])
+        for tree in tree_views(tables):
             internal = tree.feature >= 0
             # Children of internal nodes are in range and self-consistent.
             assert np.all(tree.left[internal] > 0)
@@ -133,6 +138,21 @@ class TestLevelwiseEdgeCases:
         forest.fit(X, y + 1.0)
         second = forest.predict(X[:5])[0]
         assert np.allclose(second - first, 1.0, atol=0.5)
+
+
+class TestMaxFeatures:
+    @pytest.mark.parametrize("value", [0.5, 0, -3, "log2", True, False, 2.0, "SQRT"])
+    def test_invalid_values_rejected(self, value):
+        """``0.5``, ``0`` and ``-3`` used to split on one feature, and
+        ``"log2"`` to fail at the first fit with a bare ``int()`` error."""
+        with pytest.raises(ValueError, match="max_features"):
+            RandomForestSurrogate(max_features=value)
+
+    @pytest.mark.parametrize("value, expected", [(None, 5), ("sqrt", 3), (1, 1), (7, 5), (np.int64(2), 2)])
+    def test_valid_values_resolve(self, value, expected):
+        forest = RandomForestSurrogate(max_features=value, seed=0)
+        assert forest._n_split_features(5) == expected
+        forest.fit(*make_data(n=40, d=5))
 
 
 class TestSpeedAssumption:

@@ -1,4 +1,5 @@
-"""The depth-first regression tree and the recursive forest fit built on it.
+"""The depth-first regression tree, the recursive forest fit built on it,
+the previous forest builder and the previous forest traversal.
 
 :class:`DecisionTreeRegressor` is the CART-style tree the level-wise forest
 builder (:func:`repro.core.surrogate.random_forest._build_forest_fleet`)
@@ -11,22 +12,109 @@ trees, which is what the equivalence tests check.
 
 :func:`build_forest_fleet` is the level-wise builder as it was before it
 sorted integer rank keys: one float ``np.lexsort`` per candidate-feature
-slot per level, each slot scored on its own.  The library's builder must
-reproduce it bit for bit — node arrays and every job's generator state —
-which ``tests/core/test_random_forest_fleet.py`` checks.
+slot per level, each slot scored on its own, every tree frozen into its own
+node arrays (:class:`Tree`: breadth-first local ids, ``-1`` for a leaf's
+feature and children).  The library's builder must reproduce it bit for bit
+— node arrays, read through :func:`tree_views`, and every job's generator
+state — which ``tests/core/test_random_forest_fleet.py`` checks.
+
+:func:`predict_forest_fleet` is the traversal as it was before leaves
+absorbed their walks: the per-tree arrays concatenated with offset child
+pointers, and per level a mask of the walks still on internal nodes, up to
+the ``max_depth`` cap.  The library's traversal must return the same bytes.
 """
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.surrogate.random_forest import RandomForestSurrogate, _ArrayTree
+from repro.core.surrogate.random_forest import RandomForestSurrogate, _ForestTables
 
-__all__ = ["DecisionTreeRegressor", "build_forest_fleet", "fit_recursive"]
+__all__ = [
+    "DecisionTreeRegressor",
+    "Tree",
+    "build_forest_fleet",
+    "fit_recursive",
+    "forest_tables",
+    "predict_forest_fleet",
+    "tree_depth",
+    "tree_views",
+]
 
 #: Minimum spread of y below which a node is treated as constant (a leaf).
 _MIN_SPREAD = 1e-12
+
+
+class Tree(NamedTuple):
+    """One tree's node arrays: breadth-first local ids, ``-1`` for a leaf's
+    feature and children, ``0.0`` for a leaf's threshold."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    @property
+    def node_count(self) -> int:
+        """Number of nodes in the tree."""
+        return int(self.feature.shape[0])
+
+
+def tree_views(tables: _ForestTables) -> List[Tree]:
+    """Each tree of a forest's tables in the per-tree layout of :class:`Tree`.
+
+    ``feature``, ``threshold`` and ``value`` are views of the tables; the
+    children are shifted to local ids and a leaf's (itself) reads ``-1``.
+    """
+    bounds = tables.roots.tolist() + [tables.feature.size]
+    trees = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        feature = tables.feature[lo:hi]
+        internal = feature >= 0
+        trees.append(
+            Tree(
+                feature=feature,
+                threshold=tables.threshold[lo:hi],
+                left=np.where(internal, tables.left[lo:hi] - lo, -1),
+                right=np.where(internal, tables.right[lo:hi] - lo, -1),
+                value=tables.value[lo:hi],
+            )
+        )
+    return trees
+
+
+def tree_depth(tree: Tree) -> int:
+    """The number of splits on the longest root-to-leaf path of ``tree``."""
+    depth, level = 0, [0]
+    while True:
+        level = [child for node in level if tree.feature[node] >= 0
+                 for child in (tree.left[node], tree.right[node])]
+        if not level:
+            return depth
+        depth += 1
+
+
+def forest_tables(trees: Sequence[Tree], width: int) -> _ForestTables:
+    """Lay per-tree node arrays out as one forest's traversal tables."""
+    sizes = [tree.node_count for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+    own = np.arange(sum(sizes), dtype=np.intp)
+    feature = np.concatenate([tree.feature for tree in trees])
+    left = np.concatenate([tree.left + root for tree, root in zip(trees, roots)])
+    right = np.concatenate([tree.right + root for tree, root in zip(trees, roots)])
+    leaf = feature < 0
+    return _ForestTables(
+        feature=feature,
+        threshold=np.concatenate([tree.threshold for tree in trees]),
+        left=np.where(leaf, own, left),
+        right=np.where(leaf, own, right),
+        value=np.concatenate([tree.value for tree in trees]),
+        roots=roots,
+        depth=np.asarray([tree_depth(tree) for tree in trees], dtype=np.intp),
+        width=int(width),
+    )
 
 
 class DecisionTreeRegressor:
@@ -211,11 +299,11 @@ def fit_recursive(
 
     Each tree's bootstrap rows and feature subsets are drawn from the
     forest's own generator, interleaved per tree in the original
-    implementation's order.  The trees are stored as flat node arrays, so
-    the forest predicts through its usual fused traversal.
+    implementation's order.  The trees are laid out as the forest's
+    traversal tables (:func:`forest_tables`), so the forest predicts through
+    its usual fused traversal.
     """
     X, y = forest._validate(X, y)
-    forest._fused_cache = None
     n = X.shape[0]
     trees = []
     for _ in range(forest.n_estimators):
@@ -232,16 +320,15 @@ def fit_recursive(
             sample = np.arange(n)
         tree.fit(X[sample], y[sample])
         trees.append(
-            _ArrayTree(
+            Tree(
                 feature=np.asarray(tree._feature, dtype=np.intp),
                 threshold=np.asarray(tree._threshold, dtype=float),
                 left=np.asarray(tree._left, dtype=np.intp),
                 right=np.asarray(tree._right, dtype=np.intp),
                 value=np.asarray(tree._value, dtype=float),
-                max_depth=tree.max_depth,
             )
         )
-    forest._trees = trees
+    forest._tables = forest_tables(trees, X.shape[1])
     forest.fitted = True
     return forest
 
@@ -255,7 +342,7 @@ def build_forest_fleet(
     min_samples_split: int,
     min_samples_leaf: int,
     n_split_features: int,
-) -> List[List[_ArrayTree]]:
+) -> List[List[Tree]]:
     """Fit the forests of several independent *jobs* in one level-wise pass.
 
     Each job is one ``(X, y, bootstrap_rows, rng)`` quadruple — one forest
@@ -591,24 +678,100 @@ def build_forest_fleet(
     right_all = np.concatenate(rec_right)[order]
     tree_ends = np.cumsum(np.bincount(stor_all, minlength=num_trees))
 
-    frozen: List[_ArrayTree] = []
+    frozen: List[Tree] = []
     lo = 0
     for t in range(num_trees):
         hi = int(tree_ends[t])
         frozen.append(
-            _ArrayTree(
+            Tree(
                 feature=feature_all[lo:hi],
                 threshold=threshold_all[lo:hi],
                 left=left_all[lo:hi],
                 right=right_all[lo:hi],
                 value=value_all[lo:hi],
-                max_depth=max_depth,
             )
         )
         lo = hi
-    forests: List[List[_ArrayTree]] = []
+    forests: List[List[Tree]] = []
     cursor = 0
     for boots in bootstrap_rows_per_job:
         forests.append(frozen[cursor : cursor + len(boots)])
         cursor += len(boots)
     return forests
+
+
+def predict_forest_fleet(
+    jobs: Sequence[Tuple[RandomForestSurrogate, np.ndarray]],
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per-job ``(mean, std)`` of several forests by the masked traversal.
+
+    Each forest's trees (:func:`tree_views`) are concatenated with offset
+    child pointers, and so are the fleet's forests; every level gathers the
+    walks still on an internal node and advances only those, for at most
+    ``max_depth + 1`` levels.  The moment reduction is the library's.
+    """
+    if not jobs:
+        return []
+    Xs: List[np.ndarray] = []
+    tables: List[Tuple] = []
+    for forest, X in jobs:
+        if not forest.fitted:
+            raise RuntimeError("the forest has not been fitted")
+        Xs.append(np.atleast_2d(np.asarray(X, dtype=float)))
+        trees = tree_views(forest._tables)
+        sizes = np.asarray([t.feature.shape[0] for t in trees], dtype=np.intp)
+        roots = np.zeros(len(trees), dtype=np.intp)
+        np.cumsum(sizes[:-1], out=roots[1:])
+        tables.append(
+            (
+                np.concatenate([t.feature for t in trees]),
+                np.concatenate([t.threshold for t in trees]),
+                np.concatenate([t.left + off for t, off in zip(trees, roots)]),
+                np.concatenate([t.right + off for t, off in zip(trees, roots)]),
+                np.concatenate([t.value for t in trees]),
+                roots,
+                forest.max_depth,
+            )
+        )
+    node_off = row_off = 0
+    columns: Tuple[List[np.ndarray], ...] = ([], [], [], [], [])
+    root_parts: List[np.ndarray] = []
+    rowmap_parts: List[np.ndarray] = []
+    for (f, t, l, r, v, roots, _), X in zip(tables, Xs):
+        n = X.shape[0]
+        for column, array in zip(columns, (f, t, l + node_off, r + node_off, v)):
+            column.append(array)
+        root_parts.append(np.repeat(roots + node_off, n))
+        rowmap_parts.append(np.tile(row_off + np.arange(n, dtype=np.intp), roots.size))
+        node_off += f.shape[0]
+        row_off += n
+    feature, threshold, left, right, value = (np.concatenate(c) for c in columns)
+    X_all = np.vstack(Xs)
+    nodes = np.concatenate(root_parts)
+    row_map = np.concatenate(rowmap_parts)
+    max_depth = max(table[6] for table in tables)
+
+    for _ in range(max_depth + 1):
+        is_internal = feature[nodes] >= 0
+        if not np.any(is_internal):
+            break
+        at = np.nonzero(is_internal)[0]
+        nd = nodes[at]
+        go_left = X_all[row_map[at], feature[nd]] <= threshold[nd]
+        nodes[at] = np.where(go_left, left[nd], right[nd])
+    preds = value[nodes]
+
+    results: List[Tuple[np.ndarray, np.ndarray]] = []
+    cursor = 0
+    for (*_, roots, _), X in zip(tables, Xs):
+        num_trees, n = roots.size, X.shape[0]
+        block = preds[cursor : cursor + num_trees * n].reshape(num_trees, n)
+        cursor += num_trees * n
+        if n == 1:
+            block = np.concatenate([block, block], axis=1)
+            results.append(
+                (block.mean(axis=0)[:1], np.maximum(block.std(axis=0)[:1], 1e-9))
+            )
+            continue
+        results.append((block.mean(axis=0), np.maximum(block.std(axis=0), 1e-9)))
+    return results

@@ -633,6 +633,7 @@ class TestFleetFitErrorPath:
     def test_incompatible_fleet_leaves_rng_streams_untouched(self):
         """A rejected fleet must not advance any member's generator."""
         import numpy as np
+        from reference.random_forest import tree_views
         from repro.core.surrogate.random_forest import fit_forest_fleet
 
         rng = np.random.default_rng(0)
@@ -644,7 +645,7 @@ class TestFleetFitErrorPath:
             fit_forest_fleet([(good, X, y), (bad, X, y)])
         good.fit(X, y)
         reference.fit(X, y)
-        for ta, tb in zip(good._trees, reference._trees):
+        for ta, tb in zip(tree_views(good._tables), tree_views(reference._tables)):
             assert np.array_equal(ta.threshold, tb.threshold)
 
 
